@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from sepop import learn as learn_mod
+from sepop import manifold
 from sepop import reconstruct as recon_mod
 from sepop import volume as volume_mod
 from sepop.objective import LearningParams
@@ -129,6 +130,11 @@ def cmd_learn(args: argparse.Namespace) -> int:
 def _load_factors(path: str) -> list[np.ndarray]:
     _require_file(path, "operator file")
     factors, _meta = learn_mod.load_operators(path)
+    for mode, factor in enumerate(factors):
+        try:
+            manifold.check_factor(factor)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: mode {mode}: {exc}") from None
     return factors
 
 

@@ -281,28 +281,53 @@ def save_operators(
 
 
 def load_operators(path: str) -> tuple[list[np.ndarray], dict[str, str]]:
+    """Read an operator file; every malformed file raises ``ValueError`` naming it.
+
+    Besides the syntax, the ``modes`` header must match the number of mode
+    blocks and every value must be finite.  Whether the factors lie on the
+    oblique manifold is left to the caller (:func:`manifold.check_factor`).
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != "sepop-operators v1":
+        lines = [(number, ln.split()) for number, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or lines[0][1] != ["sepop-operators", "v1"]:
         raise ValueError(f"{path}: not a sepop operator file")
     meta: dict[str, str] = {}
     factors: list[np.ndarray] = []
     i = 1
     while i < len(lines):
-        tokens = lines[i].split()
-        if tokens[0] == "mode":
-            _, _mode, k, n = tokens
-            k, n = int(k), int(n)
-            rows = []
-            for j in range(k):
-                rows.append([float(v) for v in lines[i + 1 + j].split()])
-                if len(rows[-1]) != n:
-                    raise ValueError(
-                        f"{path}: row length mismatch in mode block at line {i + 1 + j}"
-                    )
-            factors.append(np.array(rows, dtype=float))
-            i += 1 + k
-        else:
+        number, tokens = lines[i]
+        if tokens[0] != "mode":
             meta[tokens[0]] = " ".join(tokens[1:])
             i += 1
+            continue
+        header = " ".join(tokens)
+        try:
+            mode, k, n = (int(t) for t in tokens[1:])
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {number}: expected 'mode i k n', got {header!r}"
+            ) from None
+        if mode != len(factors) or k < 1 or n < 1:
+            raise ValueError(f"{path}: line {number}: bad mode block header {header!r}")
+        block = lines[i + 1 : i + 1 + k]
+        if len(block) < k:
+            raise ValueError(f"{path}: truncated in mode {mode}: {len(block)} of {k} rows")
+        for row_number, row in block:
+            if len(row) != n:
+                raise ValueError(
+                    f"{path}: row length mismatch in mode block at line {row_number}"
+                )
+        try:
+            factor = np.array([[float(v) for v in row] for _, row in block])
+        except ValueError:
+            raise ValueError(f"{path}: non-numeric entry in mode {mode}") from None
+        if not np.all(np.isfinite(factor)):
+            raise ValueError(f"{path}: mode {mode} has non-finite entries")
+        factors.append(factor)
+        i += 1 + k
+    if meta.get("modes") != str(len(factors)):
+        raise ValueError(
+            f"{path}: header says modes {meta.get('modes', '(missing)')} "
+            f"but the file has {len(factors)} mode blocks"
+        )
     return factors, meta

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sepop import manifold
+from sepop.tensor import correlate_separable
 
 COHERENCE_BARRIER_TOL = 1e-12
 
@@ -112,21 +113,21 @@ def coherence_penalty_gradient(factor: np.ndarray) -> np.ndarray:
 
 def analyze_batch(patches: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     """Apply one factor per mode to a (T, n_1, ..., n_N) batch of patches."""
-    out = np.asarray(patches, dtype=float)
-    if out.ndim != len(factors) + 1:
+    patches = np.asarray(patches, dtype=float)
+    if patches.ndim != len(factors) + 1:
         raise ValueError(
             f"batch of order-{len(factors)} patches expected, got array of "
-            f"shape {out.shape}"
+            f"shape {patches.shape}"
         )
+    factors = [np.asarray(factor, dtype=float) for factor in factors]
     for mode, factor in enumerate(factors):
-        factor = np.asarray(factor, dtype=float)
-        if factor.shape[1] != out.shape[mode + 1]:
+        if factor.shape[1] != patches.shape[mode + 1]:
             raise ValueError(
                 f"factor for mode {mode} has shape {factor.shape} but patch "
-                f"axis has length {out.shape[mode + 1]}"
+                f"axis has length {patches.shape[mode + 1]}"
             )
-        out = np.moveaxis(np.tensordot(out, factor, axes=([mode + 1], [1])), -1, mode + 1)
-    return out
+    coeffs = correlate_separable(patches, factors)
+    return coeffs.reshape((patches.shape[0],) + tuple(len(f) for f in factors))
 
 
 def _sample_axes(batch: np.ndarray) -> tuple[int, ...]:

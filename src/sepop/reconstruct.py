@@ -5,6 +5,13 @@ patch-sparsity regularizer evaluated on every (strided) fully interior patch,
 analyzed by the separable operator factors.  Optimization is nonlinear
 conjugate gradient in the flat volume space with monotone Armijo backtracking.
 
+The regularizer is evaluated over the whole volume at once: analyzing every
+patch with the separable operator is a separable correlation
+(:func:`sepop.tensor.correlate_separable`, one GEMM per mode), and its
+adjoint is one GEMM per mode followed by a scatter-add over the patch
+offsets.  Both are the same dot products, in the same order, as the
+per-patch definition, so cost and gradient are bit-identical to it.
+
 Two measurement models are provided: identity (denoising) and per-slice
 centered unitary 2D Fourier sampling on a boolean mask (CS recovery).  Every
 operator passes a randomized adjoint-consistency check at construction.
@@ -18,6 +25,7 @@ from itertools import product
 
 import numpy as np
 
+from sepop.tensor import correlate_separable
 from sepop.volume import Volume
 
 
@@ -185,11 +193,9 @@ class FourierMeasurement(MeasurementOp):
     def forward(self, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data, dtype=float)
         keep = self.mask.mask
-        out = []
-        for k in range(self.dims[2]):
-            spectrum = np.fft.fftshift(np.fft.fft2(data[:, :, k], norm="ortho"))
-            out.append(spectrum[keep])
-        return np.concatenate(out)
+        spectrum = np.fft.fftshift(np.fft.fft2(data, axes=(0, 1), norm="ortho"), axes=(0, 1))
+        # spectrum[keep] is (samples, slices); its transpose ravels slice-major.
+        return spectrum[keep].T.ravel()
 
     def adjoint(self, measurement: np.ndarray) -> np.ndarray:
         keep = self.mask.mask
@@ -200,14 +206,10 @@ class FourierMeasurement(MeasurementOp):
                 f"measurement length {measurement.size} does not match "
                 f"{per_slice} samples x {self.dims[2]} slices"
             )
-        out = np.empty(self.dims, dtype=float)
-        for k in range(self.dims[2]):
-            spectrum = np.zeros(keep.shape, dtype=complex)
-            spectrum[keep] = measurement[k * per_slice : (k + 1) * per_slice]
-            out[:, :, k] = np.real(
-                np.fft.ifft2(np.fft.ifftshift(spectrum), norm="ortho")
-            )
-        return out
+        spectrum = np.zeros(self.dims, dtype=complex)
+        spectrum[keep] = measurement.reshape(self.dims[2], per_slice).T
+        image = np.fft.ifft2(np.fft.ifftshift(spectrum, axes=(0, 1)), axes=(0, 1), norm="ortho")
+        return np.ascontiguousarray(image.real)
 
 
 def save_measurement(y: np.ndarray, op: MeasurementOp, path: str, mask_ref: str = "") -> None:
@@ -263,35 +265,37 @@ def _objective_and_gradient(
 
     d1, d2, d3 = cfg.patch_dims
     s = cfg.patch_stride
-    windows = np.lib.stride_tricks.sliding_window_view(v, cfg.patch_dims)[::s, ::s, ::s]
-    p1, p2, p3 = windows.shape[:3]
     # Normalization of the patch sum: the number of patches covering an
     # interior voxel, so the regularizer strength is independent of the
     # overlap produced by the stride.
     overlap = math.prod(-(-d // s) for d in cfg.patch_dims)
-    coeffs = windows
-    for mode, factor in enumerate(factors):
-        coeffs = np.moveaxis(
-            np.tensordot(coeffs, np.asarray(factor, dtype=float), axes=([mode + 3], [1])),
-            -1,
-            mode + 3,
-        )
     weight = cfg.lam / overlap
-    reg_term = weight * float(np.sum(np.log1p(cfg.nu * coeffs * coeffs)))
+    # (p1, p2, p3, k1, k2, k3): the coefficients of every strided patch.
+    coeffs = correlate_separable(v, factors, s)
+    p1, p2, p3 = coeffs.shape[:3]
+    q = cfg.nu * coeffs
+    q *= coeffs
+    reg_term = weight * float(np.sum(np.log1p(q)))
 
-    dcoeffs = 2.0 * cfg.nu * coeffs / (1.0 + cfg.nu * coeffs * coeffs)
-    dpatch = dcoeffs
+    # d/dc log(1 + nu c^2) = 2 nu c / (1 + nu c^2), in place over the coefficients.
+    q += 1.0
+    coeffs *= 2.0 * cfg.nu
+    coeffs /= q
+    del q
+    # Adjoint of the analysis, coefficient-major: after one transpose to
+    # (k1, k2, k3, p1, p2, p3), mode i is F_i.T @ z batched over the patch
+    # offsets already synthesized, leaving (d1, .., di, k(i+1), .., p1, p2, p3).
+    # Every entry is the same k_i-term dot product as the per-patch adjoint.
+    z = np.ascontiguousarray(np.moveaxis(coeffs, (3, 4, 5), (0, 1, 2)))
+    del coeffs
     for mode, factor in enumerate(factors):
-        dpatch = np.moveaxis(
-            np.tensordot(dpatch, np.asarray(factor, dtype=float).T, axes=([mode + 3], [1])),
-            -1,
-            mode + 3,
-        )
+        factor = np.asarray(factor, dtype=float)
+        z = factor.T @ z.reshape(math.prod(cfg.patch_dims[:mode]), len(factor), -1)
+    z = z.reshape(cfg.patch_dims + (p1, p2, p3))
     reg_grad = np.zeros_like(v)
     for a, b, c in product(range(d1), range(d2), range(d3)):
-        reg_grad[a : a + s * p1 : s, b : b + s * p2 : s, c : c + s * p3 : s] += dpatch[
-            :, :, :, a, b, c
-        ]
+        reg_grad[a : a + s * p1 : s, b : b + s * p2 : s, c : c + s * p3 : s] += z[a, b, c]
+    del z
     grad = grad + weight * reg_grad
     return data_term + reg_term, grad
 

@@ -76,6 +76,48 @@ def kronecker_chain(matrices: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def correlate_separable(
+    x: np.ndarray, factors: list[np.ndarray], stride: int = 1
+) -> np.ndarray:
+    """Analyze every (strided) window of the last N axes with one factor per mode.
+
+    With ``N = len(factors)`` and factor i of shape (k_i, n_i), the result has
+    shape ``x.shape[:-N] + (m_1, ..., m_N, k_1, ..., k_N)``, where
+    ``m_i = (x.shape[-N + i] - n_i) // stride + 1`` counts the window origins
+    ``0, stride, 2 * stride, ...`` along mode i.  Entry ``[..., p, :]`` is the
+    separable analysis of the n_1 x ... x n_N window starting at
+    ``stride * p``: a bank of k_1 ... k_N separable correlation filters.
+
+    Each mode is one GEMM over all window origins at once
+    (``sliding_window_view(..., n_i) @ F_i.T``), so windows that overlap
+    share their partial products instead of recomputing them.  Every output
+    entry is the same chain of n_i-term dot products as the per-window mode
+    products, and rounds the same.  A window as long as its axis (``m_i = 1``)
+    is the plain mode product.
+    """
+    out = np.asarray(x, dtype=float)
+    lead = out.ndim - len(factors)
+    if lead < 0:
+        raise ValueError(
+            f"{len(factors)} factors need at least {len(factors)} axes, got {out.ndim}"
+        )
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got {stride}")
+    for mode, factor in enumerate(factors):
+        factor = np.asarray(factor, dtype=float)
+        axis = lead + mode
+        if factor.ndim != 2 or not 1 <= factor.shape[1] <= out.shape[axis]:
+            raise ValueError(
+                f"factor for mode {mode} has shape {factor.shape}; its window "
+                f"does not fit axis length {out.shape[axis]}"
+            )
+        k, n = factor.shape
+        windows = np.lib.stride_tricks.sliding_window_view(out, n, axis=axis)
+        windows = windows[(slice(None),) * axis + (slice(None, None, stride),)]
+        out = (windows.reshape(-1, n) @ factor.T).reshape(windows.shape[:-1] + (k,))
+    return out
+
+
 def apply_separable(tensor: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     """Apply one factor per mode: ``tensor x_1 F_1 x_2 F_2 ... x_N F_N``.
 
@@ -88,13 +130,12 @@ def apply_separable(tensor: np.ndarray, factors: list[np.ndarray]) -> np.ndarray
             f"need one factor per mode: tensor order {tensor.ndim}, "
             f"got {len(factors)} factors"
         )
-    out = tensor
+    factors = [np.asarray(factor, dtype=float) for factor in factors]
     for mode, factor in enumerate(factors):
-        factor = np.asarray(factor, dtype=float)
         if factor.shape[1] != tensor.shape[mode]:
             raise ValueError(
                 f"factor for mode {mode} has shape {factor.shape} but tensor "
                 f"axis {mode} has length {tensor.shape[mode]}"
             )
-        out = n_mode_product(out, factor, mode)
-    return out
+    out = correlate_separable(tensor, factors)
+    return out.reshape(tuple(len(f) for f in factors))

@@ -97,6 +97,31 @@ class TestDenoise:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "defect", ["truncated block", "truncated header", "nan entry", "long row"]
+    )
+    def test_malformed_operator_file_exits_1_naming_it(
+        self, tmp_path, phantom, operators, capsys, defect
+    ):
+        lines = open(operators).read().splitlines()
+        first = lines.index("mode 0 6 5")
+        if defect == "truncated block":
+            lines = lines[: first + 3]
+        elif defect == "truncated header":
+            lines = lines[:first]
+        elif defect == "nan entry":
+            lines[first + 1] = " ".join(["nan"] + lines[first + 1].split()[1:])
+        else:
+            lines[first + 1] = " ".join(repr(2.0 * float(v)) for v in lines[first + 1].split())
+        bad = tmp_path / "bad_ops.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run(
+            "denoise", "--in", phantom, "--op", str(bad), "--sigma", "5",
+            "--max-iters", "2", "--out", str(tmp_path / "d.vol"),
+        )
+        assert code == 1
+        assert "bad_ops.txt" in capsys.readouterr().err
+
     def test_lambda_defaults_to_200_sigma(self, tmp_path, phantom, operators):
         # sigma 0 without an explicit lambda gives lambda 0, a validation error
         code = run(

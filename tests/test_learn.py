@@ -217,3 +217,45 @@ class TestOperatorFile:
         path.write_text("something else\n")
         with pytest.raises(ValueError, match="operator file"):
             learn.load_operators(str(path))
+
+    @staticmethod
+    def _saved(tmp_path):
+        rng = np.random.default_rng(29)
+        factors = [manifold.random_factor(6, 5, rng) for _ in range(3)]
+        path = tmp_path / "ops.txt"
+        learn.save_operators(str(path), factors, LearningParams())
+        return path, path.read_text().splitlines()
+
+    def test_truncated_inside_a_mode_block(self, tmp_path):
+        path, lines = self._saved(tmp_path)
+        path.write_text("\n".join(lines[: lines.index("mode 1 6 5") + 3]) + "\n")
+        with pytest.raises(ValueError, match=r"ops\.txt: truncated in mode 1: 2 of 6 rows"):
+            learn.load_operators(str(path))
+
+    def test_truncated_after_the_header(self, tmp_path):
+        path, lines = self._saved(tmp_path)
+        path.write_text("\n".join(lines[: lines.index("mode 0 6 5")]) + "\n")
+        with pytest.raises(ValueError, match=r"ops\.txt: header says modes 3 but the file has 0"):
+            learn.load_operators(str(path))
+
+    def test_modes_header_must_match_the_blocks(self, tmp_path):
+        path, lines = self._saved(tmp_path)
+        path.write_text("\n".join(lines[: lines.index("mode 2 6 5")]) + "\n")
+        with pytest.raises(ValueError, match="modes 3 but the file has 2"):
+            learn.load_operators(str(path))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_entry_rejected(self, tmp_path, value):
+        path, lines = self._saved(tmp_path)
+        row = lines.index("mode 0 6 5") + 1
+        lines[row] = " ".join([value] + lines[row].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"ops\.txt: mode 0 has non-finite entries"):
+            learn.load_operators(str(path))
+
+    def test_malformed_block_header_rejected(self, tmp_path):
+        path, lines = self._saved(tmp_path)
+        lines[lines.index("mode 1 6 5")] = "mode 1 six 5"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="expected 'mode i k n'"):
+            learn.load_operators(str(path))

@@ -114,6 +114,23 @@ class TestCoherencePenalty:
         assert objective.coherence_penalty(factor) == pytest.approx(expected, rel=1e-12)
 
 
+class TestAnalyzeBatch:
+    def test_equals_mode_product_chain_bit_for_bit(self, rng):
+        factors = [manifold.random_factor(6, 5, rng) for _ in range(3)]
+        patches = rng.standard_normal((200, 5, 5, 5))
+        chain = patches
+        for mode, factor in enumerate(factors):
+            chain = tensor.n_mode_product(chain, factor, mode + 1)
+        assert np.array_equal(objective.analyze_batch(patches, factors), chain)
+
+    def test_shape_errors_name_the_problem(self, rng):
+        factors = [manifold.random_factor(6, 5, rng) for _ in range(3)]
+        with pytest.raises(ValueError, match="order-3 patches"):
+            objective.analyze_batch(np.zeros((5, 5, 5)), factors)
+        with pytest.raises(ValueError, match="mode 2"):
+            objective.analyze_batch(np.zeros((2, 5, 5, 4)), factors)
+
+
 class TestLearningCost:
     def test_zero_sample_no_barriers(self):
         params = LearningParams(nu=1000.0, kappa=0.0, mu=0.0)

@@ -153,3 +153,55 @@ class TestApplySeparable:
         factors = [np.zeros((5, 3)), np.zeros((5, 9)), np.zeros((5, 2))]
         with pytest.raises(ValueError, match="mode 1"):
             tensor.apply_separable(t, factors)
+
+
+class TestCorrelateSeparable:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 5)),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(0, 2),
+        st.integers(1, 3),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_matches_kronecker_oracle_on_every_window(self, modes, batch, stride, seed):
+        # modes: (rows k_i, window n_i, axis length beyond the window) per mode
+        rng = np.random.default_rng(seed)
+        factors = [rng.standard_normal((k, n)) for k, n, _ in modes]
+        lead = (2,) * batch
+        x = rng.standard_normal(lead + tuple(n + extra for _, n, extra in modes))
+        out = tensor.correlate_separable(x, factors, stride)
+
+        starts = [range(0, extra + 1, stride) for _, _, extra in modes]
+        assert out.shape == lead + tuple(len(r) for r in starts) + tuple(k for k, _, _ in modes)
+        dense = tensor.kronecker_chain(factors)
+        for idx in np.ndindex(*lead):
+            for origin in np.ndindex(*(len(r) for r in starts)):
+                window = x[idx + tuple(
+                    slice(r[p], r[p] + n) for r, p, (_, n, _) in zip(starts, origin, modes)
+                )]
+                np.testing.assert_allclose(
+                    out[idx + origin].ravel(), dense @ window.ravel(), rtol=1e-12, atol=1e-12
+                )
+
+    def test_equals_mode_product_chain_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        t = rng.standard_normal((5, 5, 5))
+        factors = [random_factor(6, 5, rng) for _ in range(3)]
+        chain = t
+        for mode, factor in enumerate(factors):
+            chain = tensor.n_mode_product(chain, factor, mode)
+        assert np.array_equal(tensor.apply_separable(t, factors), chain)
+
+    def test_invalid_arguments_rejected(self):
+        x = np.zeros((4, 4))
+        f = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="at least 3 axes"):
+            tensor.correlate_separable(x, [f, f, f])
+        with pytest.raises(ValueError, match="mode 1"):
+            tensor.correlate_separable(x, [f, np.zeros((3, 5))])
+        with pytest.raises(ValueError, match="stride"):
+            tensor.correlate_separable(x, [f, f], stride=0)
