@@ -224,6 +224,12 @@ def learn_operators(
     ``patches`` is a (T, n_1, ..., n_N) array; ``shapes`` gives the (k_i, n_i)
     factor sizes.  Returns the learned factors and the run report.  When
     ``log_lines`` is given, one text line per iteration is appended to it.
+
+    The cost and gradient share one memo for the run (see
+    :mod:`sepop.objective`): the gradient at an accepted step reuses the
+    analysis its cost evaluation made, and any other point (the line-search
+    failure's best trial, say) is analyzed afresh.  The result is bit-identical
+    to evaluating both without a memo.
     """
     patches = np.asarray(patches, dtype=float)
     if patches.ndim != len(shapes) + 1:
@@ -247,9 +253,10 @@ def learn_operators(
     else:
         start = manifold.random_point(shapes, np.random.default_rng(cfg.seed))
 
+    memo: dict = {}
     return minimize_on_product(
-        lambda fs: learning_cost(fs, patches, params),
-        lambda fs: learning_gradient(fs, patches, params),
+        lambda fs: learning_cost(fs, patches, params, memo=memo),
+        lambda fs: learning_gradient(fs, patches, params, memo=memo),
         start,
         cfg,
         log_lines=log_lines,

@@ -5,6 +5,18 @@ analyzed coefficients, plus two log-barrier regularizers per factor: one
 against rank deficiency and one against (anti)parallel rows.  Logarithms are
 natural throughout.  Barriers raise :class:`BarrierError` instead of returning
 non-finite values; the line search treats that as a too-long step.
+
+A learning solver evaluates the gradient at the point whose cost it has just
+accepted.  To avoid analyzing the patches there twice, :func:`learning_cost`
+and :func:`learning_gradient` share an optional ``memo`` dict that the caller
+creates (one per run) and passes to both.  ``learning_cost`` empties it, and
+after a successful evaluation stores the point (the patch batch and factor
+objects), the analysis coefficients and the per-patch sparsity; a cost that
+raises leaves it empty.  ``learning_gradient`` takes them, emptying the memo,
+only when its patch batch and factors are the very objects stored (``is``);
+otherwise it recomputes them by the same code.  So at most one analysis is
+kept alive, and the results are bit-identical with or without a memo, as long
+as the arrays are not modified in place between the two calls.
 """
 
 from __future__ import annotations
@@ -14,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sepop import manifold
 from sepop.tensor import correlate_separable
 
 COHERENCE_BARRIER_TOL = 1e-12
@@ -56,13 +67,6 @@ def cosparsity(coeffs: np.ndarray, eps: float = 1e-3) -> int:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     coeffs = np.asarray(coeffs, dtype=float)
     return int(np.count_nonzero(np.abs(coeffs) <= eps))
-
-
-def sample_term(signal: np.ndarray, factors: list[np.ndarray], nu: float) -> float:
-    """Squared sparsity measure of the analyzed signal."""
-    from sepop.tensor import apply_separable
-
-    return sparsity_measure(apply_separable(signal, factors), nu) ** 2
 
 
 def rank_penalty(factor: np.ndarray) -> float:
@@ -134,65 +138,102 @@ def _sample_axes(batch: np.ndarray) -> tuple[int, ...]:
     return tuple(range(1, batch.ndim))
 
 
+def _sparsity_per_sample(coeffs: np.ndarray, nu: float) -> np.ndarray:
+    return np.sum(np.log1p(nu * coeffs * coeffs), axis=_sample_axes(coeffs))
+
+
+def _take_memo(
+    memo: dict | None, factors: list[np.ndarray], patches: np.ndarray
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Coefficients and per-patch sparsity stored for exactly this point, if any."""
+    if not memo:
+        return None
+    point, stored = (patches, *factors), memo["point"]
+    if len(point) != len(stored) or any(a is not b for a, b in zip(point, stored)):
+        return None
+    coeffs, per_sample = memo["coeffs"], memo["per_sample"]
+    memo.clear()
+    return coeffs, per_sample
+
+
 def learning_cost(
-    factors: list[np.ndarray], patches: np.ndarray, params: LearningParams
+    factors: list[np.ndarray],
+    patches: np.ndarray,
+    params: LearningParams,
+    memo: dict | None = None,
 ) -> float:
-    """Mean squared patch sparsity plus weighted rank and coherence barriers."""
+    """Mean squared patch sparsity plus weighted rank and coherence barriers.
+
+    ``memo`` (see the module docstring) receives this point's analysis.
+    """
+    if memo is not None:
+        memo.clear()
     coeffs = analyze_batch(patches, factors)
-    per_sample = np.sum(np.log1p(params.nu * coeffs * coeffs), axis=_sample_axes(coeffs))
+    per_sample = _sparsity_per_sample(coeffs, params.nu)
     cost = float(np.mean(per_sample**2))
     if params.kappa > 0:
         cost += params.kappa * sum(rank_penalty(f) for f in factors)
     if params.mu > 0:
         cost += params.mu * sum(coherence_penalty(f) for f in factors)
+    if memo is not None:
+        memo.update(point=(patches, *factors), coeffs=coeffs, per_sample=per_sample)
     return cost
 
 
+def _mode_product(batch: np.ndarray, factor: np.ndarray, mode: int) -> np.ndarray:
+    """``batch`` with patch axis ``mode`` contracted against the rows of ``factor``."""
+    return np.moveaxis(np.tensordot(batch, factor, axes=([mode + 1], [1])), -1, mode + 1)
+
+
 def learning_gradient(
-    factors: list[np.ndarray], patches: np.ndarray, params: LearningParams
+    factors: list[np.ndarray],
+    patches: np.ndarray,
+    params: LearningParams,
+    memo: dict | None = None,
 ) -> list[np.ndarray]:
-    """Euclidean gradient of :func:`learning_cost` w.r.t. each factor."""
+    """Euclidean gradient of :func:`learning_cost` w.r.t. each factor.
+
+    The analysis comes from ``memo`` when :func:`learning_cost` stored it for
+    this very point (see the module docstring), and is recomputed otherwise.
+    """
+    stored = _take_memo(memo, factors, patches)
     patches = np.asarray(patches, dtype=float)
     count = patches.shape[0]
-    coeffs = analyze_batch(patches, factors)
-    per_sample = np.sum(np.log1p(params.nu * coeffs * coeffs), axis=_sample_axes(coeffs))
+    if stored is None:
+        coeffs = analyze_batch(patches, factors)
+        per_sample = _sparsity_per_sample(coeffs, params.nu)
+    else:
+        coeffs, per_sample = stored
     # d(g^2)/dA = 2 g * 2 nu A / (1 + nu A^2), per sample
     scale = (2.0 * per_sample).reshape((count,) + (1,) * (coeffs.ndim - 1))
     weighted = scale * (2.0 * params.nu * coeffs / (1.0 + params.nu * coeffs * coeffs))
+    del coeffs
 
+    # The partial for a mode applies every other factor, in mode order; the
+    # factors before it are a prefix shared with the later modes.
+    factors = [np.asarray(factor, dtype=float) for factor in factors]
     grads: list[np.ndarray] = []
-    for mode in range(len(factors)):
-        partial = patches
-        for other, factor in enumerate(factors):
-            if other == mode:
-                continue
-            partial = np.moveaxis(
-                np.tensordot(partial, np.asarray(factor, dtype=float), axes=([other + 1], [1])),
-                -1,
-                other + 1,
-            )
+    prefix = patches
+    for mode, factor in enumerate(factors):
+        partial = prefix
+        for other in range(mode + 1, len(factors)):
+            partial = _mode_product(partial, factors[other], other)
+        if mode + 1 < len(factors):
+            prefix = _mode_product(prefix, factor, mode)
         w_mat = np.moveaxis(weighted, mode + 1, 1).reshape(count, weighted.shape[mode + 1], -1)
         p_mat = np.moveaxis(partial, mode + 1, 1).reshape(count, partial.shape[mode + 1], -1)
         grad = np.einsum("tkr,tnr->kn", w_mat, p_mat) / count
         if params.kappa > 0:
-            grad = grad + params.kappa * rank_penalty_gradient(factors[mode])
+            grad = grad + params.kappa * rank_penalty_gradient(factor)
         if params.mu > 0:
-            grad = grad + params.mu * coherence_penalty_gradient(factors[mode])
+            grad = grad + params.mu * coherence_penalty_gradient(factor)
         grads.append(grad)
     return grads
 
 
-def riemannian_gradient(
-    factors: list[np.ndarray], patches: np.ndarray, params: LearningParams
-) -> list[np.ndarray]:
-    """Tangent-space projection of the Euclidean learning gradient."""
-    return manifold.product_project(factors, learning_gradient(factors, patches, params))
-
-
 def mean_sparsity(patches: np.ndarray, factors: list[np.ndarray], nu: float) -> float:
     """Mean (unsquared) sparsity measure over a patch batch."""
-    coeffs = analyze_batch(patches, factors)
-    return float(np.mean(np.sum(np.log1p(nu * coeffs * coeffs), axis=_sample_axes(coeffs))))
+    return float(np.mean(_sparsity_per_sample(analyze_batch(patches, factors), nu)))
 
 
 def mean_cosparsity(patches: np.ndarray, factors: list[np.ndarray], eps: float = 1e-3) -> float:

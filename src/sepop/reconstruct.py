@@ -226,19 +226,45 @@ def save_measurement(y: np.ndarray, op: MeasurementOp, path: str, mask_ref: str 
     pairs.tofile(path)
 
 
+_MEASUREMENT_HEADER = {"kind": 1, "dims": 3, "count": 1, "mask": 1}
+
+
 def load_measurement(path: str) -> tuple[np.ndarray, dict[str, str]]:
+    """Read a measurement and its header; a malformed pair raises ``ValueError`` naming it.
+
+    The header is ``key value...`` pairs after the magic (see
+    docs/formats.md); every key must be present, ``dims`` and ``count``
+    nonnegative integers, and ``kind`` one of the measurement operators.
+    """
     with open(path + ".hdr", "r", encoding="utf-8") as fh:
         tokens = fh.readline().split()
     if tokens[:2] != ["sepop-measurement", "v1"]:
         raise ValueError(f"{path}: not a sepop measurement file")
-    meta = {
-        "kind": tokens[3],
-        "dims": " ".join(tokens[5:8]),
-        "count": tokens[9],
-        "mask": tokens[11],
-    }
-    pairs = np.fromfile(path, dtype="<f8")
+    meta: dict[str, str] = {}
+    i = 2
+    while i < len(tokens):
+        key = tokens[i]
+        arity = _MEASUREMENT_HEADER.get(key)
+        if arity is None:
+            raise ValueError(f"{path}: unknown header key {key!r}")
+        values = tokens[i + 1 : i + 1 + arity]
+        if len(values) < arity:
+            raise ValueError(f"{path}: header key {key!r} needs {arity} value(s)")
+        meta[key] = " ".join(values)
+        i += 1 + arity
+    missing = [key for key in _MEASUREMENT_HEADER if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: header lacks {', '.join(missing)}")
+    kinds = (IdentityMeasurement.kind, FourierMeasurement.kind)
+    if meta["kind"] not in kinds:
+        raise ValueError(f"{path}: unknown measurement kind {meta['kind']!r}, expected {kinds}")
+    if not all(t.isdecimal() for t in meta["dims"].split() + [meta["count"]]):
+        raise ValueError(
+            f"{path}: dims and count must be nonnegative integers, got dims "
+            f"{meta['dims']!r}, count {meta['count']!r}"
+        )
     count = int(meta["count"])
+    pairs = np.fromfile(path, dtype="<f8")
     if pairs.size != 2 * count:
         raise ValueError(f"{path}: payload has {pairs.size} floats, header says {count} pairs")
     pairs = pairs.reshape(count, 2)

@@ -1,14 +1,12 @@
-"""Dense multilinear algebra: n-mode products, last-mode unfolding, Kronecker.
+"""Dense multilinear algebra: n-mode products and separable (per-mode) analysis.
 
-Tensors are plain C-contiguous ``numpy.ndarray`` values.  The storage
-linearization is row-major (last index fastest), which makes the last-mode
-unfolding a reshape followed by a transpose instead of a general permutation.
-Formulas in the docs are stated 1-based; all code indices are 0-based.
+Tensors are plain C-contiguous ``numpy.ndarray`` values with row-major
+storage (last index fastest), so the vectorization of a separable analysis is
+the Kronecker chain of its factors applied to ``tensor.ravel()``.  Formulas
+in the docs are stated 1-based; all code indices are 0-based.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -32,48 +30,6 @@ def n_mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndar
         )
     contracted = np.tensordot(tensor, matrix, axes=([mode], [1]))
     return np.ascontiguousarray(np.moveaxis(contracted, -1, mode))
-
-
-def unfold_last(tensor: np.ndarray) -> np.ndarray:
-    """Unfold along the last mode into an I_N x (prod of the others) matrix.
-
-    Entry (i_1,...,i_N) lands in row i_N and column
-    (i_1-1)I_2...I_{N-1} + ... + i_{N-1} (1-based), i.e. the leading indices
-    in row-major order.
-    """
-    tensor = np.asarray(tensor, dtype=float)
-    return np.ascontiguousarray(tensor.reshape(-1, tensor.shape[-1]).T)
-
-
-def fold_last(matrix: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """Exact inverse of :func:`unfold_last` for the given target shape."""
-    matrix = np.asarray(matrix, dtype=float)
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"invalid target dims {dims}")
-    lead = math.prod(dims[:-1])
-    if matrix.shape != (dims[-1], lead):
-        raise ValueError(
-            f"cannot fold matrix of shape {matrix.shape} into dims {dims}; "
-            f"expected shape {(dims[-1], lead)}"
-        )
-    return np.ascontiguousarray(matrix.T.reshape(dims))
-
-
-def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
-def kronecker_chain(matrices: list[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a list of matrices, left to right.
-
-    Test-oracle scale only: the learning path never materializes this matrix.
-    """
-    out = np.asarray(matrices[0], dtype=float)
-    for m in matrices[1:]:
-        out = np.kron(out, m)
-    return out
 
 
 def correlate_separable(

@@ -1,0 +1,58 @@
+"""Dense definitions that the tests check the package's multilinear algebra against.
+
+The package never materializes a Kronecker product or unfolds a tensor; these
+helpers state what its separable evaluations must equal.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from sepop.objective import sparsity_measure
+from sepop.tensor import apply_separable
+
+
+def unfold_last(tensor: np.ndarray) -> np.ndarray:
+    """Unfold along the last mode into an I_N x (prod of the others) matrix.
+
+    Entry (i_1,...,i_N) lands in row i_N and column
+    (i_1-1)I_2...I_{N-1} + ... + i_{N-1} (1-based), i.e. the leading indices
+    in row-major order.
+    """
+    tensor = np.asarray(tensor, dtype=float)
+    return np.ascontiguousarray(tensor.reshape(-1, tensor.shape[-1]).T)
+
+
+def fold_last(matrix: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Exact inverse of :func:`unfold_last` for the given target shape."""
+    matrix = np.asarray(matrix, dtype=float)
+    dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims):
+        raise ValueError(f"invalid target dims {dims}")
+    lead = math.prod(dims[:-1])
+    if matrix.shape != (dims[-1], lead):
+        raise ValueError(
+            f"cannot fold matrix of shape {matrix.shape} into dims {dims}; "
+            f"expected shape {(dims[-1], lead)}"
+        )
+    return np.ascontiguousarray(matrix.T.reshape(dims))
+
+
+def kronecker(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two matrices."""
+    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+def kronecker_chain(matrices: list[np.ndarray]) -> np.ndarray:
+    """Kronecker product of a list of matrices, left to right."""
+    out = np.asarray(matrices[0], dtype=float)
+    for m in matrices[1:]:
+        out = np.kron(out, m)
+    return out
+
+
+def sample_term(signal: np.ndarray, factors: list[np.ndarray], nu: float) -> float:
+    """Squared sparsity measure of the analyzed signal."""
+    return sparsity_measure(apply_separable(signal, factors), nu) ** 2

@@ -1,4 +1,4 @@
-"""Frozen per-patch definition of the reconstruction objective, as a test oracle.
+"""Frozen definitions of the learning and reconstruction objectives, as test oracles.
 
 ``objective_and_gradient`` analyzes each strided 5x5x5 window of the volume
 with three ``tensordot`` mode products and synthesizes the gradient the same
@@ -7,6 +7,12 @@ way, patch by patch: the regularizer exactly as it is defined.
 evaluates both in vectorized form (a separable correlation over the whole
 volume, one FFT over all slices); the tests require its results to equal
 these bit for bit, so that the solver follows the same trajectory.
+
+``learning_cost`` and ``learning_gradient`` evaluate the learning cost
+without any shared work: each analyzes the batch itself, and the gradient
+applies the other factors afresh for every mode.  The package's versions,
+with or without their memo, must equal these bit for bit.  The barrier terms
+are the package's own.
 """
 
 from __future__ import annotations
@@ -16,7 +22,64 @@ from itertools import product
 
 import numpy as np
 
+from sepop.objective import (
+    coherence_penalty,
+    coherence_penalty_gradient,
+    rank_penalty,
+    rank_penalty_gradient,
+)
 from sepop.reconstruct import FourierMeasurement
+
+
+def analyze_batch(patches, factors):
+    coeffs = np.asarray(patches, dtype=float)
+    for mode, factor in enumerate(factors):
+        coeffs = np.tensordot(coeffs, np.asarray(factor, dtype=float), axes=([mode + 1], [1]))
+        coeffs = np.ascontiguousarray(np.moveaxis(coeffs, -1, mode + 1))
+    return coeffs
+
+
+def learning_cost(factors, patches, params):
+    coeffs = analyze_batch(patches, factors)
+    axes = tuple(range(1, coeffs.ndim))
+    per_sample = np.sum(np.log1p(params.nu * coeffs * coeffs), axis=axes)
+    cost = float(np.mean(per_sample**2))
+    if params.kappa > 0:
+        cost += params.kappa * sum(rank_penalty(f) for f in factors)
+    if params.mu > 0:
+        cost += params.mu * sum(coherence_penalty(f) for f in factors)
+    return cost
+
+
+def learning_gradient(factors, patches, params):
+    patches = np.asarray(patches, dtype=float)
+    count = patches.shape[0]
+    coeffs = analyze_batch(patches, factors)
+    axes = tuple(range(1, coeffs.ndim))
+    per_sample = np.sum(np.log1p(params.nu * coeffs * coeffs), axis=axes)
+    scale = (2.0 * per_sample).reshape((count,) + (1,) * (coeffs.ndim - 1))
+    weighted = scale * (2.0 * params.nu * coeffs / (1.0 + params.nu * coeffs * coeffs))
+
+    grads = []
+    for mode in range(len(factors)):
+        partial = patches
+        for other, factor in enumerate(factors):
+            if other == mode:
+                continue
+            partial = np.moveaxis(
+                np.tensordot(partial, np.asarray(factor, dtype=float), axes=([other + 1], [1])),
+                -1,
+                other + 1,
+            )
+        w_mat = np.moveaxis(weighted, mode + 1, 1).reshape(count, weighted.shape[mode + 1], -1)
+        p_mat = np.moveaxis(partial, mode + 1, 1).reshape(count, partial.shape[mode + 1], -1)
+        grad = np.einsum("tkr,tnr->kn", w_mat, p_mat) / count
+        if params.kappa > 0:
+            grad = grad + params.kappa * rank_penalty_gradient(factors[mode])
+        if params.mu > 0:
+            grad = grad + params.mu * coherence_penalty_gradient(factors[mode])
+        grads.append(grad)
+    return grads
 
 
 def objective_and_gradient(v, y, op, factors, cfg):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from sepop import learn, manifold, objective
+from sepop import learn, manifold, objective, volume
 from sepop.learn import LearnReport, SolverConfig, learn_operators, nonmonotone_accept
 from sepop.objective import LearningParams
+
+import reference_objective
 
 
 def synthetic_cosparse_patches(count, factors, seed, noise=1e-3):
@@ -198,6 +200,67 @@ class TestLearnOperators:
         learn_operators(patches, [(6, 5)] * 3, LearningParams(), SolverConfig(max_iters=5), log_lines=log)
         assert log[0].startswith("iter 0 cost ")
         assert len(log) >= 2
+
+
+def phantom_patches(dims, count):
+    vol = volume.synth_phantom(dims, seed=5)
+    return volume.build_training_set(vol, count, (5, 5, 5), flat_tol=1.0, seed=11).patches
+
+
+def reference_solve(patches, shapes, params, cfg):
+    """The solve ``learn_operators`` makes, driven by the frozen cost and gradient."""
+    return learn.minimize_on_product(
+        lambda fs: reference_objective.learning_cost(fs, patches, params),
+        lambda fs: reference_objective.learning_gradient(fs, patches, params),
+        manifold.random_point(shapes, np.random.default_rng(cfg.seed)),
+        cfg,
+    )
+
+
+def assert_same_run(got, want):
+    (factors, report), (ref_factors, ref_report) = got, want
+    assert report.costs == ref_report.costs
+    assert report.grad_norms == ref_report.grad_norms
+    assert report.step_sizes == ref_report.step_sizes
+    assert report.termination == ref_report.termination
+    assert all(np.array_equal(a, b) for a, b in zip(factors, ref_factors))
+
+
+class TestSharedAnalysis:
+    """Reusing the cost's analysis in the gradient changes no number of a run."""
+
+    def test_forty_iterations_equal_the_reference_solve(self):
+        patches = phantom_patches((32, 32, 32), 2000)
+        params, cfg = LearningParams(), SolverConfig(max_iters=40, seed=3)
+        got = learn_operators(patches, [(6, 5)] * 3, params, cfg)
+        assert got[1].iterations == 40
+        assert_same_run(got, reference_solve(patches, [(6, 5)] * 3, params, cfg))
+
+    def test_line_search_failure_equals_the_reference_solve(self, monkeypatch):
+        # Two trials per line search and a demanding Armijo test: after one
+        # accepted step the run ends in a line-search failure, whose gradient
+        # is taken at the better, earlier trial.
+        patches = phantom_patches((16, 16, 16), 300)
+        params = LearningParams()
+        cfg = SolverConfig(
+            max_iters=40, seed=2, ls_max_trials=2, ls_sufficient_decrease=0.5, ls_history_decay=0.0
+        )
+        last_cost_point, stale = [None], []
+
+        def cost(fs, *args, **kwargs):
+            last_cost_point[0] = fs
+            return objective.learning_cost(fs, *args, **kwargs)
+
+        def gradient(fs, *args, **kwargs):
+            stale.append(fs is not last_cost_point[0])
+            return objective.learning_gradient(fs, *args, **kwargs)
+
+        monkeypatch.setattr(learn, "learning_cost", cost)
+        monkeypatch.setattr(learn, "learning_gradient", gradient)
+        got = learn_operators(patches, [(6, 5)] * 3, params, cfg)
+        assert got[1].termination == "line-search failure" and got[1].iterations == 2
+        assert stale == [False, False, True]
+        assert_same_run(got, reference_solve(patches, [(6, 5)] * 3, params, cfg))
 
 
 class TestOperatorFile:

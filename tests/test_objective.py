@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from sepop import manifold, objective, tensor
 from sepop.objective import BarrierError, LearningParams
 
+import oracles
+import reference_objective
+
 
 @pytest.fixture
 def rng():
@@ -62,12 +65,12 @@ class TestCosparsity:
 class TestSampleTerm:
     def test_zero_signal(self, rng):
         factors = [manifold.random_factor(6, 5, rng) for _ in range(3)]
-        assert objective.sample_term(np.zeros((5, 5, 5)), factors, 1000.0) == 0.0
+        assert oracles.sample_term(np.zeros((5, 5, 5)), factors, 1000.0) == 0.0
 
     def test_identity_factors_reduce_to_squared_measure(self, rng):
         signal = rng.standard_normal((4, 4, 4))
         factors = [np.eye(4)] * 3
-        assert objective.sample_term(signal, factors, 100.0) == pytest.approx(
+        assert oracles.sample_term(signal, factors, 100.0) == pytest.approx(
             objective.sparsity_measure(signal, 100.0) ** 2, rel=1e-12
         )
 
@@ -75,7 +78,7 @@ class TestSampleTerm:
         signal = rng.standard_normal((5, 5, 5))
         factors = [manifold.random_factor(6, 5, rng) for _ in range(3)]
         expected = objective.sparsity_measure(tensor.apply_separable(signal, factors), 1000.0) ** 2
-        assert objective.sample_term(signal, factors, 1000.0) == pytest.approx(expected, rel=1e-12)
+        assert oracles.sample_term(signal, factors, 1000.0) == pytest.approx(expected, rel=1e-12)
 
 
 class TestRankPenalty:
@@ -142,7 +145,7 @@ class TestLearningCost:
         factors = [manifold.random_factor(6, 5, rng) for _ in range(3)]
         signal = rng.standard_normal((5, 5, 5))
         assert objective.learning_cost(factors, signal[None], params) == pytest.approx(
-            objective.sample_term(signal, factors, 1000.0), rel=1e-12
+            oracles.sample_term(signal, factors, 1000.0), rel=1e-12
         )
 
     def test_matches_term_by_term_oracle(self, rng):
@@ -150,7 +153,7 @@ class TestLearningCost:
         factors = [manifold.random_factor(6, 5, rng) for _ in range(3)]
         patches = rng.standard_normal((10, 5, 5, 5))
         expected = np.mean(
-            [objective.sample_term(p, factors, params.nu) for p in patches]
+            [oracles.sample_term(p, factors, params.nu) for p in patches]
         )
         expected += params.kappa * sum(objective.rank_penalty(f) for f in factors)
         expected += params.mu * sum(objective.coherence_penalty(f) for f in factors)
@@ -226,3 +229,85 @@ class TestLearningGradient:
                 - objective.learning_cost(minus, patch, params)
             ) / (2 * eps)
             assert analytic == pytest.approx(fd, rel=1e-5)
+
+
+SHAPE_SETS = {
+    "6x5": [(6, 5)] * 3,
+    "7x5": [(7, 5)] * 3,
+    "5x5": [(5, 5)] * 3,
+    "non-cubic": [(6, 5), (7, 4), (4, 3)],
+}
+
+
+def random_instance(shapes, count, seed):
+    r = np.random.default_rng(seed)
+    factors = [manifold.random_factor(k, n, r) for k, n in shapes]
+    patches = r.standard_normal((count,) + tuple(n for _, n in shapes))
+    return factors, patches
+
+
+def assert_equal_to_reference(factors, patches, params, grads):
+    expected = reference_objective.learning_gradient(factors, patches, params)
+    assert len(grads) == len(expected)
+    assert all(np.array_equal(g, e) for g, e in zip(grads, expected))
+
+
+class TestLearningMemo:
+    """Cost and gradient equal the frozen definitions bit for bit, memo or not."""
+
+    @pytest.mark.parametrize("count", [1, 7, 2000])
+    @pytest.mark.parametrize("shapes", list(SHAPE_SETS.values()), ids=list(SHAPE_SETS))
+    @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
+    def test_equals_reference(self, shapes, count, use_memo):
+        params = LearningParams()
+        factors, patches = random_instance(shapes, count, seed=count)
+        memo = {} if use_memo else None
+        cost = objective.learning_cost(factors, patches, params, memo=memo)
+        assert cost == reference_objective.learning_cost(factors, patches, params)
+        if use_memo:
+            assert memo["point"][0] is patches
+        grads = objective.learning_gradient(factors, patches, params, memo=memo)
+        assert_equal_to_reference(factors, patches, params, grads)
+        assert memo in (None, {})
+
+    def test_gradient_at_another_point_recomputes(self):
+        params = LearningParams()
+        factors, patches = random_instance(SHAPE_SETS["6x5"], 50, seed=1)
+        memo = {}
+        objective.learning_cost(factors, patches, params, memo=memo)
+        # shares the first two factor objects with the point the cost saw
+        other = factors[:2] + [manifold.retract(factors[2], np.ones((6, 5)), 0.1)]
+        grads = objective.learning_gradient(other, patches, params, memo=memo)
+        assert_equal_to_reference(other, patches, params, grads)
+        grads = objective.learning_gradient(factors, patches[:20], params, memo=memo)
+        assert_equal_to_reference(factors, patches[:20], params, grads)
+
+    def test_cost_that_hits_a_barrier_leaves_no_memo(self):
+        params = LearningParams()
+        factors, patches = random_instance(SHAPE_SETS["6x5"], 50, seed=2)
+        memo = {}
+        objective.learning_cost(factors, patches, params, memo=memo)
+        assert memo
+        coherent = [f.copy() for f in factors]
+        coherent[1][3] = coherent[1][0]
+        with pytest.raises(BarrierError):
+            objective.learning_cost(coherent, patches, params, memo=memo)
+        assert memo == {}
+        grads = objective.learning_gradient(factors, patches, params, memo=memo)
+        assert_equal_to_reference(factors, patches, params, grads)
+
+    def test_gradient_at_an_earlier_trial_point(self):
+        # a line search that fails returns to its best trial, which is not
+        # the last point whose cost it evaluated
+        params = LearningParams()
+        factors, patches = random_instance(SHAPE_SETS["6x5"], 50, seed=3)
+        direction = [np.ones_like(f) for f in factors]
+        trials = [manifold.product_retract(factors, direction, t) for t in (0.2, 0.1, 0.05)]
+        memo = {}
+        for point in trials:
+            objective.learning_cost(point, patches, params, memo=memo)
+        grads = objective.learning_gradient(trials[0], patches, params, memo=memo)
+        assert_equal_to_reference(trials[0], patches, params, grads)
+        grads = objective.learning_gradient(trials[2], patches, params, memo=memo)
+        assert_equal_to_reference(trials[2], patches, params, grads)
+        assert memo == {}

@@ -299,3 +299,36 @@ class TestMaskAndMeasurementFiles:
             fh.truncate(64)
         with pytest.raises(ValueError, match="payload"):
             load_measurement(path)
+
+    def measurement_with_header(self, tmp_path, header):
+        path = str(tmp_path / "meas.bin")
+        np.zeros((4, 2), dtype="<f8").tofile(path)
+        with open(path + ".hdr", "w", encoding="utf-8") as fh:
+            fh.write(header + "\n")
+        return path
+
+    def test_measurement_header_keys_in_any_order(self, tmp_path):
+        path = self.measurement_with_header(
+            tmp_path, "sepop-measurement v1 mask - count 4 dims 2 2 1 kind identity"
+        )
+        back, meta = load_measurement(path)
+        assert back.shape == (4,)
+        assert meta == {"kind": "identity", "dims": "2 2 1", "count": "4", "mask": "-"}
+
+    @pytest.mark.parametrize(
+        "header, problem",
+        [
+            ("sepop-measurement v1 kind fourier", "lacks dims, count, mask"),
+            ("sepop-measurement v1 kind fourier dims 2 2 1 mask -", "lacks count"),
+            ("sepop-measurement v1 kind fourier dims 2 2 1 count x mask -", "integers"),
+            ("sepop-measurement v1 kind fourier dims 2 2.5 1 count 4 mask -", "integers"),
+            ("sepop-measurement v1 kind radon dims 2 2 1 count 4 mask -", "kind 'radon'"),
+            ("sepop-measurement v1 kind fourier dims 2 2 count 4 mask -", "unknown header key '4'"),
+            ("sepop-measurement v1 kind fourier dims 2 2 1 count 4 mask", "'mask' needs 1"),
+        ],
+    )
+    def test_malformed_measurement_header_names_the_file(self, tmp_path, header, problem):
+        path = self.measurement_with_header(tmp_path, header)
+        with pytest.raises(ValueError, match="meas.bin") as caught:
+            load_measurement(path)
+        assert problem in str(caught.value)
