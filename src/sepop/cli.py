@@ -102,10 +102,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     train = volume_mod.build_training_set(
         vol, args.T, patch_dims, flat_tol=args.flat_tol, seed=args.seed
     )
-    log_lines: list[str] = []
-    factors, report = learn_mod.learn_operators(
-        train.patches, shapes, params, cfg, log_lines=log_lines
-    )
+    factors, report = learn_mod.learn_operators(train.patches, shapes, params, cfg)
     learn_mod.save_operators(
         args.out,
         factors,
@@ -119,7 +116,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         },
     )
     with open(args.out + ".log", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(log_lines) + "\n")
+        fh.write(report.training_log())
     print(
         f"learned {len(factors)} factors in {report.iterations} iterations "
         f"({report.termination}); cost {report.costs[0]:.6g} -> {report.costs[-1]:.6g}"

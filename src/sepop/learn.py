@@ -66,6 +66,14 @@ class LearnReport:
     iterations: int = 0
     termination: str = ""
 
+    def training_log(self) -> str:
+        """One ``iter i cost c grad_norm g step t`` line per iterate (docs/formats.md)."""
+        steps = [0.0] + self.step_sizes
+        return "".join(
+            f"iter {i} cost {cost!r} grad_norm {norm!r} step {step!r}\n"
+            for i, (cost, norm, step) in enumerate(zip(self.costs, self.grad_norms, steps))
+        )
+
 
 def nonmonotone_accept(
     candidate_cost: float,
@@ -86,7 +94,6 @@ def minimize_on_product(
     init: list[np.ndarray],
     cfg: SolverConfig,
     use_conjugate: bool = True,
-    log_lines: list[str] | None = None,
 ) -> tuple[list[np.ndarray], LearnReport]:
     """PR+ conjugate gradient on a product of unit-row-norm manifolds.
 
@@ -106,8 +113,6 @@ def minimize_on_product(
     report = LearnReport()
     report.costs.append(cost)
     report.grad_norms.append(grad_norm)
-    if log_lines is not None:
-        log_lines.append(f"iter 0 cost {cost!r} grad_norm {grad_norm!r} step 0.0")
 
     direction = [-g for g in grad]
     ref_value = cost
@@ -193,10 +198,6 @@ def minimize_on_product(
         report.directional_derivs.append(dd)
         report.reference_values.append(ref_value)
         report.iterations = iteration
-        if log_lines is not None:
-            log_lines.append(
-                f"iter {iteration} cost {new_cost!r} grad_norm {new_grad_norm!r} step {trial!r}"
-            )
 
         new_weight = cfg.ls_history_decay * ref_weight + 1.0
         ref_value = (cfg.ls_history_decay * ref_weight * ref_value + new_cost) / new_weight
@@ -217,13 +218,11 @@ def learn_operators(
     params: LearningParams,
     cfg: SolverConfig,
     init: list[np.ndarray] | None = None,
-    log_lines: list[str] | None = None,
 ) -> tuple[list[np.ndarray], LearnReport]:
     """Learn one unit-row-norm factor per mode from a batch of patches.
 
     ``patches`` is a (T, n_1, ..., n_N) array; ``shapes`` gives the (k_i, n_i)
-    factor sizes.  Returns the learned factors and the run report.  When
-    ``log_lines`` is given, one text line per iteration is appended to it.
+    factor sizes.  Returns the learned factors and the run report.
 
     The cost and gradient share one memo for the run (see
     :mod:`sepop.objective`): the gradient at an accepted step reuses the
@@ -259,7 +258,6 @@ def learn_operators(
         lambda fs: learning_gradient(fs, patches, params, memo=memo),
         start,
         cfg,
-        log_lines=log_lines,
     )
 
 

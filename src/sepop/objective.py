@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sepop.tensor import correlate_separable
+from sepop.tensor import correlate_separable, n_mode_product
 
 COHERENCE_BARRIER_TOL = 1e-12
 
@@ -180,11 +180,6 @@ def learning_cost(
     return cost
 
 
-def _mode_product(batch: np.ndarray, factor: np.ndarray, mode: int) -> np.ndarray:
-    """``batch`` with patch axis ``mode`` contracted against the rows of ``factor``."""
-    return np.moveaxis(np.tensordot(batch, factor, axes=([mode + 1], [1])), -1, mode + 1)
-
-
 def learning_gradient(
     factors: list[np.ndarray],
     patches: np.ndarray,
@@ -217,9 +212,9 @@ def learning_gradient(
     for mode, factor in enumerate(factors):
         partial = prefix
         for other in range(mode + 1, len(factors)):
-            partial = _mode_product(partial, factors[other], other)
+            partial = n_mode_product(partial, factors[other], other + 1)
         if mode + 1 < len(factors):
-            prefix = _mode_product(prefix, factor, mode)
+            prefix = n_mode_product(prefix, factor, mode + 1)
         w_mat = np.moveaxis(weighted, mode + 1, 1).reshape(count, weighted.shape[mode + 1], -1)
         p_mat = np.moveaxis(partial, mode + 1, 1).reshape(count, partial.shape[mode + 1], -1)
         grad = np.einsum("tkr,tnr->kn", w_mat, p_mat) / count
@@ -235,8 +230,3 @@ def mean_sparsity(patches: np.ndarray, factors: list[np.ndarray], nu: float) -> 
     """Mean (unsquared) sparsity measure over a patch batch."""
     return float(np.mean(_sparsity_per_sample(analyze_batch(patches, factors), nu)))
 
-
-def mean_cosparsity(patches: np.ndarray, factors: list[np.ndarray], eps: float = 1e-3) -> float:
-    """Mean count of near-zero analysis coefficients over a patch batch."""
-    coeffs = analyze_batch(patches, factors)
-    return float(np.mean(np.sum(np.abs(coeffs) <= eps, axis=_sample_axes(coeffs))))

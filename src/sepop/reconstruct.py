@@ -7,10 +7,13 @@ conjugate gradient in the flat volume space with monotone Armijo backtracking.
 
 The regularizer is evaluated over the whole volume at once: analyzing every
 patch with the separable operator is a separable correlation
-(:func:`sepop.tensor.correlate_separable`, one GEMM per mode), and its
-adjoint is one GEMM per mode followed by a scatter-add over the patch
-offsets.  Both are the same dot products, in the same order, as the
-per-patch definition, so cost and gradient are bit-identical to it.
+(:func:`sepop.tensor.correlate_separable`, one GEMM per mode), and the
+gradient applies its adjoint
+(:func:`sepop.tensor.correlate_separable_adjoint`, one GEMM per mode and a
+scatter-add over the patch offsets).  Both are the same dot products, in the
+same order, as the per-patch definition, so cost and gradient are
+bit-identical to it; this module only does elementwise work on the
+coefficients.
 
 Two measurement models are provided: identity (denoising) and per-slice
 centered unitary 2D Fourier sampling on a boolean mask (CS recovery).  Every
@@ -21,11 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from sepop.tensor import correlate_separable
+from sepop.tensor import correlate_separable, correlate_separable_adjoint
 from sepop.volume import Volume
 
 
@@ -274,10 +276,6 @@ def load_measurement(path: str) -> tuple[np.ndarray, dict[str, str]]:
 # ---------------------------------------------------------------------------
 # Reconstruction objective and solver
 
-def _patch_starts(size: int, patch: int, stride: int) -> int:
-    return (size - patch) // stride + 1
-
-
 def _objective_and_gradient(
     v: np.ndarray,
     y: np.ndarray,
@@ -289,16 +287,12 @@ def _objective_and_gradient(
     data_term = 0.5 * float(np.real(np.vdot(residual, residual)))
     grad = op.adjoint(residual)
 
-    d1, d2, d3 = cfg.patch_dims
-    s = cfg.patch_stride
     # Normalization of the patch sum: the number of patches covering an
     # interior voxel, so the regularizer strength is independent of the
     # overlap produced by the stride.
-    overlap = math.prod(-(-d // s) for d in cfg.patch_dims)
+    overlap = math.prod(-(-d // cfg.patch_stride) for d in cfg.patch_dims)
     weight = cfg.lam / overlap
-    # (p1, p2, p3, k1, k2, k3): the coefficients of every strided patch.
-    coeffs = correlate_separable(v, factors, s)
-    p1, p2, p3 = coeffs.shape[:3]
+    coeffs = correlate_separable(v, factors, cfg.patch_stride)
     q = cfg.nu * coeffs
     q *= coeffs
     reg_term = weight * float(np.sum(np.log1p(q)))
@@ -308,42 +302,10 @@ def _objective_and_gradient(
     coeffs *= 2.0 * cfg.nu
     coeffs /= q
     del q
-    # Adjoint of the analysis, coefficient-major: after one transpose to
-    # (k1, k2, k3, p1, p2, p3), mode i is F_i.T @ z batched over the patch
-    # offsets already synthesized, leaving (d1, .., di, k(i+1), .., p1, p2, p3).
-    # Every entry is the same k_i-term dot product as the per-patch adjoint.
-    z = np.ascontiguousarray(np.moveaxis(coeffs, (3, 4, 5), (0, 1, 2)))
+    reg_grad = correlate_separable_adjoint(coeffs, factors, v.shape, cfg.patch_stride)
     del coeffs
-    for mode, factor in enumerate(factors):
-        factor = np.asarray(factor, dtype=float)
-        z = factor.T @ z.reshape(math.prod(cfg.patch_dims[:mode]), len(factor), -1)
-    z = z.reshape(cfg.patch_dims + (p1, p2, p3))
-    reg_grad = np.zeros_like(v)
-    for a, b, c in product(range(d1), range(d2), range(d3)):
-        reg_grad[a : a + s * p1 : s, b : b + s * p2 : s, c : c + s * p3 : s] += z[a, b, c]
-    del z
     grad = grad + weight * reg_grad
     return data_term + reg_term, grad
-
-
-def reconstruction_objective(
-    v: np.ndarray,
-    y: np.ndarray,
-    op: MeasurementOp,
-    factors: list[np.ndarray],
-    cfg: ReconConfig,
-) -> float:
-    return _objective_and_gradient(np.asarray(v, dtype=float), y, op, factors, cfg)[0]
-
-
-def reconstruction_gradient(
-    v: np.ndarray,
-    y: np.ndarray,
-    op: MeasurementOp,
-    factors: list[np.ndarray],
-    cfg: ReconConfig,
-) -> np.ndarray:
-    return _objective_and_gradient(np.asarray(v, dtype=float), y, op, factors, cfg)[1]
 
 
 def reconstruct(
@@ -359,7 +321,12 @@ def reconstruct(
     nonlinear CG with monotone Armijo backtracking, so the recorded objective
     trace is non-increasing.
     """
-    for mode, (factor, d) in enumerate(zip(factors, cfg.patch_dims, strict=True)):
+    if len(factors) != len(cfg.patch_dims):
+        raise ValueError(
+            f"operator has {len(factors)} modes but the patches have order "
+            f"{len(cfg.patch_dims)}: one factor per patch mode is needed"
+        )
+    for mode, (factor, d) in enumerate(zip(factors, cfg.patch_dims)):
         if np.asarray(factor).shape[1] != d:
             raise ValueError(
                 f"factor for mode {mode} has {np.asarray(factor).shape[1]} "

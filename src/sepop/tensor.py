@@ -8,6 +8,9 @@ in the docs are stated 1-based; all code indices are 0-based.
 
 from __future__ import annotations
 
+import math
+from itertools import product
+
 import numpy as np
 
 
@@ -71,6 +74,48 @@ def correlate_separable(
         windows = np.lib.stride_tricks.sliding_window_view(out, n, axis=axis)
         windows = windows[(slice(None),) * axis + (slice(None, None, stride),)]
         out = (windows.reshape(-1, n) @ factor.T).reshape(windows.shape[:-1] + (k,))
+    return out
+
+
+def correlate_separable_adjoint(
+    coeffs: np.ndarray, factors: list[np.ndarray], shape: tuple[int, ...], stride: int = 1
+) -> np.ndarray:
+    """Exact adjoint of :func:`correlate_separable` for inputs of ``shape``.
+
+    ``coeffs`` has the layout that ``correlate_separable`` returns for an
+    input of ``shape``.  Each window's coefficients are synthesized with the
+    transposed factors and added into the window, summed where windows
+    overlap.  After one transpose that puts (k_1, ..., k_N) first, mode i is
+    ``F_i.T @ z`` batched over the window offsets already synthesized, so
+    every entry is the same k_i-term dot product as a per-window adjoint.
+    The windows are then added in, one offset at a time in lexicographic
+    order; leading axes pass through.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    shape = tuple(shape)
+    modes = len(factors)
+    lead = len(shape) - modes
+    factors = [np.asarray(factor, dtype=float) for factor in factors]
+    sizes = tuple(factor.shape[1] for factor in factors)
+    if lead < 0 or stride < 1 or any(n > d for n, d in zip(sizes, shape[lead:])):
+        raise ValueError(
+            f"{modes} factors with windows {sizes} and stride {stride} do not fit shape {shape}"
+        )
+    starts = tuple((d - n) // stride + 1 for n, d in zip(sizes, shape[lead:]))
+    grid = shape[:lead] + starts
+    expected = grid + tuple(len(factor) for factor in factors)
+    if coeffs.shape != expected:
+        raise ValueError(f"coefficients of shape {coeffs.shape}, expected {expected}")
+
+    z = np.ascontiguousarray(np.moveaxis(coeffs, range(-modes, 0), range(modes)))
+    for mode, factor in enumerate(factors):
+        z = factor.T @ z.reshape(math.prod(sizes[:mode]), len(factor), -1)
+    per_mode = [
+        [slice(a, a + stride * m, stride) for a in range(n)] for n, m in zip(sizes, starts)
+    ]
+    out = np.zeros(shape)
+    for piece, window in zip(z.reshape((-1,) + grid), product(*per_mode)):
+        out[(Ellipsis, *window)] += piece
     return out
 
 

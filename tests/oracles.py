@@ -2,6 +2,8 @@
 
 The package never materializes a Kronecker product or unfolds a tensor; these
 helpers state what its separable evaluations must equal.
+:func:`reconstruction_objective` gives the finite-difference oracles the
+reconstruction objective and gradient that the solver evaluates.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import math
 
 import numpy as np
 
+from sepop import reconstruct
 from sepop.objective import sparsity_measure
 from sepop.tensor import apply_separable
 
@@ -56,3 +59,8 @@ def kronecker_chain(matrices: list[np.ndarray]) -> np.ndarray:
 def sample_term(signal: np.ndarray, factors: list[np.ndarray], nu: float) -> float:
     """Squared sparsity measure of the analyzed signal."""
     return sparsity_measure(apply_separable(signal, factors), nu) ** 2
+
+
+def reconstruction_objective(v, y, op, factors, cfg) -> tuple[float, np.ndarray]:
+    """Cost and gradient of the reconstruction objective at ``v``, as the solver sees them."""
+    return reconstruct._objective_and_gradient(np.asarray(v, dtype=float), y, op, factors, cfg)

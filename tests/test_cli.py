@@ -76,6 +76,21 @@ class TestLearn:
         assert run("learn", "--train-vol", str(tmp_path / "no.vol"), "--out", "o") == 1
 
 
+@pytest.mark.parametrize("modes", [2, 4])
+@pytest.mark.parametrize("command", [["denoise", "--sigma", "5"], ["cs", "--rate", "0.5"]])
+def test_operator_with_wrong_mode_count_exits_1(tmp_path, phantom, capsys, command, modes):
+    path = str(tmp_path / "ops.txt")
+    rng = np.random.default_rng(3)
+    factors = [manifold.random_factor(6, 5, rng) for _ in range(modes)]
+    learn.save_operators(path, factors, LearningParams())
+    code = run(
+        command[0], "--in", phantom, "--op", path, *command[1:], "--max-iters", "2",
+        "--out", str(tmp_path / "r.vol"),
+    )
+    assert code == 1
+    assert f"operator has {modes} modes but the patches have order 3" in capsys.readouterr().err
+
+
 class TestDenoise:
     def test_sigma_zero_tiny_lambda_roundtrip(self, tmp_path, phantom, operators):
         out = str(tmp_path / "d.vol")

@@ -196,8 +196,10 @@ class TestLearnOperators:
     def test_training_log_lines(self):
         rng = np.random.default_rng(17)
         patches = rng.standard_normal((20, 5, 5, 5))
-        log: list[str] = []
-        learn_operators(patches, [(6, 5)] * 3, LearningParams(), SolverConfig(max_iters=5), log_lines=log)
+        _factors, report = learn_operators(
+            patches, [(6, 5)] * 3, LearningParams(), SolverConfig(max_iters=5)
+        )
+        log = report.training_log().splitlines()
         assert log[0].startswith("iter 0 cost ")
         assert len(log) >= 2
 
@@ -261,6 +263,23 @@ class TestSharedAnalysis:
         assert got[1].termination == "line-search failure" and got[1].iterations == 2
         assert stale == [False, False, True]
         assert_same_run(got, reference_solve(patches, [(6, 5)] * 3, params, cfg))
+
+    def test_training_log_keeps_the_line_search_failure_fallback(self):
+        # The run above saves its best trial after the failed line search;
+        # the log must end with that iterate, the one whose factors are saved.
+        patches = phantom_patches((16, 16, 16), 300)
+        cfg = SolverConfig(
+            max_iters=40, seed=2, ls_max_trials=2, ls_sufficient_decrease=0.5, ls_history_decay=0.0
+        )
+        _factors, report = learn_operators(patches, [(6, 5)] * 3, LearningParams(), cfg)
+        assert report.termination == "line-search failure"
+        log = report.training_log().splitlines()
+        assert len(log) == len(report.costs) == 3
+        assert [float(line.split()[3]) for line in log] == report.costs
+        assert log[-1] == (
+            f"iter 2 cost {report.costs[-1]!r} grad_norm {report.grad_norms[-1]!r} "
+            f"step {report.step_sizes[-1]!r}"
+        )
 
 
 class TestOperatorFile:

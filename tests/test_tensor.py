@@ -207,3 +207,51 @@ class TestCorrelateSeparable:
             tensor.correlate_separable(x, [f, np.zeros((3, 5))])
         with pytest.raises(ValueError, match="stride"):
             tensor.correlate_separable(x, [f, f], stride=0)
+
+
+class TestCorrelateSeparableAdjoint:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 5)),
+            min_size=1,
+            max_size=3,
+        ),
+        st.integers(0, 1),
+        st.integers(1, 3),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_is_the_transpose_of_the_analysis(self, modes, batch, stride, seed):
+        # modes: (rows k_i, window n_i, axis length beyond the window) per mode;
+        # every axis length is odd.
+        rng = np.random.default_rng(seed)
+        factors = [rng.standard_normal((k, n)) for k, n, _ in modes]
+        shape = (3,) * batch + tuple((n + extra) | 1 for _, n, extra in modes)
+        x = rng.standard_normal(shape)
+        analysis = tensor.correlate_separable(x, factors, stride)
+        z = rng.standard_normal(analysis.shape)
+        back = tensor.correlate_separable_adjoint(z, factors, shape, stride)
+        assert back.shape == shape
+
+        lhs, rhs = float(np.sum(analysis * z)), float(np.sum(x * back))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
+
+        dense = oracles.kronecker_chain(factors)
+        sizes = tuple(n for _, n, _ in modes)
+        expected = np.zeros(shape)
+        for idx in np.ndindex(*shape[:batch]):
+            for origin in np.ndindex(*analysis.shape[batch : batch + len(modes)]):
+                window = tuple(slice(stride * p, stride * p + n) for p, n in zip(origin, sizes))
+                expected[idx + window] += (dense.T @ z[idx + origin].ravel()).reshape(sizes)
+        np.testing.assert_allclose(back, expected, rtol=1e-12, atol=1e-12)
+
+    def test_invalid_arguments_rejected(self):
+        f = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="expected"):
+            tensor.correlate_separable_adjoint(np.zeros((3, 3, 3)), [f, f], (4, 4))
+        with pytest.raises(ValueError, match="do not fit"):
+            tensor.correlate_separable_adjoint(np.zeros((3, 3)), [f, f, f], (4, 4))
+        with pytest.raises(ValueError, match="do not fit"):
+            tensor.correlate_separable_adjoint(np.zeros((1, 3)), [np.zeros((3, 5))], (4,))
+        with pytest.raises(ValueError, match="do not fit"):
+            tensor.correlate_separable_adjoint(np.zeros((3, 3)), [f], (4,), stride=0)
