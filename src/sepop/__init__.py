@@ -2,9 +2,9 @@
 
 Subpackages follow the pipeline: dense tensor algebra (`tensor`), oblique
 manifold geometry (`manifold`), the learning cost and its gradients
-(`objective`), the geometric conjugate gradient solver (`learn`), volumetric
-data handling (`volume`), and inverse-problem reconstruction plus quality
-metrics (`reconstruct`).
+(`objective`), the conjugate gradient solver both problems share (`cg`),
+operator learning (`learn`), volumetric data handling (`volume`), and
+inverse-problem reconstruction plus quality metrics (`reconstruct`).
 """
 
 from sepop.manifold import DegenerateStepError

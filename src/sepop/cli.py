@@ -185,8 +185,6 @@ def cmd_cs(args: argparse.Namespace) -> int:
     volume_mod.write_volume(result, args.out)
     if args.mask_out:
         recon_mod.save_mask(mask, args.mask_out)
-    if args.meas_out:
-        recon_mod.save_measurement(y, op, args.meas_out, mask_ref=args.mask_out or "")
 
     print(f"radial mask: {mask.sampling_rate:.4f} sampling rate")
     rows = [
@@ -261,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--out", required=True)
     p.add_argument("--mask-out", default=None)
-    p.add_argument("--meas-out", default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_cs)
 

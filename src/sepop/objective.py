@@ -6,17 +6,10 @@ against rank deficiency and one against (anti)parallel rows.  Logarithms are
 natural throughout.  Barriers raise :class:`BarrierError` instead of returning
 non-finite values; the line search treats that as a too-long step.
 
-A learning solver evaluates the gradient at the point whose cost it has just
-accepted.  To avoid analyzing the patches there twice, :func:`learning_cost`
-and :func:`learning_gradient` share an optional ``memo`` dict that the caller
-creates (one per run) and passes to both.  ``learning_cost`` empties it, and
-after a successful evaluation stores the point (the patch batch and factor
-objects), the analysis coefficients and the per-patch sparsity; a cost that
-raises leaves it empty.  ``learning_gradient`` takes them, emptying the memo,
-only when its patch batch and factors are the very objects stored (``is``);
-otherwise it recomputes them by the same code.  So at most one analysis is
-kept alive, and the results are bit-identical with or without a memo, as long
-as the arrays are not modified in place between the two calls.
+Both the cost and its gradient start from :func:`patch_analysis`, the
+analysis coefficients of the patch batch and each patch's sparsity.  A solver
+that needs both at one point computes it once and passes it to each; called
+without it, each computes it.
 """
 
 from __future__ import annotations
@@ -134,49 +127,32 @@ def analyze_batch(patches: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     return coeffs.reshape((patches.shape[0],) + tuple(len(f) for f in factors))
 
 
-def _sample_axes(batch: np.ndarray) -> tuple[int, ...]:
-    return tuple(range(1, batch.ndim))
-
-
-def _sparsity_per_sample(coeffs: np.ndarray, nu: float) -> np.ndarray:
-    return np.sum(np.log1p(nu * coeffs * coeffs), axis=_sample_axes(coeffs))
-
-
-def _take_memo(
-    memo: dict | None, factors: list[np.ndarray], patches: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Coefficients and per-patch sparsity stored for exactly this point, if any."""
-    if not memo:
-        return None
-    point, stored = (patches, *factors), memo["point"]
-    if len(point) != len(stored) or any(a is not b for a, b in zip(point, stored)):
-        return None
-    coeffs, per_sample = memo["coeffs"], memo["per_sample"]
-    memo.clear()
-    return coeffs, per_sample
+def patch_analysis(
+    factors: list[np.ndarray], patches: np.ndarray, nu: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's analysis coefficients and each patch's sum of log(1 + nu c^2)."""
+    coeffs = analyze_batch(patches, factors)
+    return coeffs, np.sum(np.log1p(nu * coeffs * coeffs), axis=tuple(range(1, coeffs.ndim)))
 
 
 def learning_cost(
     factors: list[np.ndarray],
     patches: np.ndarray,
     params: LearningParams,
-    memo: dict | None = None,
+    analysis: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Mean squared patch sparsity plus weighted rank and coherence barriers.
 
-    ``memo`` (see the module docstring) receives this point's analysis.
+    ``analysis`` is :func:`patch_analysis` at this point, if the caller has it.
     """
-    if memo is not None:
-        memo.clear()
-    coeffs = analyze_batch(patches, factors)
-    per_sample = _sparsity_per_sample(coeffs, params.nu)
+    if analysis is None:
+        analysis = patch_analysis(factors, patches, params.nu)
+    per_sample = analysis[1]
     cost = float(np.mean(per_sample**2))
     if params.kappa > 0:
         cost += params.kappa * sum(rank_penalty(f) for f in factors)
     if params.mu > 0:
         cost += params.mu * sum(coherence_penalty(f) for f in factors)
-    if memo is not None:
-        memo.update(point=(patches, *factors), coeffs=coeffs, per_sample=per_sample)
     return cost
 
 
@@ -184,21 +160,17 @@ def learning_gradient(
     factors: list[np.ndarray],
     patches: np.ndarray,
     params: LearningParams,
-    memo: dict | None = None,
+    analysis: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Euclidean gradient of :func:`learning_cost` w.r.t. each factor.
 
-    The analysis comes from ``memo`` when :func:`learning_cost` stored it for
-    this very point (see the module docstring), and is recomputed otherwise.
+    ``analysis`` is :func:`patch_analysis` at this point, if the caller has it.
     """
-    stored = _take_memo(memo, factors, patches)
+    if analysis is None:
+        analysis = patch_analysis(factors, patches, params.nu)
+    coeffs, per_sample = analysis
     patches = np.asarray(patches, dtype=float)
     count = patches.shape[0]
-    if stored is None:
-        coeffs = analyze_batch(patches, factors)
-        per_sample = _sparsity_per_sample(coeffs, params.nu)
-    else:
-        coeffs, per_sample = stored
     # d(g^2)/dA = 2 g * 2 nu A / (1 + nu A^2), per sample
     scale = (2.0 * per_sample).reshape((count,) + (1,) * (coeffs.ndim - 1))
     weighted = scale * (2.0 * params.nu * coeffs / (1.0 + params.nu * coeffs * coeffs))
@@ -228,5 +200,5 @@ def learning_gradient(
 
 def mean_sparsity(patches: np.ndarray, factors: list[np.ndarray], nu: float) -> float:
     """Mean (unsquared) sparsity measure over a patch batch."""
-    return float(np.mean(_sparsity_per_sample(analyze_batch(patches, factors), nu)))
+    return float(np.mean(patch_analysis(factors, patches, nu)[1]))
 

@@ -2,8 +2,9 @@
 
 Solves the inverse problem: half the squared measurement residual plus a
 patch-sparsity regularizer evaluated on every (strided) fully interior patch,
-analyzed by the separable operator factors.  Optimization is nonlinear
-conjugate gradient in the flat volume space with monotone Armijo backtracking.
+analyzed by the separable operator factors.  The solver is the package's
+conjugate gradient (:mod:`sepop.cg`) in its flat geometry, with monotone
+Armijo backtracking; the gradient is computed only at the points it moves to.
 
 The regularizer is evaluated over the whole volume at once: analyzing every
 patch with the separable operator is a separable correlation
@@ -24,9 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from sepop import cg
 from sepop.tensor import correlate_separable, correlate_separable_adjoint
 from sepop.volume import Volume
 
@@ -49,6 +52,8 @@ class ReconConfig:
             raise ValueError("patch_stride must be at least 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
+        if self.grad_tol <= 0:
+            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,78 +219,24 @@ class FourierMeasurement(MeasurementOp):
         return np.ascontiguousarray(image.real)
 
 
-def save_measurement(y: np.ndarray, op: MeasurementOp, path: str, mask_ref: str = "") -> None:
-    y = np.asarray(y, dtype=complex)
-    with open(path + ".hdr", "w", encoding="utf-8") as fh:
-        fh.write(
-            f"sepop-measurement v1 kind {op.kind} dims "
-            f"{op.dims[0]} {op.dims[1]} {op.dims[2]} count {y.size} "
-            f"mask {mask_ref or '-'}\n"
-        )
-    pairs = np.empty((y.size, 2), dtype="<f8")
-    pairs[:, 0] = y.real
-    pairs[:, 1] = y.imag
-    pairs.tofile(path)
-
-
-_MEASUREMENT_HEADER = {"kind": 1, "dims": 3, "count": 1, "mask": 1}
-
-
-def load_measurement(path: str) -> tuple[np.ndarray, dict[str, str]]:
-    """Read a measurement and its header; a malformed pair raises ``ValueError`` naming it.
-
-    The header is ``key value...`` pairs after the magic (see
-    docs/formats.md); every key must be present, ``dims`` and ``count``
-    nonnegative integers, and ``kind`` one of the measurement operators.
-    """
-    with open(path + ".hdr", "r", encoding="utf-8") as fh:
-        tokens = fh.readline().split()
-    if tokens[:2] != ["sepop-measurement", "v1"]:
-        raise ValueError(f"{path}: not a sepop measurement file")
-    meta: dict[str, str] = {}
-    i = 2
-    while i < len(tokens):
-        key = tokens[i]
-        arity = _MEASUREMENT_HEADER.get(key)
-        if arity is None:
-            raise ValueError(f"{path}: unknown header key {key!r}")
-        values = tokens[i + 1 : i + 1 + arity]
-        if len(values) < arity:
-            raise ValueError(f"{path}: header key {key!r} needs {arity} value(s)")
-        meta[key] = " ".join(values)
-        i += 1 + arity
-    missing = [key for key in _MEASUREMENT_HEADER if key not in meta]
-    if missing:
-        raise ValueError(f"{path}: header lacks {', '.join(missing)}")
-    kinds = (IdentityMeasurement.kind, FourierMeasurement.kind)
-    if meta["kind"] not in kinds:
-        raise ValueError(f"{path}: unknown measurement kind {meta['kind']!r}, expected {kinds}")
-    if not all(t.isdecimal() for t in meta["dims"].split() + [meta["count"]]):
-        raise ValueError(
-            f"{path}: dims and count must be nonnegative integers, got dims "
-            f"{meta['dims']!r}, count {meta['count']!r}"
-        )
-    count = int(meta["count"])
-    pairs = np.fromfile(path, dtype="<f8")
-    if pairs.size != 2 * count:
-        raise ValueError(f"{path}: payload has {pairs.size} floats, header says {count} pairs")
-    pairs = pairs.reshape(count, 2)
-    return pairs[:, 0] + 1j * pairs[:, 1], meta
-
-
 # ---------------------------------------------------------------------------
 # Reconstruction objective and solver
 
-def _objective_and_gradient(
+def _evaluate(
     v: np.ndarray,
     y: np.ndarray,
     op: MeasurementOp,
     factors: list[np.ndarray],
     cfg: ReconConfig,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, Callable[[], np.ndarray]]:
+    """The objective at ``v`` and a callable for its gradient there.
+
+    The gradient takes over the residual and the analysis coefficients that
+    the cost computed, so it can be called once; it frees the coefficients as
+    soon as it has used them.
+    """
     residual = op.forward(v) - y
     data_term = 0.5 * float(np.real(np.vdot(residual, residual)))
-    grad = op.adjoint(residual)
 
     # Normalization of the patch sum: the number of patches covering an
     # interior voxel, so the regularizer strength is independent of the
@@ -296,16 +247,22 @@ def _objective_and_gradient(
     q = cfg.nu * coeffs
     q *= coeffs
     reg_term = weight * float(np.sum(np.log1p(q)))
+    state = [residual, coeffs, q]
 
-    # d/dc log(1 + nu c^2) = 2 nu c / (1 + nu c^2), in place over the coefficients.
-    q += 1.0
-    coeffs *= 2.0 * cfg.nu
-    coeffs /= q
-    del q
-    reg_grad = correlate_separable_adjoint(coeffs, factors, v.shape, cfg.patch_stride)
-    del coeffs
-    grad = grad + weight * reg_grad
-    return data_term + reg_term, grad
+    def gradient() -> np.ndarray:
+        residual, coeffs, q = state
+        state.clear()
+        grad = op.adjoint(residual)
+        # d/dc log(1 + nu c^2) = 2 nu c / (1 + nu c^2), in place over the coefficients.
+        q += 1.0
+        coeffs *= 2.0 * cfg.nu
+        coeffs /= q
+        del q
+        reg_grad = correlate_separable_adjoint(coeffs, factors, v.shape, cfg.patch_stride)
+        del coeffs
+        return grad + weight * reg_grad
+
+    return data_term + reg_term, gradient
 
 
 def reconstruct(
@@ -317,9 +274,10 @@ def reconstruct(
 ) -> Volume:
     """Minimize the data-fidelity plus patch-sparsity objective over volumes.
 
-    Starts from the adjoint image (zero-filling for Fourier data); PR+
-    nonlinear CG with monotone Armijo backtracking, so the recorded objective
-    trace is non-increasing.
+    Starts from the adjoint image (zero-filling for Fourier data) and runs
+    the package's conjugate gradient in flat geometry with monotone Armijo
+    backtracking, so the objective values appended to ``trace`` (one per
+    iterate, the first at the start) never increase.
     """
     if len(factors) != len(cfg.patch_dims):
         raise ValueError(
@@ -332,42 +290,14 @@ def reconstruct(
                 f"factor for mode {mode} has {np.asarray(factor).shape[1]} "
                 f"columns but patch dim is {d}"
             )
-    v = op.adjoint(np.asarray(y))
-    cost, grad = _objective_and_gradient(v, y, op, factors, cfg)
-    if not math.isfinite(cost):
-        raise ArithmeticError(f"non-finite reconstruction objective at start: {cost}")
+    solver = cg.SolverConfig(
+        max_iters=cfg.max_iters, grad_tol=cfg.grad_tol, ls_history_decay=0.0, ls_max_trials=50
+    )
+    v, report = cg.minimize(
+        lambda x: _evaluate(x, y, op, factors, cfg), op.adjoint(np.asarray(y)), solver, cg.FLAT
+    )
     if trace is not None:
-        trace.append(cost)
-
-    tol = cfg.grad_tol * math.sqrt(v.size)
-    direction = -grad
-    prev_step = None
-    for _ in range(cfg.max_iters):
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol:
-            break
-        dd = float(np.sum(direction * grad))
-        if dd >= 0:
-            direction = -grad
-            dd = -gnorm * gnorm
-        step = prev_step if prev_step is not None else 1.0 / max(gnorm, 1e-12)
-        accepted = False
-        for _trial in range(50):
-            candidate = v + step * direction
-            cand_cost, cand_grad = _objective_and_gradient(candidate, y, op, factors, cfg)
-            if math.isfinite(cand_cost) and cand_cost <= cost + 1e-4 * step * dd:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        beta_num = float(np.sum(cand_grad * (cand_grad - grad)))
-        beta = max(0.0, beta_num / (gnorm * gnorm))
-        direction = -cand_grad + beta * direction
-        v, cost, grad = candidate, cand_cost, cand_grad
-        prev_step = step * 2.0
-        if trace is not None:
-            trace.append(cost)
+        trace.extend(report.costs)
     return Volume(v)
 
 

@@ -63,4 +63,5 @@ def sample_term(signal: np.ndarray, factors: list[np.ndarray], nu: float) -> flo
 
 def reconstruction_objective(v, y, op, factors, cfg) -> tuple[float, np.ndarray]:
     """Cost and gradient of the reconstruction objective at ``v``, as the solver sees them."""
-    return reconstruct._objective_and_gradient(np.asarray(v, dtype=float), y, op, factors, cfg)
+    cost, gradient = reconstruct._evaluate(np.asarray(v, dtype=float), y, op, factors, cfg)
+    return cost, gradient()

@@ -238,13 +238,14 @@ def test_criterion_3_manifold_invariants(capsys):
 
     accepted: list[list[np.ndarray]] = []
 
-    def grad_fn(fs):
-        accepted.append([f.copy() for f in fs])
-        return objective.learning_gradient(fs, patches, PARAMS)
+    def evaluate(fs):
+        def gradient():
+            accepted.append([f.copy() for f in fs])
+            return objective.learning_gradient(fs, patches, PARAMS)
 
-    _point, report = minimize_on_product(
-        lambda fs: objective.learning_cost(fs, patches, PARAMS), grad_fn, init, cfg
-    )
+        return objective.learning_cost(fs, patches, PARAMS), gradient
+
+    _point, report = minimize_on_product(evaluate, init, cfg)
 
     worst_norm = 0.0
     finite = True

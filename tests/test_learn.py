@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from sepop import learn, manifold, objective, volume
-from sepop.learn import LearnReport, SolverConfig, learn_operators, nonmonotone_accept
+from sepop.cg import nonmonotone_accept
+from sepop.learn import LearnReport, SolverConfig, learn_operators
 from sepop.objective import LearningParams
 
 import reference_objective
+import reference_solvers
 
 
 def synthetic_cosparse_patches(count, factors, seed, noise=1e-3):
@@ -186,10 +188,13 @@ class TestLearnOperators:
         def grad(fs):
             return [w * (f - t) for f, t, w in zip(fs, target, weights)]
 
+        def evaluate(fs):
+            return cost(fs), lambda: grad(fs)
+
         init = manifold.random_point([(6, 5)] * 2, np.random.default_rng(1))
         cfg = SolverConfig(max_iters=2000, grad_tol=1e-3, seed=0)
-        _p, cg_report = learn.minimize_on_product(cost, grad, init, cfg)
-        _q, sd_report = learn.minimize_on_product(cost, grad, init, cfg, use_conjugate=False)
+        _p, cg_report = learn.minimize_on_product(evaluate, init, cfg)
+        _q, sd_report = learn.minimize_on_product(evaluate, init, cfg, use_conjugate=False)
         assert cg_report.termination == "tolerance"
         assert cg_report.iterations < sd_report.iterations
 
@@ -204,14 +209,14 @@ class TestLearnOperators:
         assert len(log) >= 2
 
 
-def phantom_patches(dims, count):
+def phantom_patches(dims, count, seed=11):
     vol = volume.synth_phantom(dims, seed=5)
-    return volume.build_training_set(vol, count, (5, 5, 5), flat_tol=1.0, seed=11).patches
+    return volume.build_training_set(vol, count, (5, 5, 5), flat_tol=1.0, seed=seed).patches
 
 
 def reference_solve(patches, shapes, params, cfg):
-    """The solve ``learn_operators`` makes, driven by the frozen cost and gradient."""
-    return learn.minimize_on_product(
+    """The frozen learning loop, driven by the frozen memo-free cost and gradient."""
+    return reference_solvers.minimize_on_product(
         lambda fs: reference_objective.learning_cost(fs, patches, params),
         lambda fs: reference_objective.learning_gradient(fs, patches, params),
         manifold.random_point(shapes, np.random.default_rng(cfg.seed)),
@@ -229,10 +234,12 @@ def assert_same_run(got, want):
 
 
 class TestSharedAnalysis:
-    """Reusing the cost's analysis in the gradient changes no number of a run."""
+    """Sharing each evaluation's analysis between cost and gradient changes no
+    number of a run: ``learn_operators`` follows the frozen solver bit for bit."""
 
     def test_forty_iterations_equal_the_reference_solve(self):
-        patches = phantom_patches((32, 32, 32), 2000)
+        # the benchmark's learn probe: 2000 patches of the seed-5 phantom, seed 3
+        patches = phantom_patches((32, 32, 32), 2000, seed=3)
         params, cfg = LearningParams(), SolverConfig(max_iters=40, seed=3)
         got = learn_operators(patches, [(6, 5)] * 3, params, cfg)
         assert got[1].iterations == 40
@@ -241,27 +248,41 @@ class TestSharedAnalysis:
     def test_line_search_failure_equals_the_reference_solve(self, monkeypatch):
         # Two trials per line search and a demanding Armijo test: after one
         # accepted step the run ends in a line-search failure, whose gradient
-        # is taken at the better, earlier trial.
+        # is taken at the better, earlier trial, evaluated again.
         patches = phantom_patches((16, 16, 16), 300)
         params = LearningParams()
         cfg = SolverConfig(
             max_iters=40, seed=2, ls_max_trials=2, ls_sufficient_decrease=0.5, ls_history_decay=0.0
         )
-        last_cost_point, stale = [None], []
+        calls, analyses = [], []
 
         def cost(fs, *args, **kwargs):
-            last_cost_point[0] = fs
+            calls.append(("cost", fs))
             return objective.learning_cost(fs, *args, **kwargs)
 
         def gradient(fs, *args, **kwargs):
-            stale.append(fs is not last_cost_point[0])
+            calls.append(("gradient", fs))
             return objective.learning_gradient(fs, *args, **kwargs)
+
+        def analysis(*args, **kwargs):
+            analyses.append(args[0])
+            return objective.patch_analysis(*args, **kwargs)
 
         monkeypatch.setattr(learn, "learning_cost", cost)
         monkeypatch.setattr(learn, "learning_gradient", gradient)
+        monkeypatch.setattr(learn, "patch_analysis", analysis)
         got = learn_operators(patches, [(6, 5)] * 3, params, cfg)
         assert got[1].termination == "line-search failure" and got[1].iterations == 2
-        assert stale == [False, False, True]
+        # one analysis per evaluation, and every gradient at the point just evaluated
+        costs = [fs for kind, fs in calls if kind == "cost"]
+        assert len(costs) == len(analyses) and all(a is b for a, b in zip(costs, analyses))
+        grads = [i for i, (kind, _fs) in enumerate(calls) if kind == "gradient"]
+        assert len(grads) == 3
+        assert all(calls[i - 1][0] == "cost" and calls[i - 1][1] is calls[i][1] for i in grads)
+        # the last gradient is at a re-evaluation of the failed search's first trial
+        failed = calls[grads[1] + 1 : grads[2] - 1]
+        assert len(failed) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(calls[grads[2]][1], failed[0][1]))
         assert_same_run(got, reference_solve(patches, [(6, 5)] * 3, params, cfg))
 
     def test_training_log_keeps_the_line_search_failure_fallback(self):

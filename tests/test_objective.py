@@ -252,62 +252,25 @@ def assert_equal_to_reference(factors, patches, params, grads):
     assert all(np.array_equal(g, e) for g, e in zip(grads, expected))
 
 
-class TestLearningMemo:
-    """Cost and gradient equal the frozen definitions bit for bit, memo or not."""
+class TestSharedAnalysis:
+    """Cost and gradient equal the frozen definitions bit for bit, with the
+    analysis passed in or computed by each."""
 
     @pytest.mark.parametrize("count", [1, 7, 2000])
     @pytest.mark.parametrize("shapes", list(SHAPE_SETS.values()), ids=list(SHAPE_SETS))
-    @pytest.mark.parametrize("use_memo", [False, True], ids=["no-memo", "memo"])
-    def test_equals_reference(self, shapes, count, use_memo):
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-analysis", "shared-analysis"])
+    def test_equals_reference(self, shapes, count, shared):
         params = LearningParams()
         factors, patches = random_instance(shapes, count, seed=count)
-        memo = {} if use_memo else None
-        cost = objective.learning_cost(factors, patches, params, memo=memo)
+        analysis = objective.patch_analysis(factors, patches, params.nu) if shared else None
+        cost = objective.learning_cost(factors, patches, params, analysis)
         assert cost == reference_objective.learning_cost(factors, patches, params)
-        if use_memo:
-            assert memo["point"][0] is patches
-        grads = objective.learning_gradient(factors, patches, params, memo=memo)
-        assert_equal_to_reference(factors, patches, params, grads)
-        assert memo in (None, {})
-
-    def test_gradient_at_another_point_recomputes(self):
-        params = LearningParams()
-        factors, patches = random_instance(SHAPE_SETS["6x5"], 50, seed=1)
-        memo = {}
-        objective.learning_cost(factors, patches, params, memo=memo)
-        # shares the first two factor objects with the point the cost saw
-        other = factors[:2] + [manifold.retract(factors[2], np.ones((6, 5)), 0.1)]
-        grads = objective.learning_gradient(other, patches, params, memo=memo)
-        assert_equal_to_reference(other, patches, params, grads)
-        grads = objective.learning_gradient(factors, patches[:20], params, memo=memo)
-        assert_equal_to_reference(factors, patches[:20], params, grads)
-
-    def test_cost_that_hits_a_barrier_leaves_no_memo(self):
-        params = LearningParams()
-        factors, patches = random_instance(SHAPE_SETS["6x5"], 50, seed=2)
-        memo = {}
-        objective.learning_cost(factors, patches, params, memo=memo)
-        assert memo
-        coherent = [f.copy() for f in factors]
-        coherent[1][3] = coherent[1][0]
-        with pytest.raises(BarrierError):
-            objective.learning_cost(coherent, patches, params, memo=memo)
-        assert memo == {}
-        grads = objective.learning_gradient(factors, patches, params, memo=memo)
+        grads = objective.learning_gradient(factors, patches, params, analysis)
         assert_equal_to_reference(factors, patches, params, grads)
 
-    def test_gradient_at_an_earlier_trial_point(self):
-        # a line search that fails returns to its best trial, which is not
-        # the last point whose cost it evaluated
-        params = LearningParams()
-        factors, patches = random_instance(SHAPE_SETS["6x5"], 50, seed=3)
-        direction = [np.ones_like(f) for f in factors]
-        trials = [manifold.product_retract(factors, direction, t) for t in (0.2, 0.1, 0.05)]
-        memo = {}
-        for point in trials:
-            objective.learning_cost(point, patches, params, memo=memo)
-        grads = objective.learning_gradient(trials[0], patches, params, memo=memo)
-        assert_equal_to_reference(trials[0], patches, params, grads)
-        grads = objective.learning_gradient(trials[2], patches, params, memo=memo)
-        assert_equal_to_reference(trials[2], patches, params, grads)
-        assert memo == {}
+    def test_analysis_is_the_per_patch_sparsity(self):
+        factors, patches = random_instance(SHAPE_SETS["non-cubic"], 9, seed=4)
+        coeffs, per_sample = objective.patch_analysis(factors, patches, 1000.0)
+        assert np.array_equal(coeffs, objective.analyze_batch(patches, factors))
+        for t in range(len(patches)):
+            assert per_sample[t] == pytest.approx(objective.sparsity_measure(coeffs[t], 1000.0), rel=1e-13)

@@ -10,13 +10,11 @@ from sepop.reconstruct import (
     ReconConfig,
     SamplingMask,
     load_mask,
-    load_measurement,
     mssim,
     psnr,
     radial_mask,
     radial_mask_for_rate,
     save_mask,
-    save_measurement,
 )
 from sepop.volume import Volume
 
@@ -166,7 +164,7 @@ class TestBitIdentityWithPerPatchDefinition:
     def _assert_equal(rng, op, ref_op, factors, cfg):
         v = rng.uniform(0, 255, op.dims)
         y = op.forward(v + 15.0 * rng.standard_normal(op.dims))
-        cost, grad = reconstruct._objective_and_gradient(v, y, op, factors, cfg)
+        cost, grad = oracles.reconstruction_objective(v, y, op, factors, cfg)
         ref_cost, ref_grad = reference_objective.objective_and_gradient(v, y, ref_op, factors, cfg)
         assert cost == ref_cost
         assert np.array_equal(grad, ref_grad)
@@ -194,9 +192,12 @@ class TestBitIdentityWithPerPatchDefinition:
         out = reconstruct.reconstruct(y, op, factors, cfg, trace=trace)
 
         ref_op = reference_objective.SliceFourierMeasurement(vol.dims, mask)
-        monkeypatch.setattr(
-            reconstruct, "_objective_and_gradient", reference_objective.objective_and_gradient
-        )
+
+        def reference_evaluate(*args):
+            cost, grad = reference_objective.objective_and_gradient(*args)
+            return cost, lambda: grad
+
+        monkeypatch.setattr(reconstruct, "_evaluate", reference_evaluate)
         ref_trace: list[float] = []
         ref_out = reconstruct.reconstruct(y, ref_op, factors, cfg, trace=ref_trace)
         assert len(trace) == 31
@@ -221,6 +222,11 @@ class TestReconstructSolver:
         cfg = ReconConfig(lam=500.0, max_iters=20)
         reconstruct.reconstruct(op.forward(noisy.data), op, factors, cfg, trace=trace)
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+
+    @pytest.mark.parametrize("grad_tol", [0.0, -1e-4])
+    def test_non_positive_grad_tol_rejected(self, grad_tol):
+        with pytest.raises(ValueError, match="grad_tol must be positive"):
+            ReconConfig(lam=1.0, grad_tol=grad_tol)
 
     def test_factor_patch_mismatch_rejected(self, rng):
         bad = [manifold.random_factor(6, 4, rng) for _ in range(3)]
@@ -271,7 +277,7 @@ class TestMssim:
             mssim(Volume(np.zeros((8, 8, 8))), Volume(np.zeros((8, 8, 8))))
 
 
-class TestMaskAndMeasurementFiles:
+class TestMaskFile:
     def test_mask_round_trip(self, tmp_path):
         m = radial_mask(16, 16, 5)
         path = str(tmp_path / "mask.txt")
@@ -279,57 +285,3 @@ class TestMaskAndMeasurementFiles:
         back = load_mask(path)
         np.testing.assert_array_equal(back.mask, m.mask)
         assert back.sampling_rate == m.sampling_rate
-
-    def test_measurement_round_trip(self, tmp_path, rng):
-        mask = radial_mask_for_rate(12, 12, 0.3)
-        op = FourierMeasurement((12, 12, 2), mask)
-        y = op.forward(rng.standard_normal((12, 12, 2)))
-        path = str(tmp_path / "meas.bin")
-        save_measurement(y, op, path, mask_ref="mask.txt")
-        back, meta = load_measurement(path)
-        np.testing.assert_array_equal(back, y)
-        assert meta["kind"] == "fourier"
-        assert meta["mask"] == "mask.txt"
-
-    def test_corrupt_measurement_rejected(self, tmp_path, rng):
-        op = IdentityMeasurement((6, 6, 6))
-        y = op.forward(rng.standard_normal((6, 6, 6))).astype(complex)
-        path = str(tmp_path / "meas.bin")
-        save_measurement(y, op, path)
-        with open(path, "r+b") as fh:
-            fh.truncate(64)
-        with pytest.raises(ValueError, match="payload"):
-            load_measurement(path)
-
-    def measurement_with_header(self, tmp_path, header):
-        path = str(tmp_path / "meas.bin")
-        np.zeros((4, 2), dtype="<f8").tofile(path)
-        with open(path + ".hdr", "w", encoding="utf-8") as fh:
-            fh.write(header + "\n")
-        return path
-
-    def test_measurement_header_keys_in_any_order(self, tmp_path):
-        path = self.measurement_with_header(
-            tmp_path, "sepop-measurement v1 mask - count 4 dims 2 2 1 kind identity"
-        )
-        back, meta = load_measurement(path)
-        assert back.shape == (4,)
-        assert meta == {"kind": "identity", "dims": "2 2 1", "count": "4", "mask": "-"}
-
-    @pytest.mark.parametrize(
-        "header, problem",
-        [
-            ("sepop-measurement v1 kind fourier", "lacks dims, count, mask"),
-            ("sepop-measurement v1 kind fourier dims 2 2 1 mask -", "lacks count"),
-            ("sepop-measurement v1 kind fourier dims 2 2 1 count x mask -", "integers"),
-            ("sepop-measurement v1 kind fourier dims 2 2.5 1 count 4 mask -", "integers"),
-            ("sepop-measurement v1 kind radon dims 2 2 1 count 4 mask -", "kind 'radon'"),
-            ("sepop-measurement v1 kind fourier dims 2 2 count 4 mask -", "unknown header key '4'"),
-            ("sepop-measurement v1 kind fourier dims 2 2 1 count 4 mask", "'mask' needs 1"),
-        ],
-    )
-    def test_malformed_measurement_header_names_the_file(self, tmp_path, header, problem):
-        path = self.measurement_with_header(tmp_path, header)
-        with pytest.raises(ValueError, match="meas.bin") as caught:
-            load_measurement(path)
-        assert problem in str(caught.value)
