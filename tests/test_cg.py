@@ -121,12 +121,72 @@ class TestFlatGeometry:
         assert np.array_equal(x, best)
         assert len(report.costs) == report.iterations + 1 == len(report.step_sizes) + 1
 
+    def test_gradient_only_at_accepted_points(self):
+        evaluate, calls = quadratic(self.weights, self.target)
+        gradient_calls = []
+
+        def counted(x):
+            cost, gradient = evaluate(x)
+            return cost, lambda: gradient_calls.append(x.copy()) or gradient()
+
+        cfg = cg.SolverConfig(max_iters=500, grad_tol=1e-8, ls_history_decay=0.0, ls_max_trials=50)
+        _x, report = cg.minimize(counted, np.zeros((3, 4)), cfg, cg.FLAT)
+        assert report.termination == "tolerance"
+        assert len(calls) > len(gradient_calls), "no line-search trial was rejected"
+        assert len(gradient_calls) == len(report.costs)
+        # the gradient points are the iterates, in order
+        iterate_costs = [0.5 * float(np.sum(self.weights * (x - self.target) ** 2)) for x in gradient_calls]
+        assert iterate_costs == report.costs
+
     def test_non_finite_start_is_refused(self):
         def evaluate(x):
             return float("nan"), lambda: x
 
         with pytest.raises(ArithmeticError, match="non-finite cost at the starting point"):
             cg.minimize(evaluate, np.zeros(3), cg.SolverConfig(), cg.FLAT)
+
+
+class TestRejectedSteps:
+    """A trial that hits a barrier or a degenerate retraction is a too-long step."""
+
+    target = np.array([3.0, 4.0])
+
+    def barrier_quadratic(self, radius, error):
+        """f(x) = 1/2 |x - target|^2, raising ``error`` outside the ball of ``radius``."""
+        trials = []
+
+        def evaluate(x):
+            trials.append(x.copy())
+            if np.linalg.norm(x) > radius:
+                raise error("outside the feasible ball")
+            return 0.5 * float(np.sum((x - self.target) ** 2)), lambda: x - self.target
+
+        return evaluate, trials
+
+    @pytest.mark.parametrize("error", cg.REJECTED_STEP, ids=lambda e: e.__name__)
+    def test_rejected_trial_is_shrunk(self, error):
+        # The first trial is the unit step towards the target; only half of it
+        # stays inside the ball.
+        evaluate, trials = self.barrier_quadratic(0.6, error)
+        cfg = cg.SolverConfig(max_iters=1, ls_history_decay=0.0)
+        x, report = cg.minimize(evaluate, np.zeros(2), cfg, cg.FLAT)
+        assert [np.linalg.norm(t) for t in trials[1:]] == pytest.approx([1.0, 0.5])
+        assert report.iterations == 1 and report.step_sizes == [0.5 / 5.0]
+        assert report.costs[1] < report.costs[0]
+        np.testing.assert_allclose(x, self.target / 10.0)
+
+    def test_every_trial_rejected_is_a_line_search_failure(self):
+        evaluate, trials = self.barrier_quadratic(0.0, cg.REJECTED_STEP[0])
+        cfg = cg.SolverConfig(ls_max_trials=5)
+        x, report = cg.minimize(evaluate, np.zeros(2), cfg, cg.FLAT)
+        assert len(trials) == 1 + 5
+        assert report.termination == "line-search failure" and report.iterations == 0
+        assert np.array_equal(x, np.zeros(2)) and report.costs == [12.5]
+
+    def test_other_errors_propagate(self):
+        evaluate, _trials = self.barrier_quadratic(0.6, ZeroDivisionError)
+        with pytest.raises(ZeroDivisionError):
+            cg.minimize(evaluate, np.zeros(2), cg.SolverConfig(), cg.FLAT)
 
 
 class TestTrialStateIsReleased:

@@ -285,6 +285,27 @@ class TestSharedAnalysis:
         assert all(np.array_equal(a, b) for a, b in zip(calls[grads[2]][1], failed[0][1]))
         assert_same_run(got, reference_solve(patches, [(6, 5)] * 3, params, cfg))
 
+    def test_each_evaluation_keeps_its_own_analysis(self, monkeypatch):
+        # A failed line search returns to its best trial, which need not be
+        # the last point evaluated: a gradient taken after later evaluations
+        # must still be the gradient at its own point.
+        patches = phantom_patches((16, 16, 16), 50)
+        params = LearningParams()
+        captured = []
+        monkeypatch.setattr(
+            learn, "minimize_on_product", lambda evaluate, init, cfg: captured.append(evaluate)
+        )
+        factors = manifold.random_point([(6, 5)] * 3, 3)
+        learn_operators(patches, [(6, 5)] * 3, params, SolverConfig(), init=factors)
+        (evaluate,) = captured
+        direction = [np.ones_like(f) for f in factors]
+        trials = [manifold.product_retract(factors, direction, t) for t in (0.2, 0.1, 0.05)]
+        evaluations = [evaluate(point) for point in trials]
+        for point, (cost, gradient) in reversed(list(zip(trials, evaluations))):
+            assert cost == reference_objective.learning_cost(point, patches, params)
+            expected = reference_objective.learning_gradient(point, patches, params)
+            assert all(np.array_equal(g, e) for g, e in zip(gradient(), expected))
+
     def test_training_log_keeps_the_line_search_failure_fallback(self):
         # The run above saves its best trial after the failed line search;
         # the log must end with that iterate, the one whose factors are saved.
