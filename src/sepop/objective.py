@@ -9,7 +9,9 @@ non-finite values; the line search treats that as a too-long step.
 Both the cost and its gradient start from :func:`patch_analysis`, the
 analysis coefficients of the patch batch and each patch's sparsity.  A solver
 that needs both at one point computes it once and passes it to each; called
-without it, each computes it.
+without it, each computes it.  The analysis also keeps what the gradient
+would otherwise compute again: ``nu c^2`` and the batch as each mode's
+product read it.
 """
 
 from __future__ import annotations
@@ -49,17 +51,6 @@ def sparsity_measure(coeffs: np.ndarray, nu: float) -> float:
         raise ValueError(f"nu must be positive, got {nu}")
     coeffs = np.asarray(coeffs, dtype=float)
     return float(np.sum(np.log1p(nu * coeffs * coeffs)))
-
-
-def cosparsity(coeffs: np.ndarray, eps: float = 1e-3) -> int:
-    """Number of coefficient entries with magnitude <= eps.
-
-    The zero threshold is a convention of this implementation, not a given.
-    """
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    coeffs = np.asarray(coeffs, dtype=float)
-    return int(np.count_nonzero(np.abs(coeffs) <= eps))
 
 
 def rank_penalty(factor: np.ndarray) -> float:
@@ -108,8 +99,18 @@ def coherence_penalty_gradient(factor: np.ndarray) -> np.ndarray:
     return 2.0 * weights @ factor
 
 
-def analyze_batch(patches: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
-    """Apply one factor per mode to a (T, n_1, ..., n_N) batch of patches."""
+def analyze_batch(
+    patches: np.ndarray,
+    factors: list[np.ndarray],
+    mode_inputs: list[np.ndarray] | None = None,
+) -> np.ndarray:
+    """Apply one factor per mode to a (T, n_1, ..., n_N) batch of patches.
+
+    The modes are analyzed in order, each by one separable correlation whose
+    window spans its axis.  If ``mode_inputs`` is a list, the array each
+    mode reads is appended to it: for mode i, the batch with modes 1..i-1
+    analyzed, with axes (T, n_i, ..., n_N, k_1, ..., k_{i-1}).
+    """
     patches = np.asarray(patches, dtype=float)
     if patches.ndim != len(factors) + 1:
         raise ValueError(
@@ -123,23 +124,54 @@ def analyze_batch(patches: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
                 f"factor for mode {mode} has shape {factor.shape} but patch "
                 f"axis has length {patches.shape[mode + 1]}"
             )
-    coeffs = correlate_separable(patches, factors)
-    return coeffs.reshape((patches.shape[0],) + tuple(len(f) for f in factors))
+    coeffs = patches
+    for factor in factors:
+        if mode_inputs is not None:
+            mode_inputs.append(coeffs)
+        signals = np.moveaxis(coeffs, 1, -1)
+        coeffs = correlate_separable(signals, [factor]).reshape(signals.shape[:-1] + (len(factor),))
+    return coeffs
 
 
-def patch_analysis(
-    factors: list[np.ndarray], patches: np.ndarray, nu: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The batch's analysis coefficients and each patch's sum of log(1 + nu c^2)."""
-    coeffs = analyze_batch(patches, factors)
-    return coeffs, np.sum(np.log1p(nu * coeffs * coeffs), axis=tuple(range(1, coeffs.ndim)))
+@dataclass
+class PatchAnalysis:
+    """The analysis of a patch batch at one point, from :func:`patch_analysis`.
+
+    ``coeffs`` (T, k_1, ..., k_N) and ``per_sample``, each patch's sum of
+    log(1 + nu c^2), serve the cost.  ``coeffs``, ``nu_c2`` (nu c^2) and
+    ``mode_inputs`` (see :func:`analyze_batch`) serve the gradient, which
+    takes them over with :meth:`release`: an analysis serves one gradient.
+    """
+
+    coeffs: np.ndarray | None
+    per_sample: np.ndarray
+    nu_c2: np.ndarray | None
+    mode_inputs: list[np.ndarray]
+
+    def release(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Hand ``coeffs``, ``nu_c2`` and ``mode_inputs`` to the caller, who may overwrite them."""
+        if self.coeffs is None:
+            raise ValueError("this analysis has already served a gradient")
+        released = self.coeffs, self.nu_c2, self.mode_inputs
+        self.coeffs, self.nu_c2, self.mode_inputs = None, None, []
+        return released
+
+
+def patch_analysis(factors: list[np.ndarray], patches: np.ndarray, nu: float) -> PatchAnalysis:
+    """The batch's coefficients, per-patch sum of log(1 + nu c^2), and the gradient's share."""
+    mode_inputs: list[np.ndarray] = []
+    coeffs = analyze_batch(patches, factors, mode_inputs)
+    nu_c2 = nu * coeffs
+    nu_c2 *= coeffs
+    per_sample = np.sum(np.log1p(nu_c2), axis=tuple(range(1, coeffs.ndim)))
+    return PatchAnalysis(coeffs, per_sample, nu_c2, mode_inputs)
 
 
 def learning_cost(
     factors: list[np.ndarray],
     patches: np.ndarray,
     params: LearningParams,
-    analysis: tuple[np.ndarray, np.ndarray] | None = None,
+    analysis: PatchAnalysis | None = None,
 ) -> float:
     """Mean squared patch sparsity plus weighted rank and coherence barriers.
 
@@ -147,8 +179,7 @@ def learning_cost(
     """
     if analysis is None:
         analysis = patch_analysis(factors, patches, params.nu)
-    per_sample = analysis[1]
-    cost = float(np.mean(per_sample**2))
+    cost = float(np.mean(analysis.per_sample**2))
     if params.kappa > 0:
         cost += params.kappa * sum(rank_penalty(f) for f in factors)
     if params.mu > 0:
@@ -160,35 +191,39 @@ def learning_gradient(
     factors: list[np.ndarray],
     patches: np.ndarray,
     params: LearningParams,
-    analysis: tuple[np.ndarray, np.ndarray] | None = None,
+    analysis: PatchAnalysis | None = None,
 ) -> list[np.ndarray]:
     """Euclidean gradient of :func:`learning_cost` w.r.t. each factor.
 
-    ``analysis`` is :func:`patch_analysis` at this point, if the caller has it.
+    ``analysis`` is :func:`patch_analysis` at this point, if the caller has
+    it; the gradient releases it (see :meth:`PatchAnalysis.release`).
     """
     if analysis is None:
         analysis = patch_analysis(factors, patches, params.nu)
-    coeffs, per_sample = analysis
-    patches = np.asarray(patches, dtype=float)
-    count = patches.shape[0]
-    # d(g^2)/dA = 2 g * 2 nu A / (1 + nu A^2), per sample
-    scale = (2.0 * per_sample).reshape((count,) + (1,) * (coeffs.ndim - 1))
-    weighted = scale * (2.0 * params.nu * coeffs / (1.0 + params.nu * coeffs * coeffs))
-    del coeffs
+    weighted, denom, mode_inputs = analysis.release()
+    count = weighted.shape[0]
+    # d(g^2)/dA = 2 g * 2 nu A / (1 + nu A^2), per sample, formed in place
+    denom += 1.0
+    weighted *= 2.0 * params.nu
+    weighted /= denom
+    del denom
+    weighted *= (2.0 * analysis.per_sample).reshape((count,) + (1,) * (weighted.ndim - 1))
 
     # The partial for a mode applies every other factor, in mode order; the
-    # factors before it are a prefix shared with the later modes.
+    # factors before it were applied by the analysis, to the array that mode
+    # read.  The einsum's operands keep the layout (and so the rounding) of
+    # products taken in natural axis order: modes before this one come first.
     factors = [np.asarray(factor, dtype=float) for factor in factors]
     grads: list[np.ndarray] = []
-    prefix = patches
     for mode, factor in enumerate(factors):
-        partial = prefix
+        partial = mode_inputs[mode]
+        mode_inputs[mode] = None  # freed once this mode's partial is formed
         for other in range(mode + 1, len(factors)):
-            partial = n_mode_product(partial, factors[other], other + 1)
-        if mode + 1 < len(factors):
-            prefix = n_mode_product(prefix, factor, mode + 1)
+            partial = n_mode_product(partial, factors[other], other - mode + 1)
+        partial = np.ascontiguousarray(np.moveaxis(partial, range(-mode, 0), range(1, mode + 1)))
         w_mat = np.moveaxis(weighted, mode + 1, 1).reshape(count, weighted.shape[mode + 1], -1)
         p_mat = np.moveaxis(partial, mode + 1, 1).reshape(count, partial.shape[mode + 1], -1)
+        del partial
         grad = np.einsum("tkr,tnr->kn", w_mat, p_mat) / count
         if params.kappa > 0:
             grad = grad + params.kappa * rank_penalty_gradient(factor)
@@ -200,5 +235,5 @@ def learning_gradient(
 
 def mean_sparsity(patches: np.ndarray, factors: list[np.ndarray], nu: float) -> float:
     """Mean (unsquared) sparsity measure over a patch batch."""
-    return float(np.mean(patch_analysis(factors, patches, nu)[1]))
+    return float(np.mean(patch_analysis(factors, patches, nu).per_sample))
 

@@ -1,4 +1,4 @@
-"""Volumetric data: file I/O, synthetic phantoms, noise, patch extraction.
+"""Volumetric data: file I/O, synthetic phantoms, noise, training-patch sampling.
 
 Volumes are order-3 float arrays with an intensity-range annotation.  The
 ``.vol`` file format is raw little-endian float64 in row-major order with a
@@ -34,43 +34,17 @@ class Volume:
 
 @dataclass
 class TrainingSet:
-    """A batch of same-sized patches plus the preprocessing that produced it."""
+    """A batch of same-sized, normalized patches.
+
+    ``meta["draws"]`` is the number of windows drawn to obtain them.
+    """
 
     patches: np.ndarray  # (T, d1, d2, d3)
-    source: str = ""
-    patch_dims: tuple[int, ...] = ()
-    flat_tol: float = 0.0
-    normalization: str = "mean-subtracted, unit Frobenius norm"
-    seed: int = 0
     meta: dict = field(default_factory=dict)
 
     @property
     def count(self) -> int:
         return self.patches.shape[0]
-
-
-def extract_patch(
-    vol: Volume, center: tuple[int, int, int], dims: tuple[int, int, int]
-) -> np.ndarray:
-    """Copy the dims-sized window centered at ``center`` (0-based voxel index).
-
-    Odd window dims center exactly; even dims extend one voxel less on the
-    high side.  Windows crossing the boundary are rejected, never padded.
-    """
-    data = vol.data
-    starts = []
-    for axis, (c, d) in enumerate(zip(center, dims, strict=True)):
-        if d < 1:
-            raise ValueError(f"patch dims must be positive, got {dims}")
-        start = c - d // 2
-        if start < 0 or start + d > data.shape[axis]:
-            raise ValueError(
-                f"patch {dims} at center {center} exceeds volume bounds "
-                f"{data.shape} on axis {axis}"
-            )
-        starts.append(start)
-    sl = tuple(slice(s, s + d) for s, d in zip(starts, dims, strict=True))
-    return data[sl].copy()
 
 
 def build_training_set(
@@ -82,46 +56,57 @@ def build_training_set(
 ) -> TrainingSet:
     """Sample ``count`` non-flat patches at uniform random centers.
 
-    Patches with standard deviation <= ``flat_tol`` are rejected and redrawn
-    (sampling with replacement).  Accepted patches are mean-subtracted and
-    scaled to unit Frobenius norm.
+    Each draw takes one center per axis from ``default_rng(seed)``, in axis
+    order; a window centered there (even dims extend one voxel less on the
+    high side) lies wholly inside the volume.  Patches with standard
+    deviation <= ``flat_tol`` are rejected and redrawn (sampling with
+    replacement).  Accepted patches are mean-subtracted and scaled to unit
+    Frobenius norm.  After ``100 * count`` draws without enough patches the
+    volume is refused with a ``ValueError`` naming the counts.
+
+    Draws are made and tested in batches, no larger than the number of
+    patches still missing, so ``meta["draws"]`` counts the draws up to the
+    last accepted one exactly as a draw-by-draw loop would.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    patch_dims = tuple(patch_dims)
+    if any(d < 1 for d in patch_dims):
+        raise ValueError(f"patch dims must be positive, got {patch_dims}")
     data = vol.data
-    los = [d // 2 for d in patch_dims]
-    his = [sz - d + d // 2 for sz, d in zip(data.shape, patch_dims, strict=True)]
-    if any(h < lo for lo, h in zip(los, his)):
+    if any(d > sz for sz, d in zip(data.shape, patch_dims, strict=True)):
         raise ValueError(f"volume {data.shape} too small for patches {patch_dims}")
 
+    # Window starts range over [0, size - d]: the same number of values as
+    # the centers, so each draw consumes the generator as a center would.
+    windows = np.lib.stride_tricks.sliding_window_view(data, patch_dims)
     rng = np.random.default_rng(seed)
-    patches = np.empty((count,) + tuple(patch_dims), dtype=float)
+    patches = np.empty((count,) + patch_dims, dtype=float)
+    axes = tuple(range(1, len(patch_dims) + 1))
     accepted = 0
     draws = 0
     limit = 100 * count
     while accepted < count:
         if draws >= limit:
-            raise RuntimeError(
+            raise ValueError(
                 f"flatness rejection too severe: {accepted} of {count} patches "
                 f"accepted after {draws} draws (flat_tol={flat_tol})"
             )
-        center = tuple(int(rng.integers(lo, hi + 1)) for lo, hi in zip(los, his))
-        draws += 1
-        patch = extract_patch(vol, center, patch_dims)
-        if patch.std() <= flat_tol:
-            continue
-        patch = patch - patch.mean()
-        patches[accepted] = patch / np.linalg.norm(patch)
-        accepted += 1
+        batch = min(count - accepted, limit - draws)
+        starts = rng.integers(0, windows.shape[: len(patch_dims)], size=(batch, len(patch_dims)))
+        candidates = windows[tuple(starts.T)]
+        flat = candidates.std(axis=axes) <= flat_tol
+        keep = np.flatnonzero(~flat)[: count - accepted]
+        draws += batch if accepted + len(keep) < count else int(keep[-1]) + 1
+        chosen = candidates[keep]
+        chosen -= chosen.mean(axis=axes, keepdims=True)
+        # matmul of a row with itself is the BLAS dot product np.linalg.norm takes.
+        rows = chosen.reshape(-1, math.prod(patch_dims))
+        norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))
+        patches[accepted : accepted + len(keep)] = chosen / norms.reshape((-1,) + (1,) * len(axes))
+        accepted += len(keep)
 
-    return TrainingSet(
-        patches=patches,
-        source=f"volume {data.shape}",
-        patch_dims=tuple(patch_dims),
-        flat_tol=flat_tol,
-        seed=seed,
-        meta={"draws": draws},
-    )
+    return TrainingSet(patches=patches, meta={"draws": draws})
 
 
 def add_awgn(vol: Volume, sigma: float, seed: int = 0) -> Volume:

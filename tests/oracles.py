@@ -2,6 +2,8 @@
 
 The package never materializes a Kronecker product or unfolds a tensor; these
 helpers state what its separable evaluations must equal.
+:func:`extract_patch` is the per-patch definition of a training window, and
+:func:`cosparsity` counts the near-zero analysis coefficients of a patch.
 :func:`reconstruction_objective` gives the finite-difference oracles the
 reconstruction objective and gradient that the solver evaluates.
 """
@@ -54,6 +56,39 @@ def kronecker_chain(matrices: list[np.ndarray]) -> np.ndarray:
     for m in matrices[1:]:
         out = np.kron(out, m)
     return out
+
+
+def extract_patch(vol, center: tuple[int, int, int], dims: tuple[int, int, int]) -> np.ndarray:
+    """Copy the dims-sized window centered at ``center`` (0-based voxel index).
+
+    Odd window dims center exactly; even dims extend one voxel less on the
+    high side.  Windows crossing the boundary are rejected, never padded.
+    """
+    data = vol.data
+    starts = []
+    for axis, (c, d) in enumerate(zip(center, dims, strict=True)):
+        if d < 1:
+            raise ValueError(f"patch dims must be positive, got {dims}")
+        start = c - d // 2
+        if start < 0 or start + d > data.shape[axis]:
+            raise ValueError(
+                f"patch {dims} at center {center} exceeds volume bounds "
+                f"{data.shape} on axis {axis}"
+            )
+        starts.append(start)
+    sl = tuple(slice(s, s + d) for s, d in zip(starts, dims, strict=True))
+    return data[sl].copy()
+
+
+def cosparsity(coeffs: np.ndarray, eps: float = 1e-3) -> int:
+    """Number of coefficient entries with magnitude <= eps.
+
+    The zero threshold is a convention of this implementation, not a given.
+    """
+    if eps < 0:
+        raise ValueError(f"eps must be nonnegative, got {eps}")
+    coeffs = np.asarray(coeffs, dtype=float)
+    return int(np.count_nonzero(np.abs(coeffs) <= eps))
 
 
 def sample_term(signal: np.ndarray, factors: list[np.ndarray], nu: float) -> float:

@@ -11,8 +11,8 @@ these bit for bit, so that the solver follows the same trajectory.
 ``learning_cost`` and ``learning_gradient`` evaluate the learning cost
 without any shared work: each analyzes the batch itself, and the gradient
 applies the other factors afresh for every mode.  The package's versions,
-with or without their memo, must equal these bit for bit.  The barrier terms
-are the package's own.
+whether the cost and the gradient share one analysis or each computes its
+own, must equal these bit for bit.  The barrier terms are the package's own.
 """
 
 from __future__ import annotations

@@ -75,6 +75,15 @@ class TestLearn:
     def test_missing_volume(self, tmp_path):
         assert run("learn", "--train-vol", str(tmp_path / "no.vol"), "--out", "o") == 1
 
+    def test_flat_volume_exits_1_naming_the_counts(self, tmp_path, capsys):
+        path = str(tmp_path / "flat.vol")
+        volume.write_volume(volume.Volume(np.full((12, 12, 12), 7.0)), path)
+        code = run("learn", "--train-vol", path, "--T", "20", "--out", str(tmp_path / "o.txt"))
+        assert code == 1
+        assert "flatness rejection too severe: 0 of 20 patches accepted after 2000 draws" in (
+            capsys.readouterr().err
+        )
+
 
 @pytest.mark.parametrize("modes", [2, 4])
 @pytest.mark.parametrize("command", [["denoise", "--sigma", "5"], ["cs", "--rate", "0.5"]])

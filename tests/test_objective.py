@@ -49,17 +49,17 @@ class TestSparsityMeasure:
 
 class TestCosparsity:
     def test_zero_tensor(self):
-        assert objective.cosparsity(np.zeros((6, 6, 6)), 0.5) == 216
+        assert oracles.cosparsity(np.zeros((6, 6, 6)), 0.5) == 216
 
     def test_no_exact_zeros(self, rng):
         coeffs = rng.uniform(0.1, 1.0, size=50)
-        assert objective.cosparsity(coeffs, 0.0) == 0
+        assert oracles.cosparsity(coeffs, 0.0) == 0
 
     def test_median_threshold_matches_sort_oracle(self, rng):
         coeffs = rng.standard_normal(101)
         eps = float(np.median(np.abs(coeffs)))
         expected = int(np.sum(np.sort(np.abs(coeffs)) <= eps))
-        assert objective.cosparsity(coeffs, eps) == expected
+        assert oracles.cosparsity(coeffs, eps) == expected
 
 
 class TestSampleTerm:
@@ -270,7 +270,46 @@ class TestSharedAnalysis:
 
     def test_analysis_is_the_per_patch_sparsity(self):
         factors, patches = random_instance(SHAPE_SETS["non-cubic"], 9, seed=4)
-        coeffs, per_sample = objective.patch_analysis(factors, patches, 1000.0)
+        analysis = objective.patch_analysis(factors, patches, 1000.0)
+        coeffs, per_sample = analysis.coeffs, analysis.per_sample
         assert np.array_equal(coeffs, objective.analyze_batch(patches, factors))
         for t in range(len(patches)):
             assert per_sample[t] == pytest.approx(objective.sparsity_measure(coeffs[t], 1000.0), rel=1e-13)
+
+
+class TestGradientWork:
+    """Given the analysis, the gradient applies only the factors the analysis
+    did not: N - 1 + N - 2 + ... + 0 mode products, and analyzes nothing."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {"n_mode_product": 0, "analyze_batch": 0}
+        for name in calls:
+            original = getattr(objective, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(objective, name, counting)
+        return calls
+
+    def test_three_mode_products_and_no_analysis(self, counted):
+        params = LearningParams()
+        factors, patches = random_instance(SHAPE_SETS["non-cubic"], 40, seed=5)
+        analysis = objective.patch_analysis(factors, patches, params.nu)
+        assert counted == {"n_mode_product": 0, "analyze_batch": 1}
+        grads = objective.learning_gradient(factors, patches, params, analysis)
+        assert counted == {"n_mode_product": 3, "analyze_batch": 1}
+        assert_equal_to_reference(factors, patches, params, grads)
+
+    def test_an_analysis_serves_one_gradient(self):
+        params = LearningParams()
+        factors, patches = random_instance(SHAPE_SETS["6x5"], 10, seed=6)
+        analysis = objective.patch_analysis(factors, patches, params.nu)
+        objective.learning_gradient(factors, patches, params, analysis)
+        assert objective.learning_cost(factors, patches, params, analysis) == (
+            reference_objective.learning_cost(factors, patches, params)
+        )
+        with pytest.raises(ValueError, match="already served a gradient"):
+            objective.learning_gradient(factors, patches, params, analysis)

