@@ -44,7 +44,7 @@ def main() -> None:
           f"{time.monotonic() - t0:.0f}s")
 
     mask = radial_mask_for_rate(dims[0], dims[1], args.rate)
-    print(f"radial mask: {mask.mask.mean():.4f} sampling rate")
+    print(f"radial mask: {mask.sampling_rate:.4f} sampling rate")
     op = FourierMeasurement(vol.dims, mask)
     y = op.forward(vol.data)
     zf = volume.Volume(op.adjoint(y))

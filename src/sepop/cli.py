@@ -29,13 +29,13 @@ class ValidationError(Exception):
     pass
 
 
-def _parse_dims(text: str, count: int = 3) -> tuple[int, ...]:
+def _parse_dims(text: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise ValidationError(f"malformed dims {text!r}: {exc}") from exc
-    if len(dims) != count or any(d < 1 for d in dims):
-        raise ValidationError(f"dims must be {count} positive integers, got {text!r}")
+    if len(dims) != 3 or any(d < 1 for d in dims):
+        raise ValidationError(f"dims must be 3 positive integers, got {text!r}")
     return dims
 
 
@@ -86,15 +86,13 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_learn(args: argparse.Namespace) -> int:
     _require_file(args.train_vol, "training volume")
-    patch_dims = _parse_dims(args.patch)
     shapes = _parse_shapes(args.shape)
     if len(shapes) != 3:
         raise ValidationError("need exactly 3 factor shapes for volumetric data")
-    for mode, ((_k, n), d) in enumerate(zip(shapes, patch_dims)):
-        if n != d:
-            raise ValidationError(
-                f"factor columns for mode {mode} ({n}) must equal patch dim ({d})"
-            )
+    if args.flat_tol < 0:
+        raise ValidationError(f"--flat-tol must be nonnegative, got {args.flat_tol}")
+    # Each factor acts on the fibres of its mode, so its column count is that patch dim.
+    patch_dims = tuple(n for _k, n in shapes)
     params = LearningParams(nu=args.nu, kappa=args.kappa, mu=args.mu)
     cfg = learn_mod.SolverConfig(max_iters=args.max_iters, seed=args.seed)
 
@@ -150,7 +148,8 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     op = recon_mod.IdentityMeasurement(noisy.dims)
     y = op.forward(noisy.data)
     cfg = recon_mod.ReconConfig(
-        lam=lam, nu=args.nu, max_iters=args.max_iters, patch_dims=_parse_dims(args.patch)
+        lam=lam, nu=args.nu, max_iters=args.max_iters,
+        patch_dims=tuple(f.shape[1] for f in factors),
     )
     result = recon_mod.reconstruct(y, op, factors, cfg)
     volume_mod.write_volume(result, args.out)
@@ -179,12 +178,11 @@ def cmd_cs(args: argparse.Namespace) -> int:
 
     zero_fill = volume_mod.Volume(op.adjoint(y))
     cfg = recon_mod.ReconConfig(
-        lam=args.lam, nu=args.nu, max_iters=args.max_iters, patch_dims=_parse_dims(args.patch)
+        lam=args.lam, nu=args.nu, max_iters=args.max_iters,
+        patch_dims=tuple(f.shape[1] for f in factors),
     )
     result = recon_mod.reconstruct(y, op, factors, cfg)
     volume_mod.write_volume(result, args.out)
-    if args.mask_out:
-        recon_mod.save_mask(mask, args.mask_out)
 
     print(f"radial mask: {mask.sampling_rate:.4f} sampling rate")
     rows = [
@@ -223,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn", help="learn separable operator factors from a volume")
     p.add_argument("--train-vol", required=True)
-    p.add_argument("--patch", default="5,5,5")
     p.add_argument("--shape", default="6x5,6x5,6x5")
     p.add_argument("--T", type=int, default=20000)
     p.add_argument("--nu", type=float, default=1000.0)
@@ -241,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--nu", type=float, default=1000.0)
-    p.add_argument("--patch", default="5,5,5")
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ref", default=None)
@@ -255,10 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=0.20)
     p.add_argument("--lambda", dest="lam", type=float, default=1500.0)
     p.add_argument("--nu", type=float, default=1000.0)
-    p.add_argument("--patch", default="5,5,5")
     p.add_argument("--max-iters", type=int, default=200)
     p.add_argument("--out", required=True)
-    p.add_argument("--mask-out", default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_cs)
 

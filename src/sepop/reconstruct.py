@@ -62,7 +62,6 @@ class ReconConfig:
 @dataclass
 class SamplingMask:
     mask: np.ndarray  # boolean (h, w), identical across slices
-    sampling_rate: float
 
     def __post_init__(self) -> None:
         self.mask = np.asarray(self.mask, dtype=bool)
@@ -71,6 +70,10 @@ class SamplingMask:
         h, w = self.mask.shape
         if not self.mask[h // 2, w // 2]:
             raise ValueError("mask must sample the DC bin")
+
+    @property
+    def sampling_rate(self) -> float:
+        return float(self.mask.mean())
 
 
 def radial_mask(h: int, w: int, num_lines: int) -> SamplingMask:
@@ -98,7 +101,7 @@ def radial_mask(h: int, w: int, num_lines: int) -> SamplingMask:
             if 0 <= r < h and 0 <= c < w and 0 <= rm < h and 0 <= cm < w:
                 mask[r, c] = True
                 mask[rm, cm] = True
-    return SamplingMask(mask, float(mask.mean()))
+    return SamplingMask(mask)
 
 
 def radial_mask_for_rate(h: int, w: int, rate: float) -> SamplingMask:
@@ -108,28 +111,9 @@ def radial_mask_for_rate(h: int, w: int, rate: float) -> SamplingMask:
     num_lines = 1
     while True:
         m = radial_mask(h, w, num_lines)
-        if m.sampling_rate >= rate:
-            return m
-        if m.sampling_rate >= 1.0 or num_lines > 4 * (h + w):
+        if m.sampling_rate >= rate or num_lines > 4 * (h + w):
             return m
         num_lines += 1
-
-
-def save_mask(m: SamplingMask, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"sepop-mask v1 rate {m.sampling_rate!r}\n")
-        for row in m.mask.astype(int):
-            fh.write("".join(str(v) for v in row) + "\n")
-
-
-def load_mask(path: str) -> SamplingMask:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("sepop-mask v1 rate "):
-        raise ValueError(f"{path}: not a sepop mask file")
-    rate = float(lines[0].split()[-1])
-    grid = np.array([[c == "1" for c in row] for row in lines[1:]], dtype=bool)
-    return SamplingMask(grid, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +263,12 @@ def reconstruct(
     backtracking, so the objective values appended to ``trace`` (one per
     iterate, the first at the start) never increase.
     """
-    if len(factors) != len(cfg.patch_dims):
+    if len(factors) != len(op.dims):
         raise ValueError(
             f"operator has {len(factors)} modes but the patches have order "
-            f"{len(cfg.patch_dims)}: one factor per patch mode is needed"
+            f"{len(op.dims)}: one factor per patch mode is needed"
         )
-    for mode, (factor, d) in enumerate(zip(factors, cfg.patch_dims)):
+    for mode, (factor, d) in enumerate(zip(factors, cfg.patch_dims, strict=True)):
         if np.asarray(factor).shape[1] != d:
             raise ValueError(
                 f"factor for mode {mode} has {np.asarray(factor).shape[1]} "

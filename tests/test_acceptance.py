@@ -205,9 +205,7 @@ def test_criterion_2_gradient_correctness(capsys):
         else:
             mask_arr = rng.random((6, 6)) < 0.5
             mask_arr[3, 3] = True
-            op = FourierMeasurement(
-                dims, rec_mod.SamplingMask(mask_arr, float(mask_arr.mean()))
-            )
+            op = FourierMeasurement(dims, rec_mod.SamplingMask(mask_arr))
             y = op.forward(10.0 * rng.standard_normal(dims))
         cfg = ReconConfig(lam=5.0, max_iters=1)
         _cost, grad = oracles.reconstruction_objective(v, y, op, factors, cfg)

@@ -84,6 +84,28 @@ class TestLearn:
             capsys.readouterr().err
         )
 
+    def test_negative_flat_tol_exits_1_naming_the_flag(self, tmp_path, phantom, capsys):
+        args = ["learn", "--train-vol", phantom, "--T", "50", "--max-iters", "2"]
+        assert run(*args, "--flat-tol", "-1", "--out", str(tmp_path / "o.txt")) == 1
+        assert "--flat-tol must be nonnegative, got -1.0" in capsys.readouterr().err
+        assert run(*args, "--flat-tol", "0", "--out", str(tmp_path / "o.txt")) == 0
+
+
+def test_patch_dims_come_from_the_operator(tmp_path, phantom):
+    ops = str(tmp_path / "ops.txt")
+    code = run(
+        "learn", "--train-vol", phantom, "--shape", "6x4,6x4,6x4", "--T", "100",
+        "--max-iters", "5", "--seed", "1", "--out", ops,
+    )
+    assert code == 0
+    assert learn.load_operators(ops)[1]["patch_dims"] == "4,4,4"
+    for command in (["denoise", "--sigma", "5"], ["cs", "--rate", "0.5"]):
+        code = run(
+            command[0], "--in", phantom, "--op", ops, *command[1:], "--max-iters", "2",
+            "--out", str(tmp_path / "r.vol"),
+        )
+        assert code == 0, command[0]
+
 
 @pytest.mark.parametrize("modes", [2, 4])
 @pytest.mark.parametrize("command", [["denoise", "--sigma", "5"], ["cs", "--rate", "0.5"]])
@@ -176,7 +198,7 @@ class TestCs:
         code = run(
             "cs", "--in", phantom, "--op", operators, "--rate", "0.5",
             "--lambda", "100", "--max-iters", "5", "--out", str(tmp_path / "r.vol"),
-            "--csv", csv, "--mask-out", str(tmp_path / "mask.txt"),
+            "--csv", csv,
         )
         assert code == 0
         labels = [r.split(",")[0] for r in open(csv).read().splitlines()[1:]]

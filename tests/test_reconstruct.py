@@ -9,12 +9,10 @@ from sepop.reconstruct import (
     IdentityMeasurement,
     ReconConfig,
     SamplingMask,
-    load_mask,
     mssim,
     psnr,
     radial_mask,
     radial_mask_for_rate,
-    save_mask,
 )
 from sepop.volume import Volume
 
@@ -57,6 +55,15 @@ class TestRadialMask:
             lines += 1
         assert int(radial_mask(64, 64, lines).mask.sum()) == int(m.mask.sum())
 
+    def test_rate_is_the_mask_mean(self):
+        m = radial_mask_for_rate(32, 32, 0.6)
+        assert m.sampling_rate == m.mask.mean()
+        hand = np.zeros((8, 8), dtype=bool)
+        hand[4, :] = hand[0, 0] = True  # the DC row and one corner
+        assert SamplingMask(hand).sampling_rate == hand.mean() == 9 / 64
+        with pytest.raises(TypeError):
+            SamplingMask(hand, 0.2)  # the rate is the mask's, not a second input
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             radial_mask(2, 9, 1)
@@ -74,7 +81,7 @@ class TestMeasurementOps:
 
     def test_fourier_constant_slice_dc_only(self):
         h = w = 8
-        mask = SamplingMask(np.ones((h, w), dtype=bool), 1.0)
+        mask = SamplingMask(np.ones((h, w), dtype=bool))
         op = FourierMeasurement((h, w, 1), mask)
         y = op.forward(np.full((h, w, 1), 3.0))
         spectrum = y.reshape(h, w)
@@ -84,7 +91,7 @@ class TestMeasurementOps:
         assert np.max(np.abs(off)) < 1e-10
 
     def test_parseval_full_mask(self, rng):
-        mask = SamplingMask(np.ones((8, 8), dtype=bool), 1.0)
+        mask = SamplingMask(np.ones((8, 8), dtype=bool))
         op = FourierMeasurement((8, 8, 3), mask)
         v = rng.standard_normal((8, 8, 3))
         assert np.linalg.norm(op.forward(v)) == pytest.approx(np.linalg.norm(v), rel=1e-10)
@@ -235,6 +242,15 @@ class TestReconstructSolver:
         with pytest.raises(ValueError, match="patch dim"):
             reconstruct.reconstruct(y, op, bad, ReconConfig(lam=1.0))
 
+    def test_factor_count_is_checked_against_the_volume_order(self, rng):
+        # patch dims that agree with the factors do not make 2-D patches of a 3-D volume
+        two = [manifold.random_factor(6, 5, rng) for _ in range(2)]
+        op = IdentityMeasurement((8, 8, 8))
+        y = op.forward(np.zeros((8, 8, 8)))
+        cfg = ReconConfig(lam=1.0, patch_dims=(5, 5))
+        with pytest.raises(ValueError, match="operator has 2 modes but the patches have order 3"):
+            reconstruct.reconstruct(y, op, two, cfg)
+
 
 class TestPsnr:
     def test_uniform_shift_closed_form(self):
@@ -275,13 +291,3 @@ class TestMssim:
     def test_small_slices_rejected(self):
         with pytest.raises(ValueError, match="11x11"):
             mssim(Volume(np.zeros((8, 8, 8))), Volume(np.zeros((8, 8, 8))))
-
-
-class TestMaskFile:
-    def test_mask_round_trip(self, tmp_path):
-        m = radial_mask(16, 16, 5)
-        path = str(tmp_path / "mask.txt")
-        save_mask(m, path)
-        back = load_mask(path)
-        np.testing.assert_array_equal(back.mask, m.mask)
-        assert back.sampling_rate == m.sampling_rate
