@@ -169,14 +169,11 @@ def minimize(
     init: Any,
     cfg: SolverConfig,
     geometry: Geometry,
-    use_conjugate: bool = True,
 ) -> tuple[Any, LearnReport]:
     """PR+ conjugate gradient from ``init``; returns the last iterate and the report.
 
     The run ends on "tolerance" (gradient norm at most ``grad_tol`` times the
-    square root of the size), "max_iters" or "line-search failure".  With
-    ``use_conjugate`` false every direction is the projected steepest
-    descent (comparison baseline).
+    square root of the size), "max_iters" or "line-search failure".
     """
     geo = geometry
     point = init
@@ -251,16 +248,13 @@ def minimize(
         del gradient
         new_grad_norm = geo.norm(new_grad)
 
-        if use_conjugate:
-            # PR+ coefficient with the previous gradient transported along.
-            old_grad_t = geo.transport(candidate, grad)
-            numer = geo.inner(new_grad, geo.combine(lambda a, b: a - b, new_grad, old_grad_t))
-            denom = grad_norm**2
-            beta = max(0.0, numer / denom) if denom > 0 else 0.0
-            dir_t = geo.transport(candidate, direction)
-            direction = geo.combine(lambda g, d: -g + beta * d, new_grad, dir_t)
-        else:
-            direction = geo.combine(lambda g: -g, new_grad)
+        # PR+ coefficient with the previous gradient transported along.
+        old_grad_t = geo.transport(candidate, grad)
+        numer = geo.inner(new_grad, geo.combine(lambda a, b: a - b, new_grad, old_grad_t))
+        denom = grad_norm**2
+        beta = max(0.0, numer / denom) if denom > 0 else 0.0
+        dir_t = geo.transport(candidate, direction)
+        direction = geo.combine(lambda g, d: -g + beta * d, new_grad, dir_t)
 
         point, cost, grad, grad_norm = candidate, candidate_cost, new_grad, new_grad_norm
         record(iteration, trial, dd, ref_value)

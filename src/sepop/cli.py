@@ -25,17 +25,13 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
-class ValidationError(Exception):
-    pass
-
-
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise ValidationError(f"malformed dims {text!r}: {exc}") from exc
+        raise ValueError(f"malformed dims {text!r}: {exc}") from exc
     if len(dims) != 3 or any(d < 1 for d in dims):
-        raise ValidationError(f"dims must be 3 positive integers, got {text!r}")
+        raise ValueError(f"dims must be 3 positive integers, got {text!r}")
     return dims
 
 
@@ -46,16 +42,14 @@ def _parse_shapes(text: str) -> list[tuple[int, int]]:
             k, n = part.lower().split("x")
             shape = (int(k), int(n))
         except ValueError as exc:
-            raise ValidationError(f"malformed shape {part!r}: {exc}") from exc
-        if shape[0] < shape[1]:
-            raise ValidationError(f"shape {part!r} must be tall (k >= n)")
+            raise ValueError(f"malformed shape {part!r}: {exc}") from exc
         shapes.append(shape)
     return shapes
 
 
 def _require_file(path: str, what: str) -> None:
     if not os.path.exists(path):
-        raise ValidationError(f"{what} not found: {path}")
+        raise ValueError(f"{what} not found: {path}")
 
 
 def _metrics_row(label: str, ref: volume_mod.Volume, test: volume_mod.Volume) -> str:
@@ -76,8 +70,6 @@ def _write_csv(path: str | None, rows: list[str]) -> None:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     dims = _parse_dims(args.dims)
-    if any(d < 8 for d in dims):
-        raise ValidationError(f"phantom dims must be at least 8 per axis, got {dims}")
     vol = volume_mod.synth_phantom(dims, seed=args.seed)
     volume_mod.write_volume(vol, args.out)
     print(f"wrote {args.out} ({dims[0]}x{dims[1]}x{dims[2]})")
@@ -88,9 +80,9 @@ def cmd_learn(args: argparse.Namespace) -> int:
     _require_file(args.train_vol, "training volume")
     shapes = _parse_shapes(args.shape)
     if len(shapes) != 3:
-        raise ValidationError("need exactly 3 factor shapes for volumetric data")
-    if args.flat_tol < 0:
-        raise ValidationError(f"--flat-tol must be nonnegative, got {args.flat_tol}")
+        raise ValueError("need exactly 3 factor shapes for volumetric data")
+    if not args.flat_tol >= 0:
+        raise ValueError(f"--flat-tol must be nonnegative, got {args.flat_tol}")
     # Each factor acts on the fibres of its mode, so its column count is that patch dim.
     patch_dims = tuple(n for _k, n in shapes)
     params = LearningParams(nu=args.nu, kappa=args.kappa, mu=args.mu)
@@ -129,18 +121,16 @@ def _load_factors(path: str) -> list[np.ndarray]:
         try:
             manifold.check_factor(factor)
         except ValueError as exc:
-            raise ValidationError(f"{path}: mode {mode}: {exc}") from None
+            raise ValueError(f"{path}: mode {mode}: {exc}") from None
     return factors
 
 
 def cmd_denoise(args: argparse.Namespace) -> int:
     _require_file(args.input, "input volume")
     factors = _load_factors(args.op)
-    if args.sigma < 0:
-        raise ValidationError(f"sigma must be nonnegative, got {args.sigma}")
+    if not 0 <= args.sigma < math.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, got {args.sigma}")
     lam = args.lam if args.lam is not None else 200.0 * args.sigma
-    if lam <= 0:
-        raise ValidationError(f"lambda must be positive, got {lam}")
     ref = volume_mod.read_volume(args.ref) if args.ref else None
 
     vol = volume_mod.read_volume(args.input)
@@ -168,8 +158,6 @@ def cmd_denoise(args: argparse.Namespace) -> int:
 def cmd_cs(args: argparse.Namespace) -> int:
     _require_file(args.input, "input volume")
     factors = _load_factors(args.op)
-    if not 0.0 < args.rate <= 1.0:
-        raise ValidationError(f"rate must lie in (0, 1], got {args.rate}")
     vol = volume_mod.read_volume(args.input)
     h, w, _depth = vol.dims
     mask = recon_mod.radial_mask_for_rate(h, w, args.rate)
@@ -200,7 +188,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     ref = volume_mod.read_volume(args.ref)
     test = volume_mod.read_volume(args.test)
     if ref.dims != test.dims:
-        raise ValidationError(f"dims mismatch: {ref.dims} vs {test.dims}")
+        raise ValueError(f"dims mismatch: {ref.dims} vs {test.dims}")
     rows = [_metrics_row("eval", ref, test)]
     _write_csv(args.csv, rows)
     return EXIT_OK
@@ -273,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # noqa: BLE001 - CLI boundary

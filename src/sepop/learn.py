@@ -23,7 +23,6 @@ def minimize_on_product(
     evaluate: Callable[[list[np.ndarray]], tuple[float, Callable[[], list[np.ndarray]]]],
     init: list[np.ndarray],
     cfg: SolverConfig,
-    use_conjugate: bool = True,
 ) -> tuple[list[np.ndarray], LearnReport]:
     """PR+ conjugate gradient on a product of unit-row-norm manifolds.
 
@@ -31,11 +30,10 @@ def minimize_on_product(
     the Euclidean gradients there (see :func:`sepop.cg.minimize`);
     projection onto the tangent space happens in the solver.  Barrier and
     degenerate-step errors raised during trial steps shrink the step instead
-    of aborting.  With ``use_conjugate`` false every direction is the
-    projected steepest descent (comparison baseline).
+    of aborting.
     """
     point = [np.asarray(f, dtype=float).copy() for f in init]
-    return cg.minimize(evaluate, point, cfg, cg.OBLIQUE, use_conjugate)
+    return cg.minimize(evaluate, point, cfg, cg.OBLIQUE)
 
 
 def learn_operators(

@@ -39,10 +39,12 @@ class LearningParams:
     mu: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.nu <= 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
-        if self.kappa < 0 or self.mu < 0:
-            raise ValueError(f"kappa and mu must be nonnegative, got {self.kappa}, {self.mu}")
+        if not 0 < self.nu < math.inf:
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
+        if not (0 <= self.kappa < math.inf and 0 <= self.mu < math.inf):
+            raise ValueError(
+                f"kappa and mu must be nonnegative and finite, got {self.kappa}, {self.mu}"
+            )
 
 
 def sparsity_measure(coeffs: np.ndarray, nu: float) -> float:

@@ -44,10 +44,10 @@ class ReconConfig:
     patch_dims: tuple[int, int, int] = (5, 5, 5)
 
     def __post_init__(self) -> None:
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.nu <= 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not 0 < self.nu < math.inf:
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
         if self.patch_stride < 1:
             raise ValueError("patch_stride must be at least 1")
         if self.max_iters < 1:

@@ -118,25 +118,3 @@ def correlate_separable_adjoint(
         out[(Ellipsis, *window)] += piece
     return out
 
-
-def apply_separable(tensor: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
-    """Apply one factor per mode: ``tensor x_1 F_1 x_2 F_2 ... x_N F_N``.
-
-    Vectorized (row-major ravel) this equals the Kronecker chain of the
-    factors applied to ``tensor.ravel()``.
-    """
-    tensor = np.asarray(tensor, dtype=float)
-    if len(factors) != tensor.ndim:
-        raise ValueError(
-            f"need one factor per mode: tensor order {tensor.ndim}, "
-            f"got {len(factors)} factors"
-        )
-    factors = [np.asarray(factor, dtype=float) for factor in factors]
-    for mode, factor in enumerate(factors):
-        if factor.shape[1] != tensor.shape[mode]:
-            raise ValueError(
-                f"factor for mode {mode} has shape {factor.shape} but tensor "
-                f"axis {mode} has length {tensor.shape[mode]}"
-            )
-    out = correlate_separable(tensor, factors)
-    return out.reshape(tuple(len(f) for f in factors))

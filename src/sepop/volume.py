@@ -111,8 +111,8 @@ def build_training_set(
 
 def add_awgn(vol: Volume, sigma: float, seed: int = 0) -> Volume:
     """Add i.i.d. zero-mean Gaussian noise of standard deviation ``sigma``."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     if sigma == 0:
         return Volume(vol.data.copy(), vol.intensity_range)
     rng = np.random.default_rng(seed)
@@ -178,6 +178,8 @@ def read_volume(path: str) -> Volume:
     dims = tuple(int(d) for d in header["dims"])
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise ValueError(f"{hpath}: invalid dims {dims}")
+    if not os.path.exists(path):
+        raise ValueError(f"missing volume payload {path}")
     raw = np.fromfile(path, dtype="<f8")
     expected = math.prod(dims)
     if raw.size != expected:

@@ -16,7 +16,7 @@ import numpy as np
 
 from sepop import reconstruct
 from sepop.objective import sparsity_measure
-from sepop.tensor import apply_separable
+from sepop.tensor import correlate_separable
 
 
 def unfold_last(tensor: np.ndarray) -> np.ndarray:
@@ -93,7 +93,7 @@ def cosparsity(coeffs: np.ndarray, eps: float = 1e-3) -> int:
 
 def sample_term(signal: np.ndarray, factors: list[np.ndarray], nu: float) -> float:
     """Squared sparsity measure of the analyzed signal."""
-    return sparsity_measure(apply_separable(signal, factors), nu) ** 2
+    return sparsity_measure(correlate_separable(signal, factors), nu) ** 2
 
 
 def reconstruction_objective(v, y, op, factors, cfg) -> tuple[float, np.ndarray]:

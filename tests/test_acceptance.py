@@ -163,7 +163,7 @@ def test_criterion_1_separability(capsys):
     for _ in range(50):
         signal = rng.standard_normal(PATCH)
         factors = [rng.standard_normal((6, 5)) for _ in range(3)]
-        via_modes = tensor.apply_separable(signal, factors).ravel()
+        via_modes = tensor.correlate_separable(signal, factors).ravel()
         via_kron = oracles.kronecker_chain(factors) @ signal.ravel()
         worst = max(worst, np.linalg.norm(via_modes - via_kron) / np.linalg.norm(via_kron))
     elapsed = time.monotonic() - start

@@ -1,4 +1,7 @@
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,8 +45,9 @@ class TestGen:
     def test_malformed_dims(self, tmp_path):
         assert run("gen", "--dims", "12x12x12", "--out", str(tmp_path / "x.vol")) == 1
 
-    def test_too_small_dims(self, tmp_path):
+    def test_too_small_dims(self, tmp_path, capsys):
         assert run("gen", "--dims", "4,12,12", "--out", str(tmp_path / "x.vol")) == 1
+        assert "phantom dims must be at least 8 per axis" in capsys.readouterr().err
 
 
 class TestLearn:
@@ -65,12 +69,13 @@ class TestLearn:
         costs = [float(line.split()[3]) for line in log]
         assert costs[-1] < costs[0]
 
-    def test_wide_shape_rejected(self, tmp_path, phantom):
+    def test_wide_shape_rejected(self, tmp_path, phantom, capsys):
         code = run(
             "learn", "--train-vol", phantom, "--shape", "4x5,6x5,6x5",
             "--out", str(tmp_path / "o.txt"),
         )
         assert code == 1
+        assert "factor shape 4x5 for mode 0 is not tall" in capsys.readouterr().err
 
     def test_missing_volume(self, tmp_path):
         assert run("learn", "--train-vol", str(tmp_path / "no.vol"), "--out", "o") == 1
@@ -122,6 +127,33 @@ def test_operator_with_wrong_mode_count_exits_1(tmp_path, phantom, capsys, comma
     assert f"operator has {modes} modes but the patches have order 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("denoise", "--lambda", "nan", "lam must be positive and finite, got nan"),
+        ("denoise", "--lambda", "inf", "lam must be positive and finite, got inf"),
+        ("denoise", "--nu", "nan", "nu must be positive and finite, got nan"),
+        ("denoise", "--sigma", "nan", "sigma must be nonnegative and finite, got nan"),
+        ("cs", "--lambda", "nan", "lam must be positive and finite, got nan"),
+        ("learn", "--nu", "nan", "nu must be positive and finite, got nan"),
+        ("learn", "--kappa", "nan", "kappa and mu must be nonnegative and finite, got nan, 0.5"),
+        ("learn", "--mu", "nan", "kappa and mu must be nonnegative and finite, got 500.0, nan"),
+        ("learn", "--flat-tol", "nan", "--flat-tol must be nonnegative, got nan"),
+    ],
+)
+def test_non_finite_flag_exits_1_naming_the_field(
+    tmp_path, phantom, operators, capsys, command, flag, value, message
+):
+    if command == "learn":
+        args = ["learn", "--train-vol", phantom, "--T", "50", "--max-iters", "2"]
+    else:
+        args = [command, "--in", phantom, "--op", operators, "--max-iters", "2"]
+        if command == "denoise" and flag != "--sigma":
+            args += ["--sigma", "5"]
+    assert run(*args, flag, value, "--out", str(tmp_path / "out")) == 1
+    assert message in capsys.readouterr().err
+
+
 class TestDenoise:
     def test_sigma_zero_tiny_lambda_roundtrip(self, tmp_path, phantom, operators):
         out = str(tmp_path / "d.vol")
@@ -168,13 +200,25 @@ class TestDenoise:
         assert code == 1
         assert "bad_ops.txt" in capsys.readouterr().err
 
-    def test_lambda_defaults_to_200_sigma(self, tmp_path, phantom, operators):
+    def test_lambda_defaults_to_200_sigma(self, tmp_path, phantom, operators, capsys):
         # sigma 0 without an explicit lambda gives lambda 0, a validation error
         code = run(
             "denoise", "--in", phantom, "--op", operators, "--sigma", "0",
             "--out", str(tmp_path / "d.vol"),
         )
         assert code == 1
+        assert "lam must be positive" in capsys.readouterr().err
+
+    def test_ref_without_payload_exits_1_naming_it(self, tmp_path, phantom, operators, capsys):
+        ref = str(tmp_path / "ref.vol")
+        volume.write_volume(volume.read_volume(phantom), ref)
+        Path(ref).unlink()
+        code = run(
+            "denoise", "--in", phantom, "--op", operators, "--sigma", "5",
+            "--max-iters", "2", "--ref", ref, "--out", str(tmp_path / "d.vol"),
+        )
+        assert code == 1
+        assert f"missing volume payload {ref}" in capsys.readouterr().err
 
 
 class TestCs:
@@ -204,12 +248,13 @@ class TestCs:
         labels = [r.split(",")[0] for r in open(csv).read().splitlines()[1:]]
         assert labels == ["zero-filling", "reconstruction"]
 
-    def test_rate_out_of_range(self, tmp_path, phantom, operators):
+    def test_rate_out_of_range(self, tmp_path, phantom, operators, capsys):
         code = run(
             "cs", "--in", phantom, "--op", operators, "--rate", "1.5",
             "--out", str(tmp_path / "r.vol"),
         )
         assert code == 1
+        assert "rate must lie in (0, 1], got 1.5" in capsys.readouterr().err
 
 
 class TestEval:
@@ -252,3 +297,18 @@ class TestDeterminism:
             )
             csvs.append(open(csv).read())
         assert csvs[0] == csvs[1]
+
+
+def test_readme_quick_start_commands_parse():
+    # every `sepop` line of the README Quick start block, `\` continuations joined
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Quick start.*?```sh\n(.*?)```", readme, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("sepop ")]
+    assert [argv[1] for argv in commands] == ["gen", "learn", "denoise", "cs", "eval"]
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README Quick start command does not parse: {' '.join(argv)}")

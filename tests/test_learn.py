@@ -194,7 +194,9 @@ class TestLearnOperators:
         init = manifold.random_point([(6, 5)] * 2, np.random.default_rng(1))
         cfg = SolverConfig(max_iters=2000, grad_tol=1e-3, seed=0)
         _p, cg_report = learn.minimize_on_product(evaluate, init, cfg)
-        _q, sd_report = learn.minimize_on_product(evaluate, init, cfg, use_conjugate=False)
+        _q, sd_report = reference_solvers.minimize_on_product(
+            cost, grad, init, cfg, use_conjugate=False
+        )
         assert cg_report.termination == "tolerance"
         assert cg_report.iterations < sd_report.iterations
 

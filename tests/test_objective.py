@@ -77,7 +77,7 @@ class TestSampleTerm:
     def test_composes_oracles(self, rng):
         signal = rng.standard_normal((5, 5, 5))
         factors = [manifold.random_factor(6, 5, rng) for _ in range(3)]
-        expected = objective.sparsity_measure(tensor.apply_separable(signal, factors), 1000.0) ** 2
+        expected = objective.sparsity_measure(tensor.correlate_separable(signal, factors), 1000.0) ** 2
         assert oracles.sample_term(signal, factors, 1000.0) == pytest.approx(expected, rel=1e-12)
 
 

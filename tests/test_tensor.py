@@ -115,18 +115,21 @@ class TestKronecker:
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
-class TestApplySeparable:
+class TestCorrelateSeparableOnePatch:
+    """A patch-sized input has one window: its output is ``(1,) * N + (k_1, ..., k_N)``."""
+
     def test_identity_factors(self):
         rng = np.random.default_rng(6)
         t = rng.standard_normal((3, 4, 2))
-        out = tensor.apply_separable(t, [np.eye(3), np.eye(4), np.eye(2)])
-        np.testing.assert_allclose(out, t, rtol=1e-15)
+        out = tensor.correlate_separable(t, [np.eye(3), np.eye(4), np.eye(2)])
+        assert out.shape == (1, 1, 1, 3, 4, 2)
+        np.testing.assert_allclose(out.reshape(t.shape), t, rtol=1e-15)
 
     def test_matches_kronecker_oracle(self):
         rng = np.random.default_rng(7)
         t = rng.standard_normal((4, 4, 4))
         factors = [rng.standard_normal((6, 4)) for _ in range(3)]
-        out = tensor.apply_separable(t, factors)
+        out = tensor.correlate_separable(t, factors)
         big = oracles.kronecker_chain(factors)
         np.testing.assert_allclose(out.ravel(), big @ t.ravel(), rtol=1e-12)
 
@@ -135,7 +138,7 @@ class TestApplySeparable:
         t = rng.standard_normal((4, 3))
         f1 = rng.standard_normal((5, 4))
         f2 = rng.standard_normal((6, 3))
-        out = tensor.apply_separable(t, [f1, f2])
+        out = tensor.correlate_separable(t, [f1, f2]).reshape(5, 6)
         np.testing.assert_allclose(
             oracles.unfold_last(out), f2 @ oracles.unfold_last(t) @ f1.T, rtol=1e-12
         )
@@ -144,7 +147,7 @@ class TestApplySeparable:
         rng = np.random.default_rng(9)
         t = rng.standard_normal((3, 4, 5))
         factors = [rng.standard_normal((6, d)) for d in t.shape]
-        reference = tensor.apply_separable(t, factors)
+        reference = tensor.correlate_separable(t, factors).reshape(6, 6, 6)
         permuted = t
         for mode in (2, 0, 1):
             permuted = tensor.n_mode_product(permuted, factors[mode], mode)
@@ -154,7 +157,7 @@ class TestApplySeparable:
         t = np.zeros((3, 4, 2))
         factors = [np.zeros((5, 3)), np.zeros((5, 9)), np.zeros((5, 2))]
         with pytest.raises(ValueError, match="mode 1"):
-            tensor.apply_separable(t, factors)
+            tensor.correlate_separable(t, factors)
 
 
 class TestCorrelateSeparable:
@@ -196,7 +199,7 @@ class TestCorrelateSeparable:
         chain = t
         for mode, factor in enumerate(factors):
             chain = tensor.n_mode_product(chain, factor, mode)
-        assert np.array_equal(tensor.apply_separable(t, factors), chain)
+        assert np.array_equal(tensor.correlate_separable(t, factors).reshape(6, 6, 6), chain)
 
     def test_invalid_arguments_rejected(self):
         x = np.zeros((4, 4))

@@ -1,3 +1,6 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
@@ -140,9 +143,10 @@ class TestAddAwgn:
         b = volume.add_awgn(vol, 5.0, seed=3)
         np.testing.assert_array_equal(a.data, b.data)
 
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError, match="sigma"):
-            volume.add_awgn(Volume(np.zeros((8, 8, 8))), -1.0)
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be nonnegative"):
+            volume.add_awgn(Volume(np.zeros((8, 8, 8))), sigma)
 
 
 class TestSynthPhantom:
@@ -213,6 +217,13 @@ class TestVolumeFiles:
         path.write_bytes(b"\x00" * 80)
         with pytest.raises(ValueError, match="header"):
             volume.read_volume(str(path))
+
+    def test_missing_payload_rejected(self, tmp_path):
+        path = str(tmp_path / "v.vol")
+        volume.write_volume(volume.synth_phantom((8, 8, 8), seed=15), path)
+        os.remove(path)
+        with pytest.raises(ValueError, match=f"missing volume payload {re.escape(path)}"):
+            volume.read_volume(path)
 
     def test_patch_survives_round_trip(self, tmp_path):
         vol = volume.synth_phantom((12, 12, 12), seed=14)
