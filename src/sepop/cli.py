@@ -1,5 +1,9 @@
 """Command-line frontend: gen | learn | denoise | cs | eval.
 
+It parses flags, calls the library and prints: the library function that reads
+a value checks it, and defaults come from the config dataclasses.  Output paths
+are checked before any command runs.
+
 Exit codes: 0 success, 1 validation error, 2 runtime error.  All commands are
 deterministic under fixed flags and seeds; metric output is printed as a
 human-readable line and a machine CSV row.
@@ -11,6 +15,7 @@ import argparse
 import math
 import os
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -27,12 +32,9 @@ EXIT_RUNTIME = 2
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed dims {text!r}: {exc}") from exc
-    if len(dims) != 3 or any(d < 1 for d in dims):
-        raise ValueError(f"dims must be 3 positive integers, got {text!r}")
-    return dims
 
 
 def _parse_shapes(text: str) -> list[tuple[int, int]]:
@@ -45,11 +47,6 @@ def _parse_shapes(text: str) -> list[tuple[int, int]]:
             raise ValueError(f"malformed shape {part!r}: {exc}") from exc
         shapes.append(shape)
     return shapes
-
-
-def _require_file(path: str, what: str) -> None:
-    if not os.path.exists(path):
-        raise ValueError(f"{what} not found: {path}")
 
 
 def _metrics_row(label: str, ref: volume_mod.Volume, test: volume_mod.Volume) -> str:
@@ -68,6 +65,12 @@ def _write_csv(path: str | None, rows: list[str]) -> None:
                 fh.write(row + "\n")
 
 
+def _check_outputs(args: argparse.Namespace) -> None:
+    for path in filter(None, (vars(args).get("out"), vars(args).get("csv"))):
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"output {path} is a directory or lies in a missing one")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     dims = _parse_dims(args.dims)
     vol = volume_mod.synth_phantom(dims, seed=args.seed)
@@ -77,12 +80,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_learn(args: argparse.Namespace) -> int:
-    _require_file(args.train_vol, "training volume")
     shapes = _parse_shapes(args.shape)
-    if len(shapes) != 3:
-        raise ValueError("need exactly 3 factor shapes for volumetric data")
-    if not args.flat_tol >= 0:
-        raise ValueError(f"--flat-tol must be nonnegative, got {args.flat_tol}")
     # Each factor acts on the fibres of its mode, so its column count is that patch dim.
     patch_dims = tuple(n for _k, n in shapes)
     params = LearningParams(nu=args.nu, kappa=args.kappa, mu=args.mu)
@@ -115,7 +113,6 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
 
 def _load_factors(path: str) -> list[np.ndarray]:
-    _require_file(path, "operator file")
     factors, _meta = learn_mod.load_operators(path)
     for mode, factor in enumerate(factors):
         try:
@@ -125,70 +122,55 @@ def _load_factors(path: str) -> list[np.ndarray]:
     return factors
 
 
-def cmd_denoise(args: argparse.Namespace) -> int:
-    _require_file(args.input, "input volume")
-    factors = _load_factors(args.op)
-    if not 0 <= args.sigma < math.inf:
-        raise ValueError(f"sigma must be nonnegative and finite, got {args.sigma}")
-    lam = args.lam if args.lam is not None else 200.0 * args.sigma
-    ref = volume_mod.read_volume(args.ref) if args.ref else None
-
-    vol = volume_mod.read_volume(args.input)
-    noisy = volume_mod.add_awgn(vol, args.sigma, seed=args.seed) if args.sigma > 0 else vol
-    op = recon_mod.IdentityMeasurement(noisy.dims)
-    y = op.forward(noisy.data)
+def _recover(
+    args: argparse.Namespace, y: np.ndarray, op: recon_mod.MeasurementOp,
+    factors: list[np.ndarray], lam: float, metrics: Callable[[volume_mod.Volume], list[str]],
+) -> int:
     cfg = recon_mod.ReconConfig(
         lam=lam, nu=args.nu, max_iters=args.max_iters,
         patch_dims=tuple(f.shape[1] for f in factors),
     )
     result = recon_mod.reconstruct(y, op, factors, cfg)
     volume_mod.write_volume(result, args.out)
-
-    rows = []
-    if ref is not None:
-        rows.append(_metrics_row("noisy", ref, noisy))
-        rows.append(_metrics_row("denoised", ref, result))
-    else:
-        rows.append(_metrics_row("denoised-vs-input", noisy, result))
-    _write_csv(args.csv, rows)
+    _write_csv(args.csv, metrics(result))
     print(f"wrote {args.out}")
     return EXIT_OK
+
+
+def cmd_denoise(args: argparse.Namespace) -> int:
+    factors = _load_factors(args.op)
+    lam = args.lam if args.lam is not None else 200.0 * args.sigma
+    ref = volume_mod.read_volume(args.ref) if args.ref else None
+
+    vol = volume_mod.read_volume(args.input)
+    noisy = volume_mod.add_awgn(vol, args.sigma, seed=args.seed)
+    op = recon_mod.IdentityMeasurement(noisy.dims)
+
+    def metrics(result: volume_mod.Volume) -> list[str]:
+        if ref is None:
+            return [_metrics_row("denoised-vs-input", noisy, result)]
+        return [_metrics_row("noisy", ref, noisy), _metrics_row("denoised", ref, result)]
+
+    return _recover(args, op.forward(noisy.data), op, factors, lam, metrics)
 
 
 def cmd_cs(args: argparse.Namespace) -> int:
-    _require_file(args.input, "input volume")
     factors = _load_factors(args.op)
     vol = volume_mod.read_volume(args.input)
-    h, w, _depth = vol.dims
-    mask = recon_mod.radial_mask_for_rate(h, w, args.rate)
+    mask = recon_mod.radial_mask_for_rate(*vol.dims[:2], args.rate)
+    print(f"radial mask: {mask.sampling_rate:.4f} sampling rate")
     op = recon_mod.FourierMeasurement(vol.dims, mask)
     y = op.forward(vol.data)
-
     zero_fill = volume_mod.Volume(op.adjoint(y))
-    cfg = recon_mod.ReconConfig(
-        lam=args.lam, nu=args.nu, max_iters=args.max_iters,
-        patch_dims=tuple(f.shape[1] for f in factors),
-    )
-    result = recon_mod.reconstruct(y, op, factors, cfg)
-    volume_mod.write_volume(result, args.out)
-
-    print(f"radial mask: {mask.sampling_rate:.4f} sampling rate")
-    rows = [
+    return _recover(args, y, op, factors, args.lam, lambda result: [
         _metrics_row("zero-filling", vol, zero_fill),
         _metrics_row("reconstruction", vol, result),
-    ]
-    _write_csv(args.csv, rows)
-    print(f"wrote {args.out}")
-    return EXIT_OK
+    ])
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _require_file(args.ref, "reference volume")
-    _require_file(args.test, "test volume")
     ref = volume_mod.read_volume(args.ref)
     test = volume_mod.read_volume(args.test)
-    if ref.dims != test.dims:
-        raise ValueError(f"dims mismatch: {ref.dims} vs {test.dims}")
     rows = [_metrics_row("eval", ref, test)]
     _write_csv(args.csv, rows)
     return EXIT_OK
@@ -211,11 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-vol", required=True)
     p.add_argument("--shape", default="6x5,6x5,6x5")
     p.add_argument("--T", type=int, default=20000)
-    p.add_argument("--nu", type=float, default=1000.0)
-    p.add_argument("--kappa", type=float, default=500.0)
-    p.add_argument("--mu", type=float, default=0.5)
+    p.add_argument("--nu", type=float, default=LearningParams.nu)
+    p.add_argument("--kappa", type=float, default=LearningParams.kappa)
+    p.add_argument("--mu", type=float, default=LearningParams.mu)
     p.add_argument("--flat-tol", type=float, default=1.0)
-    p.add_argument("--max-iters", type=int, default=500)
+    p.add_argument("--max-iters", type=int, default=learn_mod.SolverConfig.max_iters)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_learn)
@@ -225,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", required=True)
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--nu", type=float, default=1000.0)
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--nu", type=float, default=recon_mod.ReconConfig.nu)
+    p.add_argument("--max-iters", type=int, default=recon_mod.ReconConfig.max_iters)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ref", default=None)
     p.add_argument("--out", required=True)
@@ -238,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", required=True)
     p.add_argument("--rate", type=float, default=0.20)
     p.add_argument("--lambda", dest="lam", type=float, default=1500.0)
-    p.add_argument("--nu", type=float, default=1000.0)
-    p.add_argument("--max-iters", type=int, default=200)
+    p.add_argument("--nu", type=float, default=recon_mod.ReconConfig.nu)
+    p.add_argument("--max-iters", type=int, default=recon_mod.ReconConfig.max_iters)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_cs)
@@ -260,6 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
+        _check_outputs(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ analysis.  The module also reads and writes the operator file format.
 
 from __future__ import annotations
 
+import os
 from typing import Callable
 
 import numpy as np
@@ -109,6 +110,8 @@ def load_operators(path: str) -> tuple[list[np.ndarray], dict[str, str]]:
     blocks and every value must be finite.  Whether the factors lie on the
     oblique manifold is left to the caller (:func:`manifold.check_factor`).
     """
+    if not os.path.isfile(path):
+        raise ValueError(f"operator file {path} is missing or not a regular file")
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(number, ln.split()) for number, ln in enumerate(fh, 1) if ln.strip()]
     if not lines or lines[0][1] != ["sepop-operators", "v1"]:

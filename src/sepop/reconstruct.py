@@ -288,14 +288,16 @@ def reconstruct(
 # ---------------------------------------------------------------------------
 # Quality metrics
 
-def psnr(ref: Volume, test: Volume, peak: float = 255.0) -> float:
-    """Peak signal-to-noise ratio in dB; identical volumes give ``inf``."""
+def psnr(ref: Volume, test: Volume) -> float:
+    """Peak signal-to-noise ratio in dB, the peak being the reference's
+    intensity range; identical volumes give ``inf``."""
     if ref.data.shape != test.data.shape:
         raise ValueError(f"shape mismatch: {ref.data.shape} vs {test.data.shape}")
     mse = float(np.mean((ref.data - test.data) ** 2))
     if mse == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / mse)
+    lo, hi = ref.intensity_range
+    return 10.0 * math.log10((hi - lo) * (hi - lo) / mse)
 
 
 def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
@@ -321,16 +323,18 @@ def _ssim_slice(x: np.ndarray, y: np.ndarray, window: np.ndarray, peak: float) -
     return float(np.mean(num / den))
 
 
-def mssim(ref: Volume, test: Volume, peak: float = 255.0) -> float:
-    """Mean SSIM over fully interior 11x11 Gaussian windows, then over slices."""
+def mssim(ref: Volume, test: Volume) -> float:
+    """Mean SSIM over fully interior 11x11 Gaussian windows, then over slices;
+    the constants scale with the reference's intensity range."""
     if ref.data.shape != test.data.shape:
         raise ValueError(f"shape mismatch: {ref.data.shape} vs {test.data.shape}")
+    lo, hi = ref.intensity_range
     h, w, depth = ref.data.shape
     if h < 11 or w < 11:
         raise ValueError(f"slices must be at least 11x11 for SSIM, got {h}x{w}")
     window = _gaussian_window()
     values = [
-        _ssim_slice(ref.data[:, :, k], test.data[:, :, k], window, peak)
+        _ssim_slice(ref.data[:, :, k], test.data[:, :, k], window, hi - lo)
         for k in range(depth)
     ]
     return float(np.mean(values))

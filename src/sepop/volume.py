@@ -26,6 +26,8 @@ class Volume:
             raise ValueError(f"volume must be order 3, got shape {self.data.shape}")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("volume contains non-finite values")
+        if not -math.inf < self.intensity_range[0] < self.intensity_range[1] < math.inf:
+            raise ValueError(f"intensity range must be finite with lo < hi: {self.intensity_range}")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -59,10 +61,10 @@ def build_training_set(
     Each draw takes one center per axis from ``default_rng(seed)``, in axis
     order; a window centered there (even dims extend one voxel less on the
     high side) lies wholly inside the volume.  Patches with standard
-    deviation <= ``flat_tol`` are rejected and redrawn (sampling with
-    replacement).  Accepted patches are mean-subtracted and scaled to unit
-    Frobenius norm.  After ``100 * count`` draws without enough patches the
-    volume is refused with a ``ValueError`` naming the counts.
+    deviation <= ``flat_tol`` (>= 0) are rejected and redrawn (sampling
+    with replacement).  Accepted patches are mean-subtracted and scaled to
+    unit Frobenius norm.  After ``100 * count`` draws without enough patches
+    the volume is refused with a ``ValueError`` naming the counts.
 
     Draws are made and tested in batches, no larger than the number of
     patches still missing, so ``meta["draws"]`` counts the draws up to the
@@ -70,11 +72,13 @@ def build_training_set(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if not flat_tol >= 0:
+        raise ValueError(f"flat_tol must be nonnegative, got {flat_tol}")
     patch_dims = tuple(patch_dims)
-    if any(d < 1 for d in patch_dims):
-        raise ValueError(f"patch dims must be positive, got {patch_dims}")
     data = vol.data
-    if any(d > sz for sz, d in zip(data.shape, patch_dims, strict=True)):
+    if len(patch_dims) != data.ndim or any(d < 1 for d in patch_dims):
+        raise ValueError(f"patch dims must be {data.ndim} positive integers, got {patch_dims}")
+    if any(d > sz for sz, d in zip(data.shape, patch_dims)):
         raise ValueError(f"volume {data.shape} too small for patches {patch_dims}")
 
     # Window starts range over [0, size - d]: the same number of values as
@@ -126,8 +130,8 @@ def synth_phantom(dims: tuple[int, int, int], seed: int = 0) -> Volume:
     Intensities lie in [0, 255]; deterministic given the seed.
     """
     dims = tuple(int(d) for d in dims)
-    if any(d < 8 for d in dims):
-        raise ValueError(f"phantom dims must be at least 8 per axis, got {dims}")
+    if len(dims) != 3 or any(d < 8 for d in dims):
+        raise ValueError(f"phantom dims must be at least 8 per axis, on 3 axes, got {dims}")
     rng = np.random.default_rng(seed)
     vol = np.full(dims, 20.0)
     grids = np.meshgrid(*[np.arange(d, dtype=float) for d in dims], indexing="ij")
@@ -163,7 +167,7 @@ def write_volume(vol: Volume, path: str) -> None:
 
 def read_volume(path: str) -> Volume:
     hpath = _header_path(path)
-    if not os.path.exists(hpath):
+    if not os.path.isfile(hpath):
         raise ValueError(f"missing volume header {hpath}")
     with open(hpath, "r", encoding="utf-8") as fh:
         try:
@@ -178,7 +182,7 @@ def read_volume(path: str) -> Volume:
     dims = tuple(int(d) for d in header["dims"])
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise ValueError(f"{hpath}: invalid dims {dims}")
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ValueError(f"missing volume payload {path}")
     raw = np.fromfile(path, dtype="<f8")
     expected = math.prod(dims)

@@ -1,6 +1,10 @@
 import math
+import os
 import re
 import shlex
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +96,7 @@ class TestLearn:
     def test_negative_flat_tol_exits_1_naming_the_flag(self, tmp_path, phantom, capsys):
         args = ["learn", "--train-vol", phantom, "--T", "50", "--max-iters", "2"]
         assert run(*args, "--flat-tol", "-1", "--out", str(tmp_path / "o.txt")) == 1
-        assert "--flat-tol must be nonnegative, got -1.0" in capsys.readouterr().err
+        assert "flat_tol must be nonnegative, got -1.0" in capsys.readouterr().err
         assert run(*args, "--flat-tol", "0", "--out", str(tmp_path / "o.txt")) == 0
 
 
@@ -138,7 +142,7 @@ def test_operator_with_wrong_mode_count_exits_1(tmp_path, phantom, capsys, comma
         ("learn", "--nu", "nan", "nu must be positive and finite, got nan"),
         ("learn", "--kappa", "nan", "kappa and mu must be nonnegative and finite, got nan, 0.5"),
         ("learn", "--mu", "nan", "kappa and mu must be nonnegative and finite, got 500.0, nan"),
-        ("learn", "--flat-tol", "nan", "--flat-tol must be nonnegative, got nan"),
+        ("learn", "--flat-tol", "nan", "flat_tol must be nonnegative, got nan"),
     ],
 )
 def test_non_finite_flag_exits_1_naming_the_field(
@@ -152,6 +156,81 @@ def test_non_finite_flag_exits_1_naming_the_field(
             args += ["--sigma", "5"]
     assert run(*args, flag, value, "--out", str(tmp_path / "out")) == 1
     assert message in capsys.readouterr().err
+
+
+def small_run(command, phantom, operators, tmp_path):
+    """A short valid run of ``command`` with each output it has under ``tmp_path``."""
+    out, csv = ["--out", str(tmp_path / "r.vol")], ["--csv", str(tmp_path / "m.csv")]
+    recover = ["--op", operators, "--max-iters", "2", *out, *csv]
+    return {
+        "gen": ["gen", "--dims", "16,16,16", *out],
+        "learn": ["learn", "--train-vol", phantom, "--T", "50", "--max-iters", "2", *out],
+        "denoise": ["denoise", "--in", phantom, "--sigma", "5", *recover],
+        "cs": ["cs", "--in", phantom, "--rate", "0.5", *recover],
+        "eval": ["eval", "--ref", phantom, "--test", phantom, *csv],
+    }[command]
+
+
+def with_value(argv, flag, value):
+    if flag in argv:
+        return argv[: argv.index(flag) + 1] + [value] + argv[argv.index(flag) + 2 :]
+    return argv + [flag, value]
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("gen", "--out"),
+        ("learn", "--out"),
+        ("denoise", "--out"),
+        ("denoise", "--csv"),
+        ("cs", "--out"),
+        ("cs", "--csv"),
+        ("eval", "--csv"),
+    ],
+)
+def test_bad_output_path_exits_1_before_any_work(
+    tmp_path, phantom, operators, capsys, command, flag, where
+):
+    (tmp_path / "folder").mkdir()
+    bad = str(tmp_path / ("nowhere/x" if where == "missing directory" else "folder"))
+    before = sorted(tmp_path.rglob("*"))
+    assert run(*with_value(small_run(command, phantom, operators, tmp_path), flag, bad)) == 1
+    assert f"output {bad} is a directory or lies in a missing one" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("denoise", "--op"), ("learn", "--train-vol"), ("cs", "--in"), ("denoise", "--ref")],
+)
+def test_directory_input_exits_1_naming_it(tmp_path, phantom, operators, capsys, command, flag):
+    # a volume header sits beside the directory, so only the path's type is wrong
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    shutil.copy(phantom + ".json", str(folder) + ".json")
+    argv = with_value(small_run(command, phantom, operators, tmp_path), flag, str(folder))
+    assert run(*argv) == 1
+    assert str(folder) in capsys.readouterr().err
+
+
+def test_exit_status_at_the_process_boundary(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def sepop(*args):
+        argv = [sys.executable, "-m", "sepop.cli", *args]
+        return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+
+    refused = sepop("gen", "--dims", "4,12,12", "--out", str(tmp_path / "x.vol"))
+    assert refused.returncode == 1
+    assert refused.stdout == ""
+    assert "error: phantom dims must be at least 8 per axis" in refused.stderr
+    written = sepop("gen", "--dims", "8,8,8", "--out", str(tmp_path / "x.vol"))
+    assert written.returncode == 0, written.stderr
+    assert volume.read_volume(str(tmp_path / "x.vol")).dims == (8, 8, 8)
 
 
 class TestDenoise:

@@ -338,6 +338,14 @@ class TestOperatorFile:
         for a, b in zip(factors, loaded):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("kind", ["directory", "missing file"])
+    def test_path_that_is_not_a_file_rejected(self, tmp_path, kind):
+        path = tmp_path / "ops"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(ValueError, match=f"operator file {path} is missing or not a regular"):
+            learn.load_operators(str(path))
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("something else\n")

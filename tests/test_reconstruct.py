@@ -273,6 +273,15 @@ class TestPsnr:
             psnr(Volume(np.zeros((8, 8, 8))), Volume(np.zeros((8, 8, 9))))
 
 
+def test_metrics_take_the_peak_from_the_intensity_range(rng):
+    a = rng.uniform(0, 255, (16, 16, 4))
+    b = a + rng.normal(0, 20, a.shape)
+    full = Volume(a), Volume(b)
+    unit = Volume(a / 255, (0.0, 1.0)), Volume(b / 255, (0.0, 1.0))
+    assert psnr(*unit) == pytest.approx(psnr(*full), rel=1e-12)
+    assert mssim(*unit) == pytest.approx(mssim(*full), rel=1e-12)
+
+
 class TestMssim:
     def test_identical_volumes(self):
         vol = volume.synth_phantom((16, 16, 16), seed=3)

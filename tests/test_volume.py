@@ -52,15 +52,18 @@ class TestBuildTrainingSet:
         with pytest.raises(ValueError, match="rejection"):
             volume.build_training_set(vol, 10, (3, 3, 3), flat_tol=1.0, seed=0)
 
-    def test_no_rejection_with_negative_tol(self):
-        rng = np.random.default_rng(0)
-        vol = Volume(rng.uniform(0, 255, (12, 12, 12)))
-        train = volume.build_training_set(vol, 25, (5, 5, 5), flat_tol=-1.0, seed=1)
-        assert train.count == 25
-        norms = np.linalg.norm(train.patches.reshape(25, -1), axis=1)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-        means = train.patches.reshape(25, -1).mean(axis=1)
-        np.testing.assert_allclose(means, 0.0, atol=1e-12)
+    @pytest.mark.parametrize("flat_tol", [-1.0, float("nan")])
+    def test_negative_or_nan_tol_rejected(self, flat_tol):
+        # a negative tolerance would keep constant windows, which normalize to NaN
+        vol = volume.synth_phantom((12, 12, 12), seed=0)
+        with pytest.raises(ValueError, match=f"flat_tol must be nonnegative, got {flat_tol}"):
+            volume.build_training_set(vol, 25, (5, 5, 5), flat_tol=flat_tol, seed=1)
+
+    @pytest.mark.parametrize("patch_dims", [(5, 5), (5, 5, 5, 5), (5, 0, 5)])
+    def test_patch_dims_must_match_the_order(self, patch_dims):
+        vol = volume.synth_phantom((12, 12, 12), seed=0)
+        with pytest.raises(ValueError, match=re.escape(f"3 positive integers, got {patch_dims}")):
+            volume.build_training_set(vol, 25, patch_dims, seed=1)
 
     def test_ramp_patches_identical_after_normalization(self, ramp_volume):
         train = volume.build_training_set(ramp_volume, 10, (5, 5, 5), flat_tol=0.0, seed=2)
@@ -90,8 +93,7 @@ class TestSamplerEqualsReference:
     def assert_same(vol, count, patch_dims, flat_tol, seed):
         got = volume.build_training_set(vol, count, patch_dims, flat_tol=flat_tol, seed=seed)
         want, draws = reference_sampler.build_training_set(vol, count, patch_dims, flat_tol, seed)
-        # flat_tol < 0 keeps constant windows, which normalize to NaN in both
-        assert np.array_equal(got.patches, want, equal_nan=True)
+        assert np.array_equal(got.patches, want)
         assert got.meta["draws"] == draws
 
     @pytest.mark.parametrize("phantom_seed", [5, 8])
@@ -104,8 +106,7 @@ class TestSamplerEqualsReference:
         vol = volume.synth_phantom((24, 9, 40), seed=2)
         self.assert_same(vol, 300, patch_dims, 1.0, 7)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
-    @pytest.mark.parametrize("flat_tol", [-1.0, 0.0, 1.0, 60.0])
+    @pytest.mark.parametrize("flat_tol", [0.0, 1.0, 60.0])
     def test_flat_tolerances(self, flat_tol):
         vol = volume.synth_phantom((16, 16, 16), seed=3)
         self.assert_same(vol, 200, (5, 5, 5), flat_tol, 4)
@@ -218,11 +219,25 @@ class TestVolumeFiles:
         with pytest.raises(ValueError, match="header"):
             volume.read_volume(str(path))
 
-    def test_missing_payload_rejected(self, tmp_path):
+    @pytest.mark.parametrize("replacement", ["nothing", "directory"])
+    def test_missing_payload_rejected(self, tmp_path, replacement):
         path = str(tmp_path / "v.vol")
         volume.write_volume(volume.synth_phantom((8, 8, 8), seed=15), path)
         os.remove(path)
+        if replacement == "directory":
+            os.mkdir(path)
         with pytest.raises(ValueError, match=f"missing volume payload {re.escape(path)}"):
+            volume.read_volume(path)
+
+    @pytest.mark.parametrize("bounds", [[0, 0], [255, 0], [0, "Infinity"], ["NaN", 255]])
+    def test_degenerate_intensity_range_rejected(self, tmp_path, bounds):
+        path = str(tmp_path / "v.vol")
+        volume.write_volume(volume.synth_phantom((8, 8, 8), seed=16), path)
+        header = (tmp_path / "v.vol.json").read_text()
+        (tmp_path / "v.vol.json").write_text(
+            header.replace("[0.0, 255.0]", "[%s, %s]" % tuple(bounds))
+        )
+        with pytest.raises(ValueError, match="intensity range must be finite with lo < hi"):
             volume.read_volume(path)
 
     def test_patch_survives_round_trip(self, tmp_path):
