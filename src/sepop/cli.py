@@ -1,8 +1,9 @@
 """Command-line frontend: gen | learn | denoise | cs | eval.
 
 It parses flags, calls the library and prints: the library function that reads
-a value checks it, and defaults come from the config dataclasses.  Output paths
-are checked before any command runs.
+a value checks it, and defaults come from the config dataclasses.  Output paths,
+and the sidecar file that each ``--out`` brings (a volume's header, the learn
+log; the module that writes it names it), are checked before any command runs.
 
 Exit codes: 0 success, 1 validation error, 2 runtime error.  All commands are
 deterministic under fixed flags and seeds; metric output is printed as a
@@ -66,7 +67,9 @@ def _write_csv(path: str | None, rows: list[str]) -> None:
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
-    for path in filter(None, (vars(args).get("out"), vars(args).get("csv"))):
+    out = vars(args).get("out")
+    sidecar = args.sidecar(out) if out else None
+    for path in filter(None, (out, sidecar, vars(args).get("csv"))):
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"output {path} is a directory or lies in a missing one")
 
@@ -103,7 +106,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
             "termination": report.termination.replace(" ", "_"),
         },
     )
-    with open(args.out + ".log", "w", encoding="utf-8") as fh:
+    with open(learn_mod.log_path(args.out), "w", encoding="utf-8") as fh:
         fh.write(report.training_log())
     print(
         f"learned {len(factors)} factors in {report.iterations} iterations "
@@ -187,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default="32,32,32")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, sidecar=volume_mod.header_path)
 
     p = sub.add_parser("learn", help="learn separable operator factors from a volume")
     p.add_argument("--train-vol", required=True)
@@ -200,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=learn_mod.SolverConfig.max_iters)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_learn)
+    p.set_defaults(func=cmd_learn, sidecar=learn_mod.log_path)
 
     p = sub.add_parser("denoise", help="denoise a volume with a learned operator")
     p.add_argument("--in", dest="input", required=True)
@@ -213,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_denoise)
+    p.set_defaults(func=cmd_denoise, sidecar=volume_mod.header_path)
 
     p = sub.add_parser("cs", help="undersampled Fourier measurement and recovery")
     p.add_argument("--in", dest="input", required=True)
@@ -224,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=int, default=recon_mod.ReconConfig.max_iters)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", default=None)
-    p.set_defaults(func=cmd_cs)
+    p.set_defaults(func=cmd_cs, sidecar=volume_mod.header_path)
 
     p = sub.add_parser("eval", help="PSNR/MSSIM between two volumes")
     p.add_argument("--ref", required=True)

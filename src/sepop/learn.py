@@ -103,6 +103,11 @@ def save_operators(
         fh.write("\n".join(lines) + "\n")
 
 
+def log_path(path: str) -> str:
+    """The training log that ``sepop learn`` writes beside the operator file at ``path``."""
+    return path + ".log"
+
+
 def load_operators(path: str) -> tuple[list[np.ndarray], dict[str, str]]:
     """Read an operator file; every malformed file raises ``ValueError`` naming it.
 

@@ -148,7 +148,8 @@ def synth_phantom(dims: tuple[int, int, int], seed: int = 0) -> Volume:
 # ---------------------------------------------------------------------------
 # File I/O
 
-def _header_path(path: str) -> str:
+def header_path(path: str) -> str:
+    """The JSON header written beside the volume payload at ``path``."""
     return path + ".json"
 
 
@@ -159,14 +160,14 @@ def write_volume(vol: Volume, path: str) -> None:
         "byte_order": "LE",
         "dtype": "f64",
     }
-    with open(_header_path(path), "w", encoding="utf-8") as fh:
+    with open(header_path(path), "w", encoding="utf-8") as fh:
         json.dump(header, fh)
         fh.write("\n")
     np.ascontiguousarray(vol.data, dtype="<f8").tofile(path)
 
 
 def read_volume(path: str) -> Volume:
-    hpath = _header_path(path)
+    hpath = header_path(path)
     if not os.path.isfile(hpath):
         raise ValueError(f"missing volume header {hpath}")
     with open(hpath, "r", encoding="utf-8") as fh:

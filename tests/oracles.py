@@ -6,6 +6,9 @@ helpers state what its separable evaluations must equal.
 :func:`cosparsity` counts the near-zero analysis coefficients of a patch.
 :func:`reconstruction_objective` gives the finite-difference oracles the
 reconstruction objective and gradient that the solver evaluates.
+:func:`radial_mask` and :func:`mssim` are the point-by-point mask loop and the
+per-slice ``scipy.signal.convolve2d`` SSIM that the package's vectorized
+versions replaced.
 """
 
 from __future__ import annotations
@@ -100,3 +103,57 @@ def reconstruction_objective(v, y, op, factors, cfg) -> tuple[float, np.ndarray]
     """Cost and gradient of the reconstruction objective at ``v``, as the solver sees them."""
     cost, gradient = reconstruct._evaluate(np.asarray(v, dtype=float), y, op, factors, cfg)
     return cost, gradient()
+
+
+def radial_mask(h: int, w: int, num_lines: int) -> np.ndarray:
+    """The radial sampling pattern, one point of one line at a time."""
+    cy, cx = h // 2, w // 2
+    mask = np.zeros((h, w), dtype=bool)
+    mask[cy, cx] = True
+    half_diag = math.hypot(h, w) / 2.0
+    steps = np.arange(0.0, half_diag + 1.0, 0.5)
+    for i in range(num_lines):
+        theta = math.pi * i / num_lines
+        dy, dx = math.sin(theta), math.cos(theta)
+        for t in steps:
+            r = cy + int(round(t * dy))
+            c = cx + int(round(t * dx))
+            rm, cm = 2 * cy - r, 2 * cx - c
+            if 0 <= r < h and 0 <= c < w and 0 <= rm < h and 0 <= cm < w:
+                mask[r, c] = True
+                mask[rm, cm] = True
+    return mask
+
+
+def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+    half = (size - 1) / 2.0
+    coords = np.arange(size) - half
+    g = np.exp(-(coords**2) / (2.0 * sigma * sigma))
+    window = np.outer(g, g)
+    return window / window.sum()
+
+
+def _ssim_slice(x: np.ndarray, y: np.ndarray, window: np.ndarray, peak: float) -> float:
+    from scipy.signal import convolve2d
+
+    c1 = (0.01 * peak) ** 2
+    c2 = (0.03 * peak) ** 2
+    mu_x = convolve2d(x, window, mode="valid")
+    mu_y = convolve2d(y, window, mode="valid")
+    xx = convolve2d(x * x, window, mode="valid") - mu_x * mu_x
+    yy = convolve2d(y * y, window, mode="valid") - mu_y * mu_y
+    xy = convolve2d(x * y, window, mode="valid") - mu_x * mu_y
+    num = (2.0 * mu_x * mu_y + c1) * (2.0 * xy + c2)
+    den = (mu_x * mu_x + mu_y * mu_y + c1) * (xx + yy + c2)
+    return float(np.mean(num / den))
+
+
+def mssim(ref, test) -> float:
+    """Mean SSIM with the 2-D Gaussian window, one slice at a time."""
+    lo, hi = ref.intensity_range
+    window = _gaussian_window()
+    values = [
+        _ssim_slice(ref.data[:, :, k], test.data[:, :, k], window, hi - lo)
+        for k in range(ref.data.shape[2])
+    ]
+    return float(np.mean(values))

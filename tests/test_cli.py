@@ -202,6 +202,22 @@ def test_bad_output_path_exits_1_before_any_work(
 
 
 @pytest.mark.parametrize(
+    "command, sidecar",
+    [("gen", ".json"), ("learn", ".log"), ("denoise", ".json"), ("cs", ".json")],
+)
+def test_directory_at_the_sidecar_path_exits_1_before_any_work(
+    tmp_path, phantom, operators, capsys, command, sidecar
+):
+    # the header or training log written beside --out is an output too
+    bad = tmp_path / ("r.vol" + sidecar)
+    bad.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert run(*small_run(command, phantom, operators, tmp_path)) == 1
+    assert f"output {bad} is a directory or lies in a missing one" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
     "command, flag",
     [("denoise", "--op"), ("learn", "--train-vol"), ("cs", "--in"), ("denoise", "--ref")],
 )
@@ -215,14 +231,19 @@ def test_directory_input_exits_1_naming_it(tmp_path, phantom, operators, capsys,
     assert str(folder) in capsys.readouterr().err
 
 
-def test_exit_status_at_the_process_boundary(tmp_path):
+def python(*args):
+    """Run a fresh interpreter that imports ``sepop`` from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
 
+
+def test_exit_status_at_the_process_boundary(tmp_path):
     def sepop(*args):
-        argv = [sys.executable, "-m", "sepop.cli", *args]
-        return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        return python("-m", "sepop.cli", *args)
 
     refused = sepop("gen", "--dims", "4,12,12", "--out", str(tmp_path / "x.vol"))
     assert refused.returncode == 1
@@ -231,6 +252,30 @@ def test_exit_status_at_the_process_boundary(tmp_path):
     written = sepop("gen", "--dims", "8,8,8", "--out", str(tmp_path / "x.vol"))
     assert written.returncode == 0, written.stderr
     assert volume.read_volume(str(tmp_path / "x.vol")).dims == (8, 8, 8)
+
+
+def test_metric_commands_import_no_scipy(tmp_path):
+    vol, ops = str(tmp_path / "v.vol"), str(tmp_path / "ops.txt")
+    slab = volume.synth_phantom((16, 16, 8), seed=2).data[..., :4]
+    volume.write_volume(volume.Volume(slab), vol)
+    rng = np.random.default_rng(3)
+    shapes = [(6, 5), (6, 5), (4, 3)]
+    learn.save_operators(ops, [manifold.random_factor(k, n, rng) for k, n in shapes])
+    commands = [
+        ["eval", "--ref", vol, "--test", vol],
+        ["cs", "--in", vol, "--op", ops, "--max-iters", "1", "--out", str(tmp_path / "r.vol")],
+    ]
+    script = "\n".join([
+        "import sys",
+        "from sepop import cli",
+        f"for argv in {commands!r}:",
+        "    if cli.main(argv):",
+        "        sys.exit(f'{argv[0]} failed')",
+        "loaded = sorted(name for name in sys.modules if name.startswith('scipy'))",
+        "sys.exit(f'scipy modules loaded: {loaded}' if loaded else 0)",
+    ])
+    result = python("-c", script)
+    assert result.returncode == 0, result.stderr
 
 
 class TestDenoise:

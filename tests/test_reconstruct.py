@@ -64,6 +64,16 @@ class TestRadialMask:
         with pytest.raises(TypeError):
             SamplingMask(hand, 0.2)  # the rate is the mask's, not a second input
 
+    @pytest.mark.parametrize(
+        "h, w", [(4, 4), (5, 4), (4, 7), (7, 7), (8, 8), (9, 6), (12, 16), (17, 17), (33, 32), (64, 48)]
+    )
+    def test_matches_the_point_loop(self, h, w):
+        # every line count up to 24, then nine spread over the sweep's whole range 1..4(h+w)
+        counts = set(range(1, 25)) | {int(n) for n in np.linspace(1, 4 * (h + w), 9)}
+        for lines in sorted(counts):
+            expected = oracles.radial_mask(h, w, lines)
+            assert np.array_equal(radial_mask(h, w, lines).mask, expected), lines
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             radial_mask(2, 9, 1)
@@ -296,6 +306,22 @@ class TestMssim:
         a = Volume(rng.uniform(0, 255, (16, 16, 4)))
         b = Volume(rng.uniform(0, 255, (16, 16, 4)))
         assert mssim(a, b) == pytest.approx(mssim(b, a), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "dims, kind, lo, hi",
+        [
+            ((32, 32, 32), "phantom", 0.0, 255.0),
+            ((32, 32, 8), "phantom", 0.0, 255.0),
+            ((11, 11, 1), "random", 0.0, 255.0),
+            ((17, 23, 3), "random", 0.0, 255.0),
+            ((32, 32, 8), "phantom", -2.0, 2.0),
+        ],
+    )
+    def test_matches_the_per_slice_convolution(self, rng, dims, kind, lo, hi):
+        unit = volume.synth_phantom(dims, seed=5).data / 255 if kind == "phantom" else rng.random(dims)
+        ref = Volume(lo + (hi - lo) * unit, (lo, hi))
+        test = Volume(ref.data + rng.normal(0, 0.06 * (hi - lo), dims))
+        assert mssim(ref, test) == pytest.approx(oracles.mssim(ref, test), rel=1e-12)
 
     def test_small_slices_rejected(self):
         with pytest.raises(ValueError, match="11x11"):
