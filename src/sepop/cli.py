@@ -1,9 +1,10 @@
 """Command-line frontend: gen | learn | denoise | cs | eval.
 
 It parses flags, calls the library and prints: the library function that reads
-a value checks it, and defaults come from the config dataclasses.  Output paths,
-and the sidecar file that each ``--out`` brings (a volume's header, the learn
-log; the module that writes it names it), are checked before any command runs.
+a value checks it, and defaults come from the config dataclasses or the module
+that reads them.  Output paths, and the sidecar file that each ``--out`` brings
+(a volume's header, the learn log; the module that writes it names it), are
+checked before any command runs.
 
 Exit codes: 0 success, 1 validation error, 2 runtime error.  All commands are
 deterministic under fixed flags and seeds; metric output is printed as a
@@ -199,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=float, default=LearningParams.nu)
     p.add_argument("--kappa", type=float, default=LearningParams.kappa)
     p.add_argument("--mu", type=float, default=LearningParams.mu)
-    p.add_argument("--flat-tol", type=float, default=1.0)
+    p.add_argument("--flat-tol", type=float, default=volume_mod.DEFAULT_FLAT_TOL)
     p.add_argument("--max-iters", type=int, default=learn_mod.SolverConfig.max_iters)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sepop.tensor import correlate_separable, n_mode_product
+from sepop.tensor import correlate_separable
 
 COHERENCE_BARRIER_TOL = 1e-12
 
@@ -108,10 +108,9 @@ def analyze_batch(
 ) -> np.ndarray:
     """Apply one factor per mode to a (T, n_1, ..., n_N) batch of patches.
 
-    The modes are analyzed in order, each by one separable correlation whose
-    window spans its axis.  If ``mode_inputs`` is a list, the array each
-    mode reads is appended to it: for mode i, the batch with modes 1..i-1
-    analyzed, with axes (T, n_i, ..., n_N, k_1, ..., k_{i-1}).
+    The modes are analyzed in order.  If ``mode_inputs`` is a list, the array
+    each mode reads is appended to it: for mode i, the batch with modes
+    1..i-1 analyzed, with axes (T, n_i, ..., n_N, k_1, ..., k_{i-1}).
     """
     patches = np.asarray(patches, dtype=float)
     if patches.ndim != len(factors) + 1:
@@ -126,13 +125,21 @@ def analyze_batch(
                 f"factor for mode {mode} has shape {factor.shape} but patch "
                 f"axis has length {patches.shape[mode + 1]}"
             )
-    coeffs = patches
+    return _apply_each(patches, factors, 1, mode_inputs)
+
+
+def _apply_each(x: np.ndarray, factors: list, axis: int, inputs: list | None = None) -> np.ndarray:
+    """Contract ``axis`` of ``x`` with each factor in turn, putting each new axis last.
+
+    Each product is one separable correlation whose window spans the axis;
+    if ``inputs`` is a list, the array each product reads is appended to it.
+    """
     for factor in factors:
-        if mode_inputs is not None:
-            mode_inputs.append(coeffs)
-        signals = np.moveaxis(coeffs, 1, -1)
-        coeffs = correlate_separable(signals, [factor]).reshape(signals.shape[:-1] + (len(factor),))
-    return coeffs
+        if inputs is not None:
+            inputs.append(x)
+        signals = np.moveaxis(x, axis, -1)
+        x = correlate_separable(signals, [factor]).reshape(signals.shape[:-1] + (len(factor),))
+    return x
 
 
 @dataclass
@@ -213,18 +220,14 @@ def learning_gradient(
 
     # The partial for a mode applies every other factor, in mode order; the
     # factors before it were applied by the analysis, to the array that mode
-    # read.  The einsum's operands keep the layout (and so the rounding) of
-    # products taken in natural axis order: modes before this one come first.
-    factors = [np.asarray(factor, dtype=float) for factor in factors]
+    # read, (T, n_i, n_{i+1}, ..., k_1, ..., k_{i-1}).  Applying the rest at
+    # axis 2 leaves (T, n_i, k_1, ..., k_{i-1}, k_{i+1}, ..., k_N).
     grads: list[np.ndarray] = []
     for mode, factor in enumerate(factors):
-        partial = mode_inputs[mode]
+        partial = _apply_each(mode_inputs[mode], factors[mode + 1 :], 2)
         mode_inputs[mode] = None  # freed once this mode's partial is formed
-        for other in range(mode + 1, len(factors)):
-            partial = n_mode_product(partial, factors[other], other - mode + 1)
-        partial = np.ascontiguousarray(np.moveaxis(partial, range(-mode, 0), range(1, mode + 1)))
         w_mat = np.moveaxis(weighted, mode + 1, 1).reshape(count, weighted.shape[mode + 1], -1)
-        p_mat = np.moveaxis(partial, mode + 1, 1).reshape(count, partial.shape[mode + 1], -1)
+        p_mat = partial.reshape(count, partial.shape[1], -1)
         del partial
         grad = np.einsum("tkr,tnr->kn", w_mat, p_mat) / count
         if params.kappa > 0:

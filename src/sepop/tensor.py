@@ -1,4 +1,4 @@
-"""Dense multilinear algebra: n-mode products and separable (per-mode) analysis.
+"""Separable (per-mode) analysis of every window of a tensor, and its adjoint.
 
 Tensors are plain C-contiguous ``numpy.ndarray`` values with row-major
 storage (last index fastest), so the vectorization of a separable analysis is
@@ -12,27 +12,6 @@ import math
 from itertools import product
 
 import numpy as np
-
-
-def n_mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:
-    """Contract ``tensor``'s axis ``mode`` with the columns of ``matrix``.
-
-    The result has the same shape as ``tensor`` except that axis ``mode`` has
-    length ``matrix.shape[0]``.
-    """
-    tensor = np.asarray(tensor, dtype=float)
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ValueError(f"mode-product matrix must be 2-D, got shape {matrix.shape}")
-    if not 0 <= mode < tensor.ndim:
-        raise ValueError(f"mode {mode} out of range for order-{tensor.ndim} tensor")
-    if matrix.shape[1] != tensor.shape[mode]:
-        raise ValueError(
-            f"mode-{mode} product shape mismatch: tensor {tensor.shape} has "
-            f"axis length {tensor.shape[mode]}, matrix is {matrix.shape}"
-        )
-    contracted = np.tensordot(tensor, matrix, axes=([mode], [1]))
-    return np.ascontiguousarray(np.moveaxis(contracted, -1, mode))
 
 
 def correlate_separable(

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
+
+DEFAULT_FLAT_TOL = 1.0
 
 
 @dataclass
@@ -53,7 +56,7 @@ def build_training_set(
     vol: Volume,
     count: int,
     patch_dims: tuple[int, int, int],
-    flat_tol: float = 1.0,
+    flat_tol: float = DEFAULT_FLAT_TOL,
     seed: int = 0,
 ) -> TrainingSet:
     """Sample ``count`` non-flat patches at uniform random centers.
@@ -176,13 +179,14 @@ def read_volume(path: str) -> Volume:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{hpath}: malformed header: {exc}") from exc
     for key in ("dims", "intensity_range", "byte_order", "dtype"):
-        if key not in header:
+        if not isinstance(header, dict) or key not in header:
             raise ValueError(f"{hpath}: missing header field {key!r}")
     if header["byte_order"] != "LE" or header["dtype"] != "f64":
         raise ValueError(f"{hpath}: unsupported encoding {header['byte_order']}/{header['dtype']}")
-    dims = tuple(int(d) for d in header["dims"])
-    if len(dims) != 3 or any(d < 1 for d in dims):
+    dims = _header_values(hpath, header, "dims", operator.index, 3)
+    if any(d < 1 for d in dims):
         raise ValueError(f"{hpath}: invalid dims {dims}")
+    intensity_range = _header_values(hpath, header, "intensity_range", float, 2)
     if not os.path.isfile(path):
         raise ValueError(f"missing volume payload {path}")
     raw = np.fromfile(path, dtype="<f8")
@@ -195,8 +199,19 @@ def read_volume(path: str) -> Volume:
     if not np.all(np.isfinite(raw)):
         bad = int(np.flatnonzero(~np.isfinite(raw))[0])
         raise ValueError(f"{path}: non-finite value at flat index {bad}")
-    lo, hi = header["intensity_range"]
-    return Volume(raw.reshape(dims), (float(lo), float(hi)))
+    return Volume(raw.reshape(dims), intensity_range)
+
+
+def _header_values(hpath: str, header: dict, key: str, convert, length: int) -> tuple:
+    """Header field ``key`` as a list of ``length`` values, each passed through ``convert``."""
+    value = header[key]
+    try:
+        values = tuple(convert(v) for v in value) if isinstance(value, list) else ()
+    except (TypeError, ValueError):
+        values = ()
+    if len(values) != length:
+        raise ValueError(f"{hpath}: malformed header field {key!r}: {value!r}")
+    return values
 
 
 def import_raw_volume(

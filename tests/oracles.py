@@ -1,7 +1,9 @@
 """Dense definitions that the tests check the package's multilinear algebra against.
 
 The package never materializes a Kronecker product or unfolds a tensor; these
-helpers state what its separable evaluations must equal.
+helpers state what its separable evaluations must equal.  :func:`mode_product`
+is the ``tensordot`` n-mode product that a chain of one-mode correlations must
+equal bit for bit.
 :func:`extract_patch` is the per-patch definition of a training window, and
 :func:`cosparsity` counts the near-zero analysis coefficients of a patch.
 :func:`reconstruction_objective` gives the finite-difference oracles the
@@ -59,6 +61,15 @@ def kronecker_chain(matrices: list[np.ndarray]) -> np.ndarray:
     for m in matrices[1:]:
         out = np.kron(out, m)
     return out
+
+
+def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:
+    """Contract ``tensor``'s axis ``mode`` with the columns of ``matrix`` by ``tensordot``.
+
+    The result keeps the new axis in place of the contracted one.
+    """
+    contracted = np.tensordot(tensor, np.asarray(matrix, dtype=float), axes=([mode], [1]))
+    return np.ascontiguousarray(np.moveaxis(contracted, -1, mode))
 
 
 def extract_patch(vol, center: tuple[int, int, int], dims: tuple[int, int, int]) -> np.ndarray:

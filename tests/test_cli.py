@@ -69,6 +69,7 @@ class TestLearn:
         assert meta["nu"] == "1000.0"
         assert meta["kappa"] == "500.0"
         assert meta["mu"] == "0.5"
+        assert meta["flat_tol"] == "1.0"
         log = open(out + ".log").read().splitlines()
         costs = [float(line.split()[3]) for line in log]
         assert costs[-1] < costs[0]
@@ -407,6 +408,19 @@ class TestEval:
         volume.write_volume(a, pa)
         volume.write_volume(b, pb)
         assert run("eval", "--ref", pa, "--test", pb) == 1
+
+    @pytest.mark.parametrize(
+        "field, value", [("dims", "5"), ("dims", "null"), ("intensity_range", "5"),
+                         ("intensity_range", "[0, 1, 2]")],
+    )
+    def test_malformed_header_exits_1_naming_file_and_field(self, capsys, phantom, field, value):
+        hpath = volume.header_path(phantom)
+        header = open(hpath).read()
+        old = {"dims": "[16, 16, 16]", "intensity_range": "[0.0, 255.0]"}[field]
+        with open(hpath, "w") as fh:
+            fh.write(header.replace(old, value))
+        assert run("eval", "--ref", phantom, "--test", phantom) == 1
+        assert f"{hpath}: malformed header field {field!r}" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -121,9 +121,7 @@ class TestAnalyzeBatch:
     def test_equals_mode_product_chain_bit_for_bit(self, rng):
         factors = [manifold.random_factor(6, 5, rng) for _ in range(3)]
         patches = rng.standard_normal((200, 5, 5, 5))
-        chain = patches
-        for mode, factor in enumerate(factors):
-            chain = tensor.n_mode_product(chain, factor, mode + 1)
+        chain = reference_objective.analyze_batch(patches, factors)
         assert np.array_equal(objective.analyze_batch(patches, factors), chain)
 
     def test_shape_errors_name_the_problem(self, rng):
@@ -279,11 +277,11 @@ class TestSharedAnalysis:
 
 class TestGradientWork:
     """Given the analysis, the gradient applies only the factors the analysis
-    did not: N - 1 + N - 2 + ... + 0 mode products, and analyzes nothing."""
+    did not: N - 1 + N - 2 + ... + 0 one-mode correlations, and analyzes nothing."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        calls = {"n_mode_product": 0, "analyze_batch": 0}
+        calls = {"correlate_separable": 0, "analyze_batch": 0}
         for name in calls:
             original = getattr(objective, name)
 
@@ -298,9 +296,9 @@ class TestGradientWork:
         params = LearningParams()
         factors, patches = random_instance(SHAPE_SETS["non-cubic"], 40, seed=5)
         analysis = objective.patch_analysis(factors, patches, params.nu)
-        assert counted == {"n_mode_product": 0, "analyze_batch": 1}
+        assert counted == {"correlate_separable": 3, "analyze_batch": 1}
         grads = objective.learning_gradient(factors, patches, params, analysis)
-        assert counted == {"n_mode_product": 3, "analyze_batch": 1}
+        assert counted == {"correlate_separable": 6, "analyze_batch": 1}
         assert_equal_to_reference(factors, patches, params, grads)
 
     def test_an_analysis_serves_one_gradient(self):

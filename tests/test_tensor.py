@@ -9,57 +9,6 @@ from sepop.manifold import random_factor
 import oracles
 
 
-def brute_force_mode_product(t, u, mode):
-    """Direct index-sum evaluation of the mode product definition."""
-    out_shape = list(t.shape)
-    out_shape[mode] = u.shape[0]
-    out = np.zeros(out_shape)
-    for idx in np.ndindex(*out_shape):
-        src = list(idx)
-        total = 0.0
-        for m in range(t.shape[mode]):
-            src[mode] = m
-            total += t[tuple(src)] * u[idx[mode], m]
-        out[idx] = total
-    return out
-
-
-class TestModeProduct:
-    def test_identity_leaves_tensor_unchanged(self):
-        rng = np.random.default_rng(0)
-        t = rng.standard_normal((3, 4, 2))
-        for mode in range(3):
-            out = tensor.n_mode_product(t, np.eye(t.shape[mode]), mode)
-            np.testing.assert_allclose(out, t, rtol=1e-15)
-
-    def test_scalar_case(self):
-        t = np.full((1, 1, 1), 2.0)
-        out = tensor.n_mode_product(t, np.array([[3.0]]), 1)
-        assert out.shape == (1, 1, 1)
-        assert out[0, 0, 0] == 6.0
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(1)
-        t = rng.standard_normal((3, 4, 2))
-        u = rng.standard_normal((5, 4))
-        out = tensor.n_mode_product(t, u, 1)
-        np.testing.assert_allclose(out, brute_force_mode_product(t, u, 1), rtol=1e-12)
-
-    def test_shape_mismatch_rejected(self):
-        t = np.zeros((3, 4, 2))
-        with pytest.raises(ValueError, match="mode-1"):
-            tensor.n_mode_product(t, np.zeros((5, 3)), 1)
-
-    def test_distinct_modes_commute(self):
-        rng = np.random.default_rng(2)
-        t = rng.standard_normal((4, 4, 4))
-        a = rng.standard_normal((6, 4))
-        b = rng.standard_normal((6, 4))
-        ab = tensor.n_mode_product(tensor.n_mode_product(t, a, 0), b, 2)
-        ba = tensor.n_mode_product(tensor.n_mode_product(t, b, 2), a, 0)
-        np.testing.assert_allclose(ab, ba, rtol=1e-12)
-
-
 class TestUnfoldFold:
     def test_column_formula(self):
         # entry (2,1,2) of a 2x2x2 tensor lands in row 2, column (2-1)*2 + 1 = 3
@@ -125,6 +74,13 @@ class TestCorrelateSeparableOnePatch:
         assert out.shape == (1, 1, 1, 3, 4, 2)
         np.testing.assert_allclose(out.reshape(t.shape), t, rtol=1e-15)
 
+    def test_scalar_case(self):
+        t = np.full((1, 1, 1), 2.0)
+        one, three = np.ones((1, 1)), np.full((1, 1), 3.0)
+        out = tensor.correlate_separable(t, [one, three, one])
+        assert out.shape == (1, 1, 1, 1, 1, 1)
+        assert out.ravel()[0] == 6.0
+
     def test_matches_kronecker_oracle(self):
         rng = np.random.default_rng(7)
         t = rng.standard_normal((4, 4, 4))
@@ -150,7 +106,7 @@ class TestCorrelateSeparableOnePatch:
         reference = tensor.correlate_separable(t, factors).reshape(6, 6, 6)
         permuted = t
         for mode in (2, 0, 1):
-            permuted = tensor.n_mode_product(permuted, factors[mode], mode)
+            permuted = oracles.mode_product(permuted, factors[mode], mode)
         np.testing.assert_allclose(permuted, reference, rtol=1e-12)
 
     def test_bad_mode_named_in_error(self):
@@ -198,7 +154,7 @@ class TestCorrelateSeparable:
         factors = [random_factor(6, 5, rng) for _ in range(3)]
         chain = t
         for mode, factor in enumerate(factors):
-            chain = tensor.n_mode_product(chain, factor, mode)
+            chain = oracles.mode_product(chain, factor, mode)
         assert np.array_equal(tensor.correlate_separable(t, factors).reshape(6, 6, 6), chain)
 
     def test_invalid_arguments_rejected(self):

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 
@@ -238,6 +239,35 @@ class TestVolumeFiles:
             header.replace("[0.0, 255.0]", "[%s, %s]" % tuple(bounds))
         )
         with pytest.raises(ValueError, match="intensity range must be finite with lo < hi"):
+            volume.read_volume(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dims", 5), ("dims", None), ("dims", [8, 8]), ("dims", [8, "8", 8]),
+            ("dims", [8.9, 8, 8]), ("intensity_range", 5), ("intensity_range", [0, 1, 2]),
+            ("intensity_range", None),
+        ],
+    )
+    def test_malformed_header_field_named(self, tmp_path, field, value):
+        path = str(tmp_path / "v.vol")
+        volume.write_volume(volume.synth_phantom((8, 8, 8), seed=17), path)
+        hpath = volume.header_path(path)
+        with open(hpath, encoding="utf-8") as fh:
+            header = json.load(fh)
+        header[field] = value
+        with open(hpath, "w", encoding="utf-8") as fh:
+            json.dump(header, fh)
+        message = f"{hpath}: malformed header field {field!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            volume.read_volume(path)
+
+    def test_header_that_is_not_an_object_rejected(self, tmp_path):
+        path = str(tmp_path / "v.vol")
+        volume.write_volume(volume.synth_phantom((8, 8, 8), seed=18), path)
+        with open(volume.header_path(path), "w", encoding="utf-8") as fh:
+            fh.write("5\n")
+        with pytest.raises(ValueError, match="missing header field 'dims'"):
             volume.read_volume(path)
 
     def test_patch_survives_round_trip(self, tmp_path):
