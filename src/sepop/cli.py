@@ -147,6 +147,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     ref = volume_mod.read_volume(args.ref) if args.ref else None
 
     vol = volume_mod.read_volume(args.input)
+    recon_mod.check_mssim_dims(vol.dims)
     noisy = volume_mod.add_awgn(vol, args.sigma, seed=args.seed)
     op = recon_mod.IdentityMeasurement(noisy.dims)
 
@@ -161,6 +162,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
 def cmd_cs(args: argparse.Namespace) -> int:
     factors = _load_factors(args.op)
     vol = volume_mod.read_volume(args.input)
+    recon_mod.check_mssim_dims(vol.dims)
     mask = recon_mod.radial_mask_for_rate(*vol.dims[:2], args.rate)
     print(f"radial mask: {mask.sampling_rate:.4f} sampling rate")
     op = recon_mod.FourierMeasurement(vol.dims, mask)

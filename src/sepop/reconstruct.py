@@ -203,6 +203,52 @@ class FourierMeasurement(MeasurementOp):
 # ---------------------------------------------------------------------------
 # Reconstruction objective and solver
 
+# Elements of the flat coefficients that the regularizer's elementwise passes
+# take at a time: 256 KiB of float64, so a chunk and its buffer stay in a
+# per-core L2 cache.
+_CHUNK = 32 * 1024
+
+
+def _log_penalty_sum(c: np.ndarray, nu: float, buf: np.ndarray) -> np.float64:
+    """``np.sum(np.log1p(nu * c * c))`` over the flat ``c``, bit for bit, one chunk at a time.
+
+    numpy sums a contiguous float64 array pairwise: it splits ``n`` elements
+    at ``n // 2`` rounded down to a multiple of 8, down to blocks of at most
+    128.  This follows the same tree down to pieces of at most ``len(buf)``
+    (at least 128), which ``np.sum`` finishes in ``buf``, so every partial sum
+    is the one numpy forms over the whole array.
+    """
+    n = len(c)
+    if n <= len(buf):
+        q = buf[:n]
+        np.multiply(c, nu, out=q)
+        q *= c
+        np.log1p(q, out=q)
+        return np.sum(q)
+    half = n // 2
+    half -= half % 8
+    return _log_penalty_sum(c[:half], nu, buf) + _log_penalty_sum(c[half:], nu, buf)
+
+
+def _penalty_derivative(coeffs: np.ndarray, nu: float, buf: np.ndarray) -> None:
+    """Overwrite ``coeffs`` with d/dc log(1 + nu c^2) = 2 nu c / (1 + nu c^2).
+
+    The flat coefficients are taken ``len(buf)`` at a time, with the same
+    elementwise operations, in the same order, as over the whole array.
+    """
+    # reshape(-1) must be a view: on a copy the derivative would be lost.
+    assert coeffs.flags.c_contiguous
+    flat = coeffs.reshape(-1)
+    for start in range(0, len(flat), len(buf)):
+        c = flat[start : start + len(buf)]
+        q = buf[: len(c)]
+        np.multiply(c, nu, out=q)
+        q *= c
+        q += 1.0
+        c *= 2.0 * nu
+        c /= q
+
+
 def _evaluate(
     v: np.ndarray,
     y: np.ndarray,
@@ -213,8 +259,11 @@ def _evaluate(
     """The objective at ``v`` and a callable for its gradient there.
 
     The gradient takes over the residual and the analysis coefficients that
-    the cost computed, so it can be called once; it frees the coefficients as
-    soon as it has used them.
+    the cost computed, so it can be called once; it overwrites the
+    coefficients with the penalty's derivative and frees them as soon as it
+    has used them.  Neither cost nor gradient holds a second
+    coefficient-sized array: both work through the flat coefficients one
+    cache-sized chunk at a time.
     """
     residual = op.forward(v) - y
     data_term = 0.5 * float(np.real(np.vdot(residual, residual)))
@@ -225,20 +274,15 @@ def _evaluate(
     overlap = math.prod(-(-d // cfg.patch_stride) for d in cfg.patch_dims)
     weight = cfg.lam / overlap
     coeffs = correlate_separable(v, factors, cfg.patch_stride)
-    q = cfg.nu * coeffs
-    q *= coeffs
-    reg_term = weight * float(np.sum(np.log1p(q)))
-    state = [residual, coeffs, q]
+    buf = np.empty(min(_CHUNK, coeffs.size))
+    reg_term = weight * float(_log_penalty_sum(coeffs.reshape(-1), cfg.nu, buf))
+    state = [residual, coeffs]
 
     def gradient() -> np.ndarray:
-        residual, coeffs, q = state
+        residual, coeffs = state
         state.clear()
         grad = op.adjoint(residual)
-        # d/dc log(1 + nu c^2) = 2 nu c / (1 + nu c^2), in place over the coefficients.
-        q += 1.0
-        coeffs *= 2.0 * cfg.nu
-        coeffs /= q
-        del q
+        _penalty_derivative(coeffs, cfg.nu, buf)
         reg_grad = correlate_separable_adjoint(coeffs, factors, v.shape, cfg.patch_stride)
         del coeffs
         return grad + weight * reg_grad
@@ -297,12 +341,25 @@ def psnr(ref: Volume, test: Volume) -> float:
     return 10.0 * math.log10((hi - lo) * (hi - lo) / mse)
 
 
-def _gaussian_taps(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+_SSIM_WINDOW = 11
+
+
+def _gaussian_taps(size: int = _SSIM_WINDOW, sigma: float = 1.5) -> np.ndarray:
     """The normalized 1-D Gaussian; its outer product with itself is the SSIM window."""
     half = (size - 1) / 2.0
     coords = np.arange(size) - half
     g = np.exp(-(coords**2) / (2.0 * sigma * sigma))
     return g / g.sum()
+
+
+def check_mssim_dims(dims: tuple[int, ...]) -> None:
+    """Refuse volumes whose slices are smaller than the 11x11 SSIM window,
+    so a command that reports MSSIM can do so before its work starts."""
+    h, w = dims[:2]
+    if h < _SSIM_WINDOW or w < _SSIM_WINDOW:
+        raise ValueError(
+            f"slices must be at least {_SSIM_WINDOW}x{_SSIM_WINDOW} for SSIM, got {h}x{w}"
+        )
 
 
 def mssim(ref: Volume, test: Volume) -> float:
@@ -315,10 +372,8 @@ def mssim(ref: Volume, test: Volume) -> float:
     """
     if ref.data.shape != test.data.shape:
         raise ValueError(f"shape mismatch: {ref.data.shape} vs {test.data.shape}")
+    check_mssim_dims(ref.dims)
     lo, hi = ref.intensity_range
-    h, w = ref.data.shape[:2]
-    if h < 11 or w < 11:
-        raise ValueError(f"slices must be at least 11x11 for SSIM, got {h}x{w}")
     taps = _gaussian_taps()[np.newaxis]
 
     def blur(a: np.ndarray) -> np.ndarray:

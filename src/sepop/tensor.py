@@ -13,6 +13,10 @@ from itertools import product
 
 import numpy as np
 
+# The adjoint synthesizes this many bytes of coefficients at a time, so that a
+# block and its partial products stay in a per-core L2 cache.
+_BLOCK_BYTES = 256 * 1024
+
 
 def correlate_separable(
     x: np.ndarray, factors: list[np.ndarray], stride: int = 1
@@ -64,8 +68,10 @@ def correlate_separable_adjoint(
     ``coeffs`` has the layout that ``correlate_separable`` returns for an
     input of ``shape``.  Each window's coefficients are synthesized with the
     transposed factors and added into the window, summed where windows
-    overlap.  After one transpose that puts (k_1, ..., k_N) first, mode i is
-    ``F_i.T @ z`` batched over the window offsets already synthesized, so
+    overlap.  The window origins are synthesized in blocks of rows of the
+    (origins, k_1 ... k_N) coefficient matrix, each small enough to stay in
+    cache: the block is transposed to put (k_1, ..., k_N) first, then mode i
+    is ``F_i.T @ z`` batched over the window offsets already synthesized, so
     every entry is the same k_i-term dot product as a per-window adjoint.
     The windows are then added in, one offset at a time in lexicographic
     order; leading axes pass through.
@@ -86,14 +92,25 @@ def correlate_separable_adjoint(
     if coeffs.shape != expected:
         raise ValueError(f"coefficients of shape {coeffs.shape}, expected {expected}")
 
-    z = np.ascontiguousarray(np.moveaxis(coeffs, range(-modes, 0), range(modes)))
-    for mode, factor in enumerate(factors):
-        z = factor.T @ z.reshape(math.prod(sizes[:mode]), len(factor), -1)
+    rows = coeffs.reshape(-1, math.prod(len(factor) for factor in factors))
+    origins = len(rows)
+    block = max(2, _BLOCK_BYTES // (8 * rows.shape[1]))
+    synth = np.empty((math.prod(sizes), origins))
+    start = 0
+    while start < origins:
+        # A one-row block would take numpy's matrix-vector path, which rounds
+        # differently, so a one-row remainder joins the block before it.
+        stop = origins if origins - start <= block + 1 else start + block
+        z = np.ascontiguousarray(rows[start:stop].T)
+        for mode, factor in enumerate(factors):
+            z = factor.T @ z.reshape(math.prod(sizes[:mode]), len(factor), -1)
+        synth[:, start:stop] = z.reshape(len(synth), -1)
+        start = stop
     per_mode = [
         [slice(a, a + stride * m, stride) for a in range(n)] for n, m in zip(sizes, starts)
     ]
     out = np.zeros(shape)
-    for piece, window in zip(z.reshape((-1,) + grid), product(*per_mode)):
+    for piece, window in zip(synth.reshape((-1,) + grid), product(*per_mode)):
         out[(Ellipsis, *window)] += piece
     return out
 

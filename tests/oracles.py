@@ -3,7 +3,9 @@
 The package never materializes a Kronecker product or unfolds a tensor; these
 helpers state what its separable evaluations must equal.  :func:`mode_product`
 is the ``tensordot`` n-mode product that a chain of one-mode correlations must
-equal bit for bit.
+equal bit for bit, and :func:`whole_array_adjoint` the one-transpose adjoint
+that the blocked :func:`sepop.tensor.correlate_separable_adjoint` must equal
+bit for bit.
 :func:`extract_patch` is the per-patch definition of a training window, and
 :func:`cosparsity` counts the near-zero analysis coefficients of a patch.
 :func:`reconstruction_objective` gives the finite-difference oracles the
@@ -16,6 +18,7 @@ versions replaced.
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 
@@ -70,6 +73,33 @@ def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarra
     """
     contracted = np.tensordot(tensor, np.asarray(matrix, dtype=float), axes=([mode], [1]))
     return np.ascontiguousarray(np.moveaxis(contracted, -1, mode))
+
+
+def whole_array_adjoint(
+    coeffs: np.ndarray, factors: list[np.ndarray], shape: tuple[int, ...], stride: int = 1
+) -> np.ndarray:
+    """The adjoint of ``correlate_separable`` with one transpose of all coefficients.
+
+    All coefficients are transposed at once to put (k_1, ..., k_N) first, mode
+    i is ``F_i.T @ z`` over every window origin, and the windows are added in
+    one offset at a time in lexicographic order.
+    """
+    factors = [np.asarray(factor, dtype=float) for factor in factors]
+    modes = len(factors)
+    lead = len(shape) - modes
+    sizes = tuple(factor.shape[1] for factor in factors)
+    starts = tuple((d - n) // stride + 1 for n, d in zip(sizes, shape[lead:]))
+    grid = tuple(shape[:lead]) + starts
+    z = np.ascontiguousarray(np.moveaxis(coeffs, range(-modes, 0), range(modes)))
+    for mode, factor in enumerate(factors):
+        z = factor.T @ z.reshape(math.prod(sizes[:mode]), len(factor), -1)
+    per_mode = [
+        [slice(a, a + stride * m, stride) for a in range(n)] for n, m in zip(sizes, starts)
+    ]
+    out = np.zeros(shape)
+    for piece, window in zip(z.reshape((-1,) + grid), product(*per_mode)):
+        out[(Ellipsis, *window)] += piece
+    return out
 
 
 def extract_patch(vol, center: tuple[int, int, int], dims: tuple[int, int, int]) -> np.ndarray:

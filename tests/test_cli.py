@@ -178,6 +178,27 @@ def with_value(argv, flag, value):
     return argv + [flag, value]
 
 
+@pytest.mark.parametrize("command", ["denoise", "cs"])
+def test_undersized_slices_exit_1_before_the_solve(
+    tmp_path, operators, capsys, monkeypatch, command
+):
+    # both commands report MSSIM, whose 11x11 window does not fit an 8x8 slice
+    small = str(tmp_path / "s.vol")
+    assert run("gen", "--dims", "8,8,8", "--out", small) == 0
+    capsys.readouterr()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the reconstruction ran")
+
+    monkeypatch.setattr(cli.recon_mod, "reconstruct", no_solve)
+    argv = small_run(command, small, operators, tmp_path)
+    assert run(*argv) == 1
+    assert "slices must be at least 11x11 for SSIM, got 8x8" in capsys.readouterr().err
+    assert not (tmp_path / "r.vol").exists()
+    assert not Path(volume.header_path(str(tmp_path / "r.vol"))).exists()
+    assert not (tmp_path / "m.csv").exists()
+
+
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
 @pytest.mark.parametrize(
     "command, flag",

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sepop import manifold, reconstruct, volume
+from sepop import manifold, reconstruct, tensor, volume
 from sepop.reconstruct import (
     FourierMeasurement,
     IdentityMeasurement,
@@ -326,3 +327,57 @@ class TestMssim:
     def test_small_slices_rejected(self):
         with pytest.raises(ValueError, match="11x11"):
             mssim(Volume(np.zeros((8, 8, 8))), Volume(np.zeros((8, 8, 8))))
+
+
+class TestCacheSizedPasses:
+    """The regularizer's elementwise passes run chunk by chunk, and round as
+    they would over the whole array."""
+
+    CHUNK = reconstruct._CHUNK
+    # Flat coefficient counts: small and chunk-edge sizes, then 216 coefficients
+    # per patch at 32^3 with stride 1, 2 and 3, and at 32x32x8 with stride 1, 2 and 3.
+    SIZES = [1, 7, 8, 127, 128, 129, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 8]
+    SIZES += [216 * 28**3, 216 * 14**3, 216 * 10**3, 216 * 28 * 28 * 4, 216 * 14 * 14 * 2]
+    SIZES += [216 * 10 * 10 * 2]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_penalty_sum_follows_numpys_summation_order(self, rng, n):
+        c = rng.standard_normal(n) * rng.choice([1e-3, 0.1, 10.0], n)
+        nu = 1000.0
+        blocked = reconstruct._log_penalty_sum(c, nu, np.empty(min(self.CHUNK, n)))
+        whole = np.sum(np.log1p(nu * c * c))
+        assert blocked == whole, (
+            "np.sum no longer splits a float64 array at n // 2 rounded down to a "
+            "multiple of 8; _log_penalty_sum must follow numpy's pairwise order"
+        )
+
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_analysis_is_c_contiguous(self, rng, factors, stride, lead):
+        # the gradient writes the derivative through coeffs.reshape(-1), which
+        # must be a view of the coefficients it then synthesizes from
+        x = rng.standard_normal(lead + (12, 11, 13))
+        coeffs = tensor.correlate_separable(x, factors, stride)
+        assert coeffs.flags.c_contiguous
+        assert np.shares_memory(coeffs.reshape(-1), coeffs)
+
+    @pytest.mark.parametrize("dims, kind", [((32, 32, 32), "identity"), ((32, 32, 8), "fourier")])
+    def test_peak_memory_of_cost_and_gradient(self, rng, factors, dims, kind):
+        if kind == "identity":
+            op = IdentityMeasurement(dims)
+        else:
+            op = FourierMeasurement(dims, radial_mask_for_rate(dims[0], dims[1], 0.6))
+        cfg = ReconConfig(lam=3000.0)
+        v = rng.uniform(0, 255, dims)
+        y = op.forward(v + 15.0 * rng.standard_normal(dims))
+        coeff_bytes = 8 * 216 * math.prod(d - 4 for d in dims)
+        tracemalloc.start()
+        try:
+            _cost, gradient = reconstruct._evaluate(v, y, op, factors, cfg)
+            gradient()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The analysis needs its coefficients plus one mode's windows; neither
+        # elementwise pass nor the synthesis may add another coefficient-sized array.
+        assert peak < 2.3 * coeff_bytes, f"peak {peak / coeff_bytes:.2f}x the coefficients"

@@ -214,3 +214,35 @@ class TestCorrelateSeparableAdjoint:
             tensor.correlate_separable_adjoint(np.zeros((1, 3)), [np.zeros((3, 5))], (4,))
         with pytest.raises(ValueError, match="do not fit"):
             tensor.correlate_separable_adjoint(np.zeros((3, 3)), [f], (4,), stride=0)
+
+
+class TestBlockedAdjoint:
+    """The blocked adjoint equals the whole-array transpose-then-GEMM one bit for bit."""
+
+    @pytest.mark.parametrize(
+        "shapes, dims, stride",
+        [
+            ([(6, 5)] * 3, (13, 12, 11), 1),
+            ([(6, 5)] * 3, (2, 11, 9, 12), 1),
+            ([(6, 5)] * 3, (14, 13, 11), 2),
+            ([(6, 5)] * 3, (16, 17, 15), 3),
+            ([(4, 3), (7, 4), (5, 5)], (10, 11, 12), 1),
+            ([(4, 3), (7, 4), (5, 5)], (3, 9, 8, 7), 2),
+            ([(3, 4), (2, 5)], (4, 12, 9), 3),
+        ],
+    )
+    # Rows per block: most leave a short last block, and "one short" leaves a
+    # one-row remainder, which joins the block before it.
+    @pytest.mark.parametrize("rows", [2, 3, 7, 64, "one short", "default"])
+    def test_equals_the_whole_array_adjoint(self, monkeypatch, shapes, dims, stride, rows):
+        rng = np.random.default_rng(len(dims) + stride)
+        factors = [rng.standard_normal(shape) for shape in shapes]
+        z = rng.standard_normal(tensor.correlate_separable(np.zeros(dims), factors, stride).shape)
+        width = int(np.prod([k for k, _ in shapes]))
+        origins = z.size // width
+        if rows == "one short":
+            rows = origins - 1
+        if rows != "default":
+            monkeypatch.setattr(tensor, "_BLOCK_BYTES", 8 * width * rows)
+        back = tensor.correlate_separable_adjoint(z, factors, dims, stride)
+        assert np.array_equal(back, oracles.whole_array_adjoint(z, factors, dims, stride))
