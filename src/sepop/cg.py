@@ -2,12 +2,15 @@
 
 :func:`minimize` is PR+ conjugate gradient over a :class:`Geometry`, which
 supplies tangent projection, retraction, vector transport, inner product and
-norm, and the first trial step of each line search.  :data:`OBLIQUE` is the
-product of unit-row-norm matrix manifolds that operator learning searches
-(projection transport, row renormalization, the previous accepted step scaled
-by the ratio of directional derivatives, clamped to [1e-8, 1e2]); :data:`FLAT`
-the volume space of reconstruction (identity projection and transport,
-``v + t d``, twice the previous accepted step).
+norm, and its own line-search rule: the first trial step, the decay of the
+acceptance reference and the trial budget.  :data:`OBLIQUE` is the product of
+unit-row-norm matrix manifolds that operator learning searches (projection
+transport, row renormalization, the previous accepted step scaled by the
+ratio of directional derivatives, clamped to [1e-8, 1e2]; nonmonotone, 40
+trials); :data:`FLAT` the volume space of reconstruction (identity projection
+and transport, ``v + t d``, twice the previous accepted step; monotone, 50
+trials).  The gradient tolerance, the Armijo constant and the backtracking
+factor are this module's constants, the same for both.
 
 Steps are accepted by the nonmonotone rule of Zhang and Hager: the reference
 value C_k is updated as Q_{k+1} = d*Q_k + 1, C_{k+1} = (d*Q_k*C_k + f_{k+1}) /
@@ -36,30 +39,23 @@ from sepop.objective import BarrierError
 # A trial that raises one of these is a too-long step: the line search shrinks it.
 REJECTED_STEP = (BarrierError, DegenerateStepError)
 
+# Both geometries stop at a gradient norm of GRAD_TOL * sqrt(size), accept a
+# trial step t if f <= C + SUFFICIENT_DECREASE * t * dd, and shrink it by BACKTRACK.
+GRAD_TOL = 1e-4
+SUFFICIENT_DECREASE = 1e-4
+BACKTRACK = 0.5
+
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """The iteration cap, and the seed of a learning run's random start."""
+
     max_iters: int = 500
-    grad_tol: float = 1e-4
-    ls_history_decay: float = 0.85
-    ls_sufficient_decrease: float = 1e-4
-    ls_backtrack: float = 0.5
-    ls_max_trials: int = 40
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
-        if not 0.0 <= self.ls_history_decay < 1.0:
-            raise ValueError("ls_history_decay must lie in [0, 1)")
-        if not 0.0 < self.ls_sufficient_decrease < 1.0:
-            raise ValueError("ls_sufficient_decrease must lie in (0, 1)")
-        if not 0.0 < self.ls_backtrack < 1.0:
-            raise ValueError("ls_backtrack must lie in (0, 1)")
-        if self.ls_max_trials < 1:
-            raise ValueError("ls_max_trials must be positive")
 
 
 @dataclass
@@ -113,7 +109,10 @@ class Geometry:
     scales the gradient tolerance; ``first_step(prev_step, prev_dd, dd,
     grad_norm)`` is the first trial step of a line search, given the previous
     accepted step and directional derivative (``None`` on the first
-    iteration), the current directional derivative and gradient norm.
+    iteration), the current directional derivative and gradient norm;
+    ``history_decay`` is the decay d of the acceptance reference (0: monotone
+    Armijo); ``max_trials`` the number of trial steps before a line search
+    fails.
     """
 
     project: Callable[[Any, Any], Any]
@@ -124,6 +123,8 @@ class Geometry:
     combine: Callable[..., Any]
     size: Callable[[Any], int]
     first_step: Callable[[float | None, float | None, float, float], float]
+    history_decay: float
+    max_trials: int
 
 
 def _ratio_step(prev_step, prev_dd, dd, grad_norm) -> float:
@@ -150,6 +151,8 @@ OBLIQUE = Geometry(
     combine=lambda f, *tangents: [f(*parts) for parts in zip(*tangents, strict=True)],
     size=lambda point: sum(f.size for f in point),
     first_step=_ratio_step,
+    history_decay=0.85,
+    max_trials=40,
 )
 
 FLAT = Geometry(
@@ -161,6 +164,8 @@ FLAT = Geometry(
     combine=lambda f, *tangents: f(*tangents),
     size=lambda point: point.size,
     first_step=_doubling_step,
+    history_decay=0.0,
+    max_trials=50,
 )
 
 
@@ -172,12 +177,12 @@ def minimize(
 ) -> tuple[Any, LearnReport]:
     """PR+ conjugate gradient from ``init``; returns the last iterate and the report.
 
-    The run ends on "tolerance" (gradient norm at most ``grad_tol`` times the
-    square root of the size), "max_iters" or "line-search failure".
+    The run ends on "tolerance" (gradient norm at most :data:`GRAD_TOL` times
+    the square root of the size), "max_iters" or "line-search failure".
     """
     geo = geometry
     point = init
-    tol = cfg.grad_tol * math.sqrt(geo.size(point))
+    tol = GRAD_TOL * math.sqrt(geo.size(point))
 
     cost, gradient = evaluate(point)
     cost = float(cost)
@@ -217,21 +222,21 @@ def minimize(
 
         accepted = False
         best_cost, best_point, best_trial = math.inf, None, None
-        for _ in range(cfg.ls_max_trials):
+        for _ in range(geo.max_trials):
             try:
                 candidate = geo.retract(point, direction, trial)
                 candidate_cost, gradient = evaluate(candidate)
             except REJECTED_STEP:
-                trial *= cfg.ls_backtrack
+                trial *= BACKTRACK
                 continue
             candidate_cost = float(candidate_cost)
             if candidate_cost < best_cost:
                 best_cost, best_point, best_trial = candidate_cost, candidate, trial
-            if nonmonotone_accept(candidate_cost, ref_value, dd, trial, cfg.ls_sufficient_decrease):
+            if nonmonotone_accept(candidate_cost, ref_value, dd, trial, SUFFICIENT_DECREASE):
                 accepted = True
                 break
             del gradient  # frees the rejected trial's state before the next evaluation
-            trial *= cfg.ls_backtrack
+            trial *= BACKTRACK
 
         if not accepted:
             if best_point is not None and best_cost < cost:
@@ -259,8 +264,8 @@ def minimize(
         point, cost, grad, grad_norm = candidate, candidate_cost, new_grad, new_grad_norm
         record(iteration, trial, dd, ref_value)
 
-        new_weight = cfg.ls_history_decay * ref_weight + 1.0
-        ref_value = (cfg.ls_history_decay * ref_weight * ref_value + cost) / new_weight
+        new_weight = geo.history_decay * ref_weight + 1.0
+        ref_value = (geo.history_decay * ref_weight * ref_value + cost) / new_weight
         ref_weight = new_weight
         prev_step, prev_dd = trial, dd
 

@@ -17,7 +17,6 @@ import argparse
 import math
 import os
 import sys
-from typing import Callable
 
 import numpy as np
 
@@ -128,15 +127,17 @@ def _load_factors(path: str) -> list[np.ndarray]:
 
 def _recover(
     args: argparse.Namespace, y: np.ndarray, op: recon_mod.MeasurementOp,
-    factors: list[np.ndarray], lam: float, metrics: Callable[[volume_mod.Volume], list[str]],
+    factors: list[np.ndarray], lam: float, rows: list[str], label: str, ref: volume_mod.Volume,
 ) -> int:
+    """Solve, write the result, and add its metrics row (``label``, against
+    ``ref``) to the ``rows`` computed before the solve."""
     cfg = recon_mod.ReconConfig(
         lam=lam, nu=args.nu, max_iters=args.max_iters,
         patch_dims=tuple(f.shape[1] for f in factors),
     )
     result = recon_mod.reconstruct(y, op, factors, cfg)
     volume_mod.write_volume(result, args.out)
-    _write_csv(args.csv, metrics(result))
+    _write_csv(args.csv, rows + [_metrics_row(label, ref, result)])
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -150,13 +151,11 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     recon_mod.check_mssim_dims(vol.dims)
     noisy = volume_mod.add_awgn(vol, args.sigma, seed=args.seed)
     op = recon_mod.IdentityMeasurement(noisy.dims)
-
-    def metrics(result: volume_mod.Volume) -> list[str]:
-        if ref is None:
-            return [_metrics_row("denoised-vs-input", noisy, result)]
-        return [_metrics_row("noisy", ref, noisy), _metrics_row("denoised", ref, result)]
-
-    return _recover(args, op.forward(noisy.data), op, factors, lam, metrics)
+    y = op.forward(noisy.data)
+    if ref is None:
+        return _recover(args, y, op, factors, lam, [], "denoised-vs-input", noisy)
+    # The noisy row's PSNR refuses a reference of another shape before the solve.
+    return _recover(args, y, op, factors, lam, [_metrics_row("noisy", ref, noisy)], "denoised", ref)
 
 
 def cmd_cs(args: argparse.Namespace) -> int:
@@ -168,10 +167,8 @@ def cmd_cs(args: argparse.Namespace) -> int:
     op = recon_mod.FourierMeasurement(vol.dims, mask)
     y = op.forward(vol.data)
     zero_fill = volume_mod.Volume(op.adjoint(y))
-    return _recover(args, y, op, factors, args.lam, lambda result: [
-        _metrics_row("zero-filling", vol, zero_fill),
-        _metrics_row("reconstruction", vol, result),
-    ])
+    rows = [_metrics_row("zero-filling", vol, zero_fill)]
+    return _recover(args, y, op, factors, args.lam, rows, "reconstruction", vol)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

@@ -2,8 +2,9 @@
 
 ``learn_operators`` minimizes the learning cost of :mod:`sepop.objective`
 over one unit-row-norm factor per mode with the package's conjugate gradient
-(:mod:`sepop.cg`) in its oblique geometry; :func:`minimize_on_product` is
-that solver for any cost on the product manifold.  Each evaluation analyzes
+(:mod:`sepop.cg`) in its oblique geometry, which carries the line-search rule
+(nonmonotone acceptance, 40 trials); :func:`minimize_on_product` is that
+solver for any cost on the product manifold.  Each evaluation analyzes
 the patches once, and the cost and the gradient at that point share the
 analysis.  The module also reads and writes the operator file format.
 """
@@ -42,12 +43,13 @@ def learn_operators(
     shapes: list[tuple[int, int]],
     params: LearningParams,
     cfg: SolverConfig,
-    init: list[np.ndarray] | None = None,
 ) -> tuple[list[np.ndarray], LearnReport]:
     """Learn one unit-row-norm factor per mode from a batch of patches.
 
     ``patches`` is a (T, n_1, ..., n_N) array; ``shapes`` gives the (k_i, n_i)
-    factor sizes.  Returns the learned factors and the run report.
+    factor sizes.  The run starts from random factors drawn with ``cfg.seed``
+    and searches them with :data:`sepop.cg.OBLIQUE`'s line search.  Returns
+    the learned factors and the run report.
     """
     patches = np.asarray(patches, dtype=float)
     if patches.ndim != len(shapes) + 1:
@@ -66,10 +68,7 @@ def learn_operators(
                 f"patches have {patches.shape[mode + 1]}"
             )
 
-    if init is not None:
-        start = [manifold.check_factor(f).copy() for f in init]
-    else:
-        start = manifold.random_point(shapes, np.random.default_rng(cfg.seed))
+    start = manifold.random_point(shapes, np.random.default_rng(cfg.seed))
 
     def evaluate(fs):
         analysis = patch_analysis(fs, patches, params.nu)

@@ -3,8 +3,9 @@
 Solves the inverse problem: half the squared measurement residual plus a
 patch-sparsity regularizer evaluated on every (strided) fully interior patch,
 analyzed by the separable operator factors.  The solver is the package's
-conjugate gradient (:mod:`sepop.cg`) in its flat geometry, with monotone
-Armijo backtracking; the gradient is computed only at the points it moves to.
+conjugate gradient (:mod:`sepop.cg`) in its flat geometry, which carries the
+line-search rule (monotone Armijo backtracking, 50 trials); the gradient is
+computed only at the points it moves to.
 
 The regularizer is evaluated over the whole volume at once: analyzing every
 patch with the separable operator is a separable correlation
@@ -39,7 +40,6 @@ class ReconConfig:
     lam: float
     nu: float = 1000.0
     max_iters: int = 200
-    grad_tol: float = 1e-4
     patch_stride: int = 1
     patch_dims: tuple[int, int, int] = (5, 5, 5)
 
@@ -50,10 +50,6 @@ class ReconConfig:
             raise ValueError(f"nu must be positive and finite, got {self.nu}")
         if self.patch_stride < 1:
             raise ValueError("patch_stride must be at least 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if self.grad_tol <= 0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +296,8 @@ def reconstruct(
     """Minimize the data-fidelity plus patch-sparsity objective over volumes.
 
     Starts from the adjoint image (zero-filling for Fourier data) and runs
-    the package's conjugate gradient in flat geometry with monotone Armijo
+    the package's conjugate gradient for ``cfg.max_iters`` iterations at most
+    in :data:`sepop.cg.FLAT`, whose line search is monotone Armijo
     backtracking, so the objective values appended to ``trace`` (one per
     iterate, the first at the start) never increase.
     """
@@ -315,9 +312,7 @@ def reconstruct(
                 f"factor for mode {mode} has {np.asarray(factor).shape[1]} "
                 f"columns but patch dim is {d}"
             )
-    solver = cg.SolverConfig(
-        max_iters=cfg.max_iters, grad_tol=cfg.grad_tol, ls_history_decay=0.0, ls_max_trials=50
-    )
+    solver = cg.SolverConfig(max_iters=cfg.max_iters)
     v, report = cg.minimize(
         lambda x: _evaluate(x, y, op, factors, cfg), op.adjoint(np.asarray(y)), solver, cg.FLAT
     )

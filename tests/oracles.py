@@ -9,7 +9,9 @@ bit for bit.
 :func:`extract_patch` is the per-patch definition of a training window, and
 :func:`cosparsity` counts the near-zero analysis coefficients of a patch.
 :func:`reconstruction_objective` gives the finite-difference oracles the
-reconstruction objective and gradient that the solver evaluates.
+reconstruction objective and gradient that the solver evaluates, and
+:func:`solver_settings` the frozen loops of ``reference_solvers`` their
+``cfg``.
 :func:`radial_mask` and :func:`mssim` are the point-by-point mask loop and the
 per-slice ``scipy.signal.convolve2d`` SSIM that the package's vectorized
 versions replaced.
@@ -19,10 +21,11 @@ from __future__ import annotations
 
 import math
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 
-from sepop import reconstruct
+from sepop import cg, reconstruct
 from sepop.objective import sparsity_measure
 from sepop.tensor import correlate_separable
 
@@ -144,6 +147,20 @@ def reconstruction_objective(v, y, op, factors, cfg) -> tuple[float, np.ndarray]
     """Cost and gradient of the reconstruction objective at ``v``, as the solver sees them."""
     cost, gradient = reconstruct._evaluate(np.asarray(v, dtype=float), y, op, factors, cfg)
     return cost, gradient()
+
+
+def solver_settings(max_iters: int, geometry: cg.Geometry) -> SimpleNamespace:
+    """The ``cfg`` that ``reference_solvers`` reads, under its old field names:
+    the iteration cap, the geometry's line-search fields and the ``cg``
+    constants as they are when this is called."""
+    return SimpleNamespace(
+        max_iters=max_iters,
+        grad_tol=cg.GRAD_TOL,
+        ls_history_decay=geometry.history_decay,
+        ls_sufficient_decrease=cg.SUFFICIENT_DECREASE,
+        ls_backtrack=cg.BACKTRACK,
+        ls_max_trials=geometry.max_trials,
+    )
 
 
 def radial_mask(h: int, w: int, num_lines: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from sepop import learn, manifold, objective, tensor, volume
+from sepop import cg, learn, manifold, objective, tensor, volume
 from sepop import reconstruct as rec_mod
 from sepop.learn import SolverConfig, learn_operators, minimize_on_product
 from sepop.objective import LearningParams
@@ -261,7 +261,7 @@ def test_criterion_3_manifold_invariants(capsys):
     for i, (step, dd, ref) in enumerate(
         zip(report.step_sizes, report.directional_derivs, report.reference_values)
     ):
-        if report.costs[i + 1] > ref + cfg.ls_sufficient_decrease * step * dd + 1e-9:
+        if report.costs[i + 1] > ref + cg.SUFFICIENT_DECREASE * step * dd + 1e-9:
             accept_ok = False
 
     ok = worst_norm <= 1e-12 and finite and accept_ok and len(accepted) >= 10

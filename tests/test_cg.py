@@ -1,5 +1,6 @@
 """The shared conjugate-gradient driver against the two solvers it replaced, and on its own."""
 
+import dataclasses
 import os
 import weakref
 
@@ -45,7 +46,7 @@ def assert_reconstruction_equals_the_reference(y, op, factors, cfg, reports):
         return oracles.reconstruction_objective(v, y, op, factors, cfg)
 
     want_v, want_trace, want_steps, want_termination = reference_solvers.reconstruct(
-        y, op, cfg, objective_and_gradient
+        y, op, oracles.solver_settings(cfg.max_iters, cg.FLAT), objective_and_gradient
     )
     assert trace == report.costs == want_trace
     assert report.step_sizes == want_steps
@@ -96,22 +97,21 @@ class TestFlatGeometry:
     weights = np.logspace(0, 2, 12).reshape(3, 4)
     target = np.arange(12.0).reshape(3, 4)
 
-    def test_converges_monotonically_in_reconstruct_configuration(self):
+    def test_converges_monotonically_in_reconstruct_configuration(self, monkeypatch):
+        monkeypatch.setattr(cg, "GRAD_TOL", 1e-8)
         evaluate, _calls = quadratic(self.weights, self.target)
-        cfg = cg.SolverConfig(max_iters=500, grad_tol=1e-8, ls_history_decay=0.0, ls_max_trials=50)
-        x, report = cg.minimize(evaluate, np.zeros((3, 4)), cfg, cg.FLAT)
+        x, report = cg.minimize(evaluate, np.zeros((3, 4)), cg.SolverConfig(max_iters=500), cg.FLAT)
         assert report.termination == "tolerance"
         assert all(b <= a for a, b in zip(report.costs, report.costs[1:]))
         np.testing.assert_allclose(x, self.target, atol=1e-6)
 
-    def test_line_search_failure_keeps_the_best_trial(self):
+    def test_line_search_failure_keeps_the_best_trial(self, monkeypatch):
         # A demanding sufficient-decrease constant and two trials per line
         # search: some line search fails after trials that did lower the cost.
+        monkeypatch.setattr(cg, "SUFFICIENT_DECREASE", 0.9)
         evaluate, calls = quadratic(self.weights, self.target)
-        cfg = cg.SolverConfig(
-            max_iters=500, ls_history_decay=0.0, ls_max_trials=2, ls_sufficient_decrease=0.9
-        )
-        x, report = cg.minimize(evaluate, np.zeros((3, 4)), cfg, cg.FLAT)
+        cfg, geometry = cg.SolverConfig(max_iters=500), dataclasses.replace(cg.FLAT, max_trials=2)
+        x, report = cg.minimize(evaluate, np.zeros((3, 4)), cfg, geometry)
         assert report.termination == "line-search failure"
         (*_, (first, first_cost), (second, second_cost), (again, again_cost)) = calls
         best, best_cost = min([(first, first_cost), (second, second_cost)], key=lambda c: c[1])
@@ -121,7 +121,8 @@ class TestFlatGeometry:
         assert np.array_equal(x, best)
         assert len(report.costs) == report.iterations + 1 == len(report.step_sizes) + 1
 
-    def test_gradient_only_at_accepted_points(self):
+    def test_gradient_only_at_accepted_points(self, monkeypatch):
+        monkeypatch.setattr(cg, "GRAD_TOL", 1e-8)
         evaluate, calls = quadratic(self.weights, self.target)
         gradient_calls = []
 
@@ -129,8 +130,7 @@ class TestFlatGeometry:
             cost, gradient = evaluate(x)
             return cost, lambda: gradient_calls.append(x.copy()) or gradient()
 
-        cfg = cg.SolverConfig(max_iters=500, grad_tol=1e-8, ls_history_decay=0.0, ls_max_trials=50)
-        _x, report = cg.minimize(counted, np.zeros((3, 4)), cfg, cg.FLAT)
+        _x, report = cg.minimize(counted, np.zeros((3, 4)), cg.SolverConfig(max_iters=500), cg.FLAT)
         assert report.termination == "tolerance"
         assert len(calls) > len(gradient_calls), "no line-search trial was rejected"
         assert len(gradient_calls) == len(report.costs)
@@ -168,8 +168,7 @@ class TestRejectedSteps:
         # The first trial is the unit step towards the target; only half of it
         # stays inside the ball.
         evaluate, trials = self.barrier_quadratic(0.6, error)
-        cfg = cg.SolverConfig(max_iters=1, ls_history_decay=0.0)
-        x, report = cg.minimize(evaluate, np.zeros(2), cfg, cg.FLAT)
+        x, report = cg.minimize(evaluate, np.zeros(2), cg.SolverConfig(max_iters=1), cg.FLAT)
         assert [np.linalg.norm(t) for t in trials[1:]] == pytest.approx([1.0, 0.5])
         assert report.iterations == 1 and report.step_sizes == [0.5 / 5.0]
         assert report.costs[1] < report.costs[0]
@@ -177,8 +176,8 @@ class TestRejectedSteps:
 
     def test_every_trial_rejected_is_a_line_search_failure(self):
         evaluate, trials = self.barrier_quadratic(0.0, cg.REJECTED_STEP[0])
-        cfg = cg.SolverConfig(ls_max_trials=5)
-        x, report = cg.minimize(evaluate, np.zeros(2), cfg, cg.FLAT)
+        geometry = dataclasses.replace(cg.FLAT, max_trials=5)
+        x, report = cg.minimize(evaluate, np.zeros(2), cg.SolverConfig(), geometry)
         assert len(trials) == 1 + 5
         assert report.termination == "line-search failure" and report.iterations == 0
         assert np.array_equal(x, np.zeros(2)) and report.costs == [12.5]

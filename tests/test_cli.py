@@ -178,6 +178,20 @@ def with_value(argv, flag, value):
     return argv + [flag, value]
 
 
+def forbid_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the reconstruction ran")
+
+    monkeypatch.setattr(cli.recon_mod, "reconstruct", no_solve)
+
+
+def assert_nothing_written(tmp_path):
+    """None of the outputs that ``small_run`` names exists."""
+    assert not (tmp_path / "r.vol").exists()
+    assert not Path(volume.header_path(str(tmp_path / "r.vol"))).exists()
+    assert not (tmp_path / "m.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["denoise", "cs"])
 def test_undersized_slices_exit_1_before_the_solve(
     tmp_path, operators, capsys, monkeypatch, command
@@ -186,17 +200,35 @@ def test_undersized_slices_exit_1_before_the_solve(
     small = str(tmp_path / "s.vol")
     assert run("gen", "--dims", "8,8,8", "--out", small) == 0
     capsys.readouterr()
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("the reconstruction ran")
-
-    monkeypatch.setattr(cli.recon_mod, "reconstruct", no_solve)
+    forbid_solve(monkeypatch)
     argv = small_run(command, small, operators, tmp_path)
     assert run(*argv) == 1
     assert "slices must be at least 11x11 for SSIM, got 8x8" in capsys.readouterr().err
-    assert not (tmp_path / "r.vol").exists()
-    assert not Path(volume.header_path(str(tmp_path / "r.vol"))).exists()
-    assert not (tmp_path / "m.csv").exists()
+    assert_nothing_written(tmp_path)
+
+
+def test_reference_of_another_shape_exits_1_before_the_solve(
+    tmp_path, phantom, operators, capsys, monkeypatch
+):
+    # the noisy row, computed before the solve, compares the reference with the input
+    other = str(tmp_path / "o.vol")
+    assert run("gen", "--dims", "16,16,12", "--out", other) == 0
+    capsys.readouterr()
+    forbid_solve(monkeypatch)
+    argv = small_run("denoise", other, operators, tmp_path) + ["--ref", phantom]
+    assert run(*argv) == 1
+    assert "shape mismatch: (16, 16, 16) vs (16, 16, 12)" in capsys.readouterr().err
+    assert_nothing_written(tmp_path)
+
+
+@pytest.mark.parametrize("command", ["denoise", "cs"])
+def test_non_positive_max_iters_exits_1_writing_nothing(
+    tmp_path, phantom, operators, capsys, command
+):
+    argv = with_value(small_run(command, phantom, operators, tmp_path), "--max-iters", "0")
+    assert run(*argv) == 1
+    assert "max_iters must be positive" in capsys.readouterr().err
+    assert_nothing_written(tmp_path)
 
 
 @pytest.mark.parametrize("where", ["missing directory", "directory"])

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sepop import learn, manifold, objective, volume
+from sepop import cg, learn, manifold, objective, volume
 from sepop.cg import nonmonotone_accept
 from sepop.learn import LearnReport, SolverConfig, learn_operators
 from sepop.objective import LearningParams
 
+import oracles
 import reference_objective
 import reference_solvers
 
@@ -66,17 +69,7 @@ class TestNonmonotoneAccept:
 
 
 class TestSolverConfigValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_iters": 0},
-            {"grad_tol": 0.0},
-            {"ls_history_decay": 1.0},
-            {"ls_sufficient_decrease": 0.0},
-            {"ls_backtrack": 1.0},
-            {"ls_max_trials": 0},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"max_iters": 0}])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
@@ -136,7 +129,7 @@ class TestLearnOperators:
         for i, (step, dd, ref) in enumerate(
             zip(report.step_sizes, report.directional_derivs, report.reference_values)
         ):
-            assert report.costs[i + 1] <= ref + cfg.ls_sufficient_decrease * step * dd + 1e-9
+            assert report.costs[i + 1] <= ref + cg.SUFFICIENT_DECREASE * step * dd + 1e-9
 
     def test_cost_decreases_on_synthetic_data(self):
         rng = np.random.default_rng(11)
@@ -169,7 +162,7 @@ class TestLearnOperators:
         # with d_0 = -grad the first directional derivative equals -|grad|^2
         assert report.directional_derivs[0] == pytest.approx(-report.grad_norms[0] ** 2)
 
-    def test_cg_beats_steepest_descent_on_anisotropic_quadratic(self):
+    def test_cg_beats_steepest_descent_on_anisotropic_quadratic(self, monkeypatch):
         # separable quadratic-like cost with a wide eigenvalue spread; the
         # conjugate update must reach the gradient tolerance in fewer
         # iterations than the pure projected gradient descent baseline
@@ -192,10 +185,10 @@ class TestLearnOperators:
             return cost(fs), lambda: grad(fs)
 
         init = manifold.random_point([(6, 5)] * 2, np.random.default_rng(1))
-        cfg = SolverConfig(max_iters=2000, grad_tol=1e-3, seed=0)
-        _p, cg_report = learn.minimize_on_product(evaluate, init, cfg)
+        monkeypatch.setattr(cg, "GRAD_TOL", 1e-3)
+        _p, cg_report = learn.minimize_on_product(evaluate, init, SolverConfig(max_iters=2000))
         _q, sd_report = reference_solvers.minimize_on_product(
-            cost, grad, init, cfg, use_conjugate=False
+            cost, grad, init, oracles.solver_settings(2000, cg.OBLIQUE), use_conjugate=False
         )
         assert cg_report.termination == "tolerance"
         assert cg_report.iterations < sd_report.iterations
@@ -222,8 +215,15 @@ def reference_solve(patches, shapes, params, cfg):
         lambda fs: reference_objective.learning_cost(fs, patches, params),
         lambda fs: reference_objective.learning_gradient(fs, patches, params),
         manifold.random_point(shapes, np.random.default_rng(cfg.seed)),
-        cfg,
+        oracles.solver_settings(cfg.max_iters, cg.OBLIQUE),
     )
+
+
+def fail_line_searches(monkeypatch):
+    """Two monotone trials per learning line search and a demanding Armijo test."""
+    oblique = dataclasses.replace(cg.OBLIQUE, max_trials=2, history_decay=0.0)
+    monkeypatch.setattr(cg, "OBLIQUE", oblique)
+    monkeypatch.setattr(cg, "SUFFICIENT_DECREASE", 0.5)
 
 
 def assert_same_run(got, want):
@@ -253,9 +253,8 @@ class TestSharedAnalysis:
         # is taken at the better, earlier trial, evaluated again.
         patches = phantom_patches((16, 16, 16), 300)
         params = LearningParams()
-        cfg = SolverConfig(
-            max_iters=40, seed=2, ls_max_trials=2, ls_sufficient_decrease=0.5, ls_history_decay=0.0
-        )
+        fail_line_searches(monkeypatch)
+        cfg = SolverConfig(max_iters=40, seed=2)
         calls, analyses = [], []
 
         def cost(fs, *args, **kwargs):
@@ -295,11 +294,11 @@ class TestSharedAnalysis:
         params = LearningParams()
         captured = []
         monkeypatch.setattr(
-            learn, "minimize_on_product", lambda evaluate, init, cfg: captured.append(evaluate)
+            learn, "minimize_on_product",
+            lambda evaluate, init, cfg: captured.append((evaluate, init)),
         )
-        factors = manifold.random_point([(6, 5)] * 3, 3)
-        learn_operators(patches, [(6, 5)] * 3, params, SolverConfig(), init=factors)
-        (evaluate,) = captured
+        learn_operators(patches, [(6, 5)] * 3, params, SolverConfig(seed=3))
+        ((evaluate, factors),) = captured
         direction = [np.ones_like(f) for f in factors]
         trials = [manifold.product_retract(factors, direction, t) for t in (0.2, 0.1, 0.05)]
         evaluations = [evaluate(point) for point in trials]
@@ -308,13 +307,12 @@ class TestSharedAnalysis:
             expected = reference_objective.learning_gradient(point, patches, params)
             assert all(np.array_equal(g, e) for g, e in zip(gradient(), expected))
 
-    def test_training_log_keeps_the_line_search_failure_fallback(self):
+    def test_training_log_keeps_the_line_search_failure_fallback(self, monkeypatch):
         # The run above saves its best trial after the failed line search;
         # the log must end with that iterate, the one whose factors are saved.
         patches = phantom_patches((16, 16, 16), 300)
-        cfg = SolverConfig(
-            max_iters=40, seed=2, ls_max_trials=2, ls_sufficient_decrease=0.5, ls_history_decay=0.0
-        )
+        fail_line_searches(monkeypatch)
+        cfg = SolverConfig(max_iters=40, seed=2)
         _factors, report = learn_operators(patches, [(6, 5)] * 3, LearningParams(), cfg)
         assert report.termination == "line-search failure"
         log = report.training_log().splitlines()

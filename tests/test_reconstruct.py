@@ -241,11 +241,6 @@ class TestReconstructSolver:
         reconstruct.reconstruct(op.forward(noisy.data), op, factors, cfg, trace=trace)
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
-    @pytest.mark.parametrize("grad_tol", [0.0, -1e-4])
-    def test_non_positive_grad_tol_rejected(self, grad_tol):
-        with pytest.raises(ValueError, match="grad_tol must be positive"):
-            ReconConfig(lam=1.0, grad_tol=grad_tol)
-
     def test_factor_patch_mismatch_rejected(self, rng):
         bad = [manifold.random_factor(6, 4, rng) for _ in range(3)]
         op = IdentityMeasurement((8, 8, 8))
