@@ -188,6 +188,57 @@ class TestRejectedSteps:
             cg.minimize(evaluate, np.zeros(2), cg.SolverConfig(), cg.FLAT)
 
 
+class TestEachGeometryCarriesItsRule:
+    """Learning searches nonmonotonically with 40 trials, reconstruction by
+    monotone Armijo with 50: the values the two solvers have always used."""
+
+    # geometry, decay of the acceptance reference, trials per line search
+    RULES = {"flat": (cg.FLAT, 0.0, 50), "oblique": (cg.OBLIQUE, 0.85, 40)}
+
+    @staticmethod
+    def problem(geometry, reject=False):
+        """f = 1/2 <x - target, w (x - target)> from a start in ``geometry``;
+        with ``reject``, every point but the start is a too-long step."""
+        rng = np.random.default_rng(4)
+        shapes = [(4, 3), (5, 3)]
+        start = manifold.random_point(shapes, rng)
+        weights = [rng.uniform(1.0, 100.0, s) for s in shapes]
+        targets = [rng.normal(size=s) for s in shapes]
+        if geometry is cg.FLAT:
+            start, weights, targets = np.zeros(shapes[0]), weights[0], targets[0]
+        calls = []
+
+        def evaluate(x):
+            calls.append(x)
+            if reject and len(calls) > 1:
+                raise cg.REJECTED_STEP[0]("outside the feasible set")
+            error = geometry.combine(lambda a, t: a - t, x, targets)
+            gradient = geometry.combine(lambda e, w: w * e, error, weights)
+            return 0.5 * geometry.inner(error, gradient), lambda: gradient
+
+        return evaluate, calls, start
+
+    @pytest.mark.parametrize("name", ["flat", "oblique"])
+    def test_trial_budget(self, name):
+        geometry, _decay, trials = self.RULES[name]
+        evaluate, calls, start = self.problem(geometry, reject=True)
+        _point, report = cg.minimize(evaluate, start, cg.SolverConfig(), geometry)
+        assert len(calls) == 1 + trials
+        assert report.termination == "line-search failure" and report.iterations == 0
+
+    @pytest.mark.parametrize("name", ["flat", "oblique"])
+    def test_reference_value_decay(self, name):
+        geometry, decay, _trials = self.RULES[name]
+        evaluate, _calls, start = self.problem(geometry)
+        _point, report = cg.minimize(evaluate, start, cg.SolverConfig(max_iters=20), geometry)
+        assert report.iterations >= 5 and report.termination != "line-search failure"
+        ref, weight = report.costs[0], 1.0
+        for got, cost in zip(report.reference_values, report.costs[1:], strict=True):
+            assert got == ref
+            new_weight = decay * weight + 1.0
+            ref, weight = (decay * weight * ref + cost) / new_weight, new_weight
+
+
 class TestTrialStateIsReleased:
     def test_no_earlier_gradient_is_alive_during_an_evaluation(self, monkeypatch):
         # Each evaluation's gradient holds the residual and the analysis

@@ -162,6 +162,18 @@ class TestLearnOperators:
         # with d_0 = -grad the first directional derivative equals -|grad|^2
         assert report.directional_derivs[0] == pytest.approx(-report.grad_norms[0] ** 2)
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_start_is_the_seeded_random_point(self, monkeypatch, seed):
+        captured = []
+        monkeypatch.setattr(
+            learn, "minimize_on_product", lambda evaluate, init, cfg: captured.append(init)
+        )
+        patches = phantom_patches((16, 16, 16), 50)
+        learn_operators(patches, [(6, 5)] * 3, LearningParams(), SolverConfig(seed=seed))
+        (start,) = captured
+        want = manifold.random_point([(6, 5)] * 3, np.random.default_rng(seed))
+        assert all(np.array_equal(a, b) for a, b in zip(start, want, strict=True))
+
     def test_cg_beats_steepest_descent_on_anisotropic_quadratic(self, monkeypatch):
         # separable quadratic-like cost with a wide eigenvalue spread; the
         # conjugate update must reach the gradient tolerance in fewer

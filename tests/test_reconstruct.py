@@ -241,6 +241,19 @@ class TestReconstructSolver:
         reconstruct.reconstruct(op.forward(noisy.data), op, factors, cfg, trace=trace)
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
+    @pytest.mark.parametrize("max_iters", [0, -1])
+    def test_non_positive_max_iters_rejected_before_any_evaluation(
+        self, monkeypatch, factors, max_iters
+    ):
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("the objective was evaluated")
+
+        monkeypatch.setattr(reconstruct, "_evaluate", no_evaluation)
+        op = IdentityMeasurement((8, 8, 8))
+        y = op.forward(np.zeros((8, 8, 8)))
+        with pytest.raises(ValueError, match="max_iters must be positive"):
+            reconstruct.reconstruct(y, op, factors, ReconConfig(lam=1.0, max_iters=max_iters))
+
     def test_factor_patch_mismatch_rejected(self, rng):
         bad = [manifold.random_factor(6, 4, rng) for _ in range(3)]
         op = IdentityMeasurement((8, 8, 8))
