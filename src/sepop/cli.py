@@ -115,26 +115,24 @@ def cmd_learn(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_factors(path: str) -> list[np.ndarray]:
-    factors, _meta = learn_mod.load_operators(path)
+def _load_solve(args: argparse.Namespace, lam: float) -> tuple[list, recon_mod.ReconConfig]:
+    """The factors in ``--op`` and the solve's settings, both checked before any volume is read."""
+    factors, _meta = learn_mod.load_operators(args.op)
     for mode, factor in enumerate(factors):
         try:
             manifold.check_factor(factor)
         except ValueError as exc:
-            raise ValueError(f"{path}: mode {mode}: {exc}") from None
-    return factors
+            raise ValueError(f"{args.op}: mode {mode}: {exc}") from None
+    patch_dims = tuple(f.shape[1] for f in factors)
+    return factors, recon_mod.ReconConfig(lam, args.nu, args.max_iters, patch_dims=patch_dims)
 
 
 def _recover(
-    args: argparse.Namespace, y: np.ndarray, op: recon_mod.MeasurementOp,
-    factors: list[np.ndarray], lam: float, rows: list[str], label: str, ref: volume_mod.Volume,
+    args: argparse.Namespace, y: np.ndarray, op: recon_mod.MeasurementOp, factors: list,
+    cfg: recon_mod.ReconConfig, rows: list[str], label: str, ref: volume_mod.Volume,
 ) -> int:
     """Solve, write the result, and add its metrics row (``label``, against
     ``ref``) to the ``rows`` computed before the solve."""
-    cfg = recon_mod.ReconConfig(
-        lam=lam, nu=args.nu, max_iters=args.max_iters,
-        patch_dims=tuple(f.shape[1] for f in factors),
-    )
     result = recon_mod.reconstruct(y, op, factors, cfg)
     volume_mod.write_volume(result, args.out)
     _write_csv(args.csv, rows + [_metrics_row(label, ref, result)])
@@ -143,8 +141,8 @@ def _recover(
 
 
 def cmd_denoise(args: argparse.Namespace) -> int:
-    factors = _load_factors(args.op)
-    lam = args.lam if args.lam is not None else 200.0 * args.sigma
+    volume_mod.check_sigma(args.sigma)  # before it derives the default lambda
+    factors, cfg = _load_solve(args, args.lam if args.lam is not None else 200.0 * args.sigma)
     ref = volume_mod.read_volume(args.ref) if args.ref else None
 
     vol = volume_mod.read_volume(args.input)
@@ -153,13 +151,13 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     op = recon_mod.IdentityMeasurement(noisy.dims)
     y = op.forward(noisy.data)
     if ref is None:
-        return _recover(args, y, op, factors, lam, [], "denoised-vs-input", noisy)
+        return _recover(args, y, op, factors, cfg, [], "denoised-vs-input", noisy)
     # The noisy row's PSNR refuses a reference of another shape before the solve.
-    return _recover(args, y, op, factors, lam, [_metrics_row("noisy", ref, noisy)], "denoised", ref)
+    return _recover(args, y, op, factors, cfg, [_metrics_row("noisy", ref, noisy)], "denoised", ref)
 
 
 def cmd_cs(args: argparse.Namespace) -> int:
-    factors = _load_factors(args.op)
+    factors, cfg = _load_solve(args, args.lam)
     vol = volume_mod.read_volume(args.input)
     recon_mod.check_mssim_dims(vol.dims)
     mask = recon_mod.radial_mask_for_rate(*vol.dims[:2], args.rate)
@@ -168,7 +166,7 @@ def cmd_cs(args: argparse.Namespace) -> int:
     y = op.forward(vol.data)
     zero_fill = volume_mod.Volume(op.adjoint(y))
     rows = [_metrics_row("zero-filling", vol, zero_fill)]
-    return _recover(args, y, op, factors, args.lam, rows, "reconstruction", vol)
+    return _recover(args, y, op, factors, cfg, rows, "reconstruction", vol)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

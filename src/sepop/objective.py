@@ -9,9 +9,12 @@ non-finite values; the line search treats that as a too-long step.
 Both the cost and its gradient start from :func:`patch_analysis`, the
 analysis coefficients of the patch batch and each patch's sparsity.  A solver
 that needs both at one point computes it once and passes it to each; called
-without it, each computes it.  The analysis also keeps what the gradient
-would otherwise compute again: ``nu c^2`` and the batch as each mode's
-product read it.
+without it, each computes it.  The analysis also keeps the batch as each
+mode's product read it, which the gradient would otherwise compute again.
+
+The sparsity penalty log(1 + nu c^2) of learning and reconstruction alike is
+summed by :func:`sparsity_measure` and differentiated in place by
+:func:`sparsity_gradient`, both one cache-sized chunk at a time.
 """
 
 from __future__ import annotations
@@ -47,12 +50,56 @@ class LearningParams:
             )
 
 
+# Entries that the penalty's elementwise passes take at a time: 256 KiB of
+# float64, so a chunk and its buffer stay in a per-core L2 cache.
+_CHUNK = 32 * 1024
+
+
 def sparsity_measure(coeffs: np.ndarray, nu: float) -> float:
-    """Sum over all entries of log(1 + nu * entry^2)."""
-    if nu <= 0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    coeffs = np.asarray(coeffs, dtype=float)
-    return float(np.sum(np.log1p(nu * coeffs * coeffs)))
+    """Sum over all entries of log(1 + nu * entry^2), bit for bit ``np.sum(np.log1p(nu * c * c))``:
+    summed in memory order, as numpy sums that product, but without forming the product."""
+    if not 0 < nu < math.inf:
+        raise ValueError(f"nu must be positive and finite, got {nu}")
+    c = np.asarray(coeffs, dtype=float).ravel(order="K")
+    return float(_log_penalty_sum(c, nu, np.empty(min(_CHUNK, c.size))))
+
+
+def _log_penalty_sum(c: np.ndarray, nu: float, buf: np.ndarray) -> np.float64:
+    """``np.sum(np.log1p(nu * c * c))`` over the flat ``c``, bit for bit, one chunk at a time.
+
+    numpy sums a contiguous float64 array pairwise: it splits ``n`` elements
+    at ``n // 2`` rounded down to a multiple of 8, down to blocks of at most
+    128.  This follows the same tree down to pieces of at most ``len(buf)``
+    (at least 128), which ``np.sum`` finishes in ``buf``, so every partial sum
+    is the one numpy forms over the whole array.
+    """
+    n = len(c)
+    if n <= len(buf):
+        q = buf[:n]
+        np.multiply(c, nu, out=q)
+        q *= c
+        np.log1p(q, out=q)
+        return np.sum(q)
+    half = n // 2
+    half -= half % 8
+    return _log_penalty_sum(c[:half], nu, buf) + _log_penalty_sum(c[half:], nu, buf)
+
+
+def sparsity_gradient(coeffs: np.ndarray, nu: float) -> None:
+    """Overwrite ``coeffs`` with d/dc log(1 + nu c^2) = 2 nu c / (1 + nu c^2), :data:`_CHUNK`
+    entries at a time, with the operations, in the order, of one pass over the whole array."""
+    if not coeffs.flags.c_contiguous:  # reshape(-1) would copy, and the derivative be lost
+        raise ValueError("sparsity_gradient writes in place: coeffs must be C-contiguous")
+    flat = coeffs.reshape(-1)
+    buf = np.empty(min(_CHUNK, flat.size))
+    for start in range(0, len(flat), _CHUNK):
+        c = flat[start : start + _CHUNK]
+        q = buf[: len(c)]
+        np.multiply(c, nu, out=q)
+        q *= c
+        q += 1.0
+        c *= 2.0 * nu
+        c /= q
 
 
 def rank_penalty(factor: np.ndarray) -> float:
@@ -147,22 +194,21 @@ class PatchAnalysis:
     """The analysis of a patch batch at one point, from :func:`patch_analysis`.
 
     ``coeffs`` (T, k_1, ..., k_N) and ``per_sample``, each patch's sum of
-    log(1 + nu c^2), serve the cost.  ``coeffs``, ``nu_c2`` (nu c^2) and
-    ``mode_inputs`` (see :func:`analyze_batch`) serve the gradient, which
-    takes them over with :meth:`release`: an analysis serves one gradient.
+    log(1 + nu c^2), serve the cost.  ``coeffs`` and ``mode_inputs`` (see
+    :func:`analyze_batch`) serve the gradient, which takes them over with
+    :meth:`release`: an analysis serves one gradient.
     """
 
     coeffs: np.ndarray | None
     per_sample: np.ndarray
-    nu_c2: np.ndarray | None
     mode_inputs: list[np.ndarray]
 
-    def release(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """Hand ``coeffs``, ``nu_c2`` and ``mode_inputs`` to the caller, who may overwrite them."""
+    def release(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Hand ``coeffs`` and ``mode_inputs`` to the caller, who may overwrite them."""
         if self.coeffs is None:
             raise ValueError("this analysis has already served a gradient")
-        released = self.coeffs, self.nu_c2, self.mode_inputs
-        self.coeffs, self.nu_c2, self.mode_inputs = None, None, []
+        released = self.coeffs, self.mode_inputs
+        self.coeffs, self.mode_inputs = None, []
         return released
 
 
@@ -170,10 +216,8 @@ def patch_analysis(factors: list[np.ndarray], patches: np.ndarray, nu: float) ->
     """The batch's coefficients, per-patch sum of log(1 + nu c^2), and the gradient's share."""
     mode_inputs: list[np.ndarray] = []
     coeffs = analyze_batch(patches, factors, mode_inputs)
-    nu_c2 = nu * coeffs
-    nu_c2 *= coeffs
-    per_sample = np.sum(np.log1p(nu_c2), axis=tuple(range(1, coeffs.ndim)))
-    return PatchAnalysis(coeffs, per_sample, nu_c2, mode_inputs)
+    per_sample = np.sum(np.log1p(nu * coeffs * coeffs), axis=tuple(range(1, coeffs.ndim)))
+    return PatchAnalysis(coeffs, per_sample, mode_inputs)
 
 
 def learning_cost(
@@ -209,13 +253,10 @@ def learning_gradient(
     """
     if analysis is None:
         analysis = patch_analysis(factors, patches, params.nu)
-    weighted, denom, mode_inputs = analysis.release()
+    weighted, mode_inputs = analysis.release()
     count = weighted.shape[0]
     # d(g^2)/dA = 2 g * 2 nu A / (1 + nu A^2), per sample, formed in place
-    denom += 1.0
-    weighted *= 2.0 * params.nu
-    weighted /= denom
-    del denom
+    sparsity_gradient(weighted, params.nu)
     weighted *= (2.0 * analysis.per_sample).reshape((count,) + (1,) * (weighted.ndim - 1))
 
     # The partial for a mode applies every other factor, in mode order; the

@@ -14,8 +14,8 @@ gradient applies its adjoint
 (:func:`sepop.tensor.correlate_separable_adjoint`, one GEMM per mode and a
 scatter-add over the patch offsets).  Both are the same dot products, in the
 same order, as the per-patch definition, so cost and gradient are
-bit-identical to it; this module only does elementwise work on the
-coefficients.
+bit-identical to it.  The penalty on the coefficients, its sum and its
+derivative, is the learning cost's, from :mod:`sepop.objective`.
 
 Two measurement models are provided: identity (denoising) and per-slice
 centered unitary 2D Fourier sampling on a boolean mask (CS recovery).  Every
@@ -31,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from sepop import cg
+from sepop.objective import sparsity_gradient, sparsity_measure
 from sepop.tensor import correlate_separable, correlate_separable_adjoint
 from sepop.volume import Volume
 
@@ -48,6 +49,7 @@ class ReconConfig:
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if not 0 < self.nu < math.inf:
             raise ValueError(f"nu must be positive and finite, got {self.nu}")
+        cg.SolverConfig(max_iters=self.max_iters)  # the iteration cap's owner checks it
         if self.patch_stride < 1:
             raise ValueError("patch_stride must be at least 1")
 
@@ -199,52 +201,6 @@ class FourierMeasurement(MeasurementOp):
 # ---------------------------------------------------------------------------
 # Reconstruction objective and solver
 
-# Elements of the flat coefficients that the regularizer's elementwise passes
-# take at a time: 256 KiB of float64, so a chunk and its buffer stay in a
-# per-core L2 cache.
-_CHUNK = 32 * 1024
-
-
-def _log_penalty_sum(c: np.ndarray, nu: float, buf: np.ndarray) -> np.float64:
-    """``np.sum(np.log1p(nu * c * c))`` over the flat ``c``, bit for bit, one chunk at a time.
-
-    numpy sums a contiguous float64 array pairwise: it splits ``n`` elements
-    at ``n // 2`` rounded down to a multiple of 8, down to blocks of at most
-    128.  This follows the same tree down to pieces of at most ``len(buf)``
-    (at least 128), which ``np.sum`` finishes in ``buf``, so every partial sum
-    is the one numpy forms over the whole array.
-    """
-    n = len(c)
-    if n <= len(buf):
-        q = buf[:n]
-        np.multiply(c, nu, out=q)
-        q *= c
-        np.log1p(q, out=q)
-        return np.sum(q)
-    half = n // 2
-    half -= half % 8
-    return _log_penalty_sum(c[:half], nu, buf) + _log_penalty_sum(c[half:], nu, buf)
-
-
-def _penalty_derivative(coeffs: np.ndarray, nu: float, buf: np.ndarray) -> None:
-    """Overwrite ``coeffs`` with d/dc log(1 + nu c^2) = 2 nu c / (1 + nu c^2).
-
-    The flat coefficients are taken ``len(buf)`` at a time, with the same
-    elementwise operations, in the same order, as over the whole array.
-    """
-    # reshape(-1) must be a view: on a copy the derivative would be lost.
-    assert coeffs.flags.c_contiguous
-    flat = coeffs.reshape(-1)
-    for start in range(0, len(flat), len(buf)):
-        c = flat[start : start + len(buf)]
-        q = buf[: len(c)]
-        np.multiply(c, nu, out=q)
-        q *= c
-        q += 1.0
-        c *= 2.0 * nu
-        c /= q
-
-
 def _evaluate(
     v: np.ndarray,
     y: np.ndarray,
@@ -258,8 +214,8 @@ def _evaluate(
     the cost computed, so it can be called once; it overwrites the
     coefficients with the penalty's derivative and frees them as soon as it
     has used them.  Neither cost nor gradient holds a second
-    coefficient-sized array: both work through the flat coefficients one
-    cache-sized chunk at a time.
+    coefficient-sized array: the penalty's sum and derivative work through
+    the flat coefficients one cache-sized chunk at a time.
     """
     residual = op.forward(v) - y
     data_term = 0.5 * float(np.real(np.vdot(residual, residual)))
@@ -270,15 +226,14 @@ def _evaluate(
     overlap = math.prod(-(-d // cfg.patch_stride) for d in cfg.patch_dims)
     weight = cfg.lam / overlap
     coeffs = correlate_separable(v, factors, cfg.patch_stride)
-    buf = np.empty(min(_CHUNK, coeffs.size))
-    reg_term = weight * float(_log_penalty_sum(coeffs.reshape(-1), cfg.nu, buf))
+    reg_term = weight * sparsity_measure(coeffs, cfg.nu)
     state = [residual, coeffs]
 
     def gradient() -> np.ndarray:
         residual, coeffs = state
         state.clear()
         grad = op.adjoint(residual)
-        _penalty_derivative(coeffs, cfg.nu, buf)
+        sparsity_gradient(coeffs, cfg.nu)
         reg_grad = correlate_separable_adjoint(coeffs, factors, v.shape, cfg.patch_stride)
         del coeffs
         return grad + weight * reg_grad

@@ -116,10 +116,15 @@ def build_training_set(
     return TrainingSet(patches=patches, meta={"draws": draws})
 
 
-def add_awgn(vol: Volume, sigma: float, seed: int = 0) -> Volume:
-    """Add i.i.d. zero-mean Gaussian noise of standard deviation ``sigma``."""
+def check_sigma(sigma: float) -> None:
+    """Refuse a noise level :func:`add_awgn` refuses, so a command can do so before its work."""
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
+
+
+def add_awgn(vol: Volume, sigma: float, seed: int = 0) -> Volume:
+    """Add i.i.d. zero-mean Gaussian noise of standard deviation ``sigma``."""
+    check_sigma(sigma)
     if sigma == 0:
         return Volume(vol.data.copy(), vol.intensity_range)
     rng = np.random.default_rng(seed)

@@ -231,6 +231,35 @@ def test_non_positive_max_iters_exits_1_writing_nothing(
     assert_nothing_written(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        (command, flag, value, message)
+        for command in ("denoise", "cs")
+        for flag, value, message in [
+            ("--max-iters", "0", "max_iters must be positive"),
+            ("--lambda", "0", "lam must be positive and finite, got 0.0"),
+            ("--lambda", "nan", "lam must be positive and finite, got nan"),
+        ]
+    ]
+    + [("denoise", "--sigma", "-1", "sigma must be nonnegative and finite, got -1.0")],
+)
+def test_invalid_solve_settings_exit_1_before_any_volume_is_read(
+    tmp_path, phantom, operators, capsys, monkeypatch, command, flag, value, message
+):
+    def no_read(*args, **kwargs):
+        raise AssertionError("a volume was read")
+
+    capsys.readouterr()
+    monkeypatch.setattr(cli.volume_mod, "read_volume", no_read)
+    argv = with_value(small_run(command, phantom, operators, tmp_path), flag, value)
+    assert run(*argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+    assert_nothing_written(tmp_path)
+
+
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
 @pytest.mark.parametrize(
     "command, flag",

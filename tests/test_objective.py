@@ -46,6 +46,37 @@ class TestSparsityMeasure:
         with pytest.raises(ValueError, match="nu"):
             objective.sparsity_measure(np.ones(3), 0.0)
 
+    @pytest.mark.parametrize("nu", [math.nan, math.inf])
+    def test_non_finite_nu_rejected(self, nu):
+        with pytest.raises(ValueError, match=f"nu must be positive and finite, got {nu}"):
+            objective.sparsity_measure(np.ones(3), nu)
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda a: a.T,
+            lambda a: a.transpose(1, 2, 0)[1:, :, 3:],
+            lambda a: a[:, ::2, ::-1],
+            lambda a: a.reshape(-1)[::3],
+        ],
+        ids=["transposed", "permuted-slice", "strided-reversed", "flat-strided"],
+    )
+    def test_non_contiguous_equals_numpys_sum(self, rng, layout):
+        nu = 1000.0
+        base = rng.standard_normal((60, 50, 40)) * rng.choice([1e-3, 0.1, 10.0], (60, 50, 40))
+        c = layout(base)
+        assert not c.flags.c_contiguous
+        assert objective.sparsity_measure(c, nu) == np.sum(np.log1p(nu * c * c))
+
+
+class TestSparsityGradient:
+    def test_non_contiguous_coefficients_rejected(self):
+        # the derivative is written through a flat view, which a copy would not be
+        c = np.ones((4, 6)).T
+        with pytest.raises(ValueError, match="C-contiguous"):
+            objective.sparsity_gradient(c, 1000.0)
+        assert np.all(c == 1.0)
+
 
 class TestCosparsity:
     def test_zero_tensor(self):
@@ -264,6 +295,14 @@ class TestSharedAnalysis:
         cost = objective.learning_cost(factors, patches, params, analysis)
         assert cost == reference_objective.learning_cost(factors, patches, params)
         grads = objective.learning_gradient(factors, patches, params, analysis)
+        assert_equal_to_reference(factors, patches, params, grads)
+
+    def test_gradient_in_short_chunks_equals_reference(self, monkeypatch):
+        # 7 patches of 216 coefficients are 11 chunks of 128 and a last one of 104
+        monkeypatch.setattr(objective, "_CHUNK", 128)
+        params = LearningParams()
+        factors, patches = random_instance(SHAPE_SETS["6x5"], 7, seed=8)
+        grads = objective.learning_gradient(factors, patches, params)
         assert_equal_to_reference(factors, patches, params, grads)
 
     def test_analysis_is_the_per_patch_sparsity(self):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sepop import manifold, reconstruct, tensor, volume
+from sepop import manifold, objective, reconstruct, tensor, volume
 from sepop.reconstruct import (
     FourierMeasurement,
     IdentityMeasurement,
@@ -341,7 +341,7 @@ class TestCacheSizedPasses:
     """The regularizer's elementwise passes run chunk by chunk, and round as
     they would over the whole array."""
 
-    CHUNK = reconstruct._CHUNK
+    CHUNK = objective._CHUNK
     # Flat coefficient counts: small and chunk-edge sizes, then 216 coefficients
     # per patch at 32^3 with stride 1, 2 and 3, and at 32x32x8 with stride 1, 2 and 3.
     SIZES = [1, 7, 8, 127, 128, 129, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 8]
@@ -352,7 +352,7 @@ class TestCacheSizedPasses:
     def test_penalty_sum_follows_numpys_summation_order(self, rng, n):
         c = rng.standard_normal(n) * rng.choice([1e-3, 0.1, 10.0], n)
         nu = 1000.0
-        blocked = reconstruct._log_penalty_sum(c, nu, np.empty(min(self.CHUNK, n)))
+        blocked = objective._log_penalty_sum(c, nu, np.empty(min(self.CHUNK, n)))
         whole = np.sum(np.log1p(nu * c * c))
         assert blocked == whole, (
             "np.sum no longer splits a float64 array at n // 2 rounded down to a "
