@@ -7,15 +7,16 @@ conjugate gradient (:mod:`sepop.cg`) in its flat geometry, which carries the
 line-search rule (monotone Armijo backtracking, 50 trials); the gradient is
 computed only at the points it moves to.
 
-The regularizer is evaluated over the whole volume at once: analyzing every
-patch with the separable operator is a separable correlation
-(:func:`sepop.tensor.correlate_separable`, one GEMM per mode), and the
-gradient applies its adjoint
-(:func:`sepop.tensor.correlate_separable_adjoint`, one GEMM per mode and a
-scatter-add over the patch offsets).  Both are the same dot products, in the
-same order, as the per-patch definition, so cost and gradient are
-bit-identical to it.  The penalty on the coefficients, its sum and its
-derivative, is the learning cost's, from :mod:`sepop.objective`.
+Analyzing every patch with the separable operator is a separable
+correlation, computed one slab of patch origins at a time (one GEMM per mode
+per slab, :func:`sepop.tensor.correlate_separable_slabs`), and the cost sums
+the penalty over each slab as soon as it is filled
+(:func:`sepop.objective.analysis_sparsity`); the gradient applies the
+correlation's adjoint (:func:`sepop.tensor.correlate_separable_adjoint`, one
+GEMM per mode and a scatter-add over the patch offsets).  Both are the same
+dot products, in the same order, as the per-patch definition, so cost and
+gradient are bit-identical to it.  The penalty on the coefficients, its sum
+and its derivative, is the learning cost's, from :mod:`sepop.objective`.
 
 Two measurement models are provided: identity (denoising) and per-slice
 centered unitary 2D Fourier sampling on a boolean mask (CS recovery).  Every
@@ -31,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from sepop import cg
-from sepop.objective import sparsity_gradient, sparsity_measure
+from sepop.objective import analysis_sparsity, check_nu, sparsity_gradient
 from sepop.tensor import correlate_separable, correlate_separable_adjoint
 from sepop.volume import Volume
 
@@ -47,8 +48,7 @@ class ReconConfig:
     def __post_init__(self) -> None:
         if not 0 < self.lam < math.inf:
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
-        if not 0 < self.nu < math.inf:
-            raise ValueError(f"nu must be positive and finite, got {self.nu}")
+        check_nu(self.nu)
         cg.SolverConfig(max_iters=self.max_iters)  # the iteration cap's owner checks it
         if self.patch_stride < 1:
             raise ValueError("patch_stride must be at least 1")
@@ -214,8 +214,9 @@ def _evaluate(
     the cost computed, so it can be called once; it overwrites the
     coefficients with the penalty's derivative and frees them as soon as it
     has used them.  Neither cost nor gradient holds a second
-    coefficient-sized array: the penalty's sum and derivative work through
-    the flat coefficients one cache-sized chunk at a time.
+    coefficient-sized array: the analysis fills the coefficients one slab at
+    a time, and the penalty's sum and derivative work through the flat
+    coefficients one cache-sized chunk at a time.
     """
     residual = op.forward(v) - y
     data_term = 0.5 * float(np.real(np.vdot(residual, residual)))
@@ -225,8 +226,8 @@ def _evaluate(
     # overlap produced by the stride.
     overlap = math.prod(-(-d // cfg.patch_stride) for d in cfg.patch_dims)
     weight = cfg.lam / overlap
-    coeffs = correlate_separable(v, factors, cfg.patch_stride)
-    reg_term = weight * sparsity_measure(coeffs, cfg.nu)
+    penalty, coeffs = analysis_sparsity(v, factors, cfg.nu, cfg.patch_stride)
+    reg_term = weight * penalty
     state = [residual, coeffs]
 
     def gradient() -> np.ndarray:

@@ -9,6 +9,7 @@ in the docs are stated 1-based; all code indices are 0-based.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from itertools import product
 
 import numpy as np
@@ -16,6 +17,9 @@ import numpy as np
 # The adjoint synthesizes this many bytes of coefficients at a time, so that a
 # block and its partial products stay in a per-core L2 cache.
 _BLOCK_BYTES = 256 * 1024
+# The analysis fills about this many bytes of its result at a time, so that a
+# slab and its partial products stay in cache until its caller has used them.
+_SLAB_BYTES = 2 * 1024 * 1024
 
 
 def correlate_separable(
@@ -30,34 +34,91 @@ def correlate_separable(
     separable analysis of the n_1 x ... x n_N window starting at
     ``stride * p``: a bank of k_1 ... k_N separable correlation filters.
 
-    Each mode is one GEMM over all window origins at once
-    (``sliding_window_view(..., n_i) @ F_i.T``), so windows that overlap
-    share their partial products instead of recomputing them.  Every output
-    entry is the same chain of n_i-term dot products as the per-window mode
-    products, and rounds the same.  A window as long as its axis (``m_i = 1``)
-    is the plain mode product.
+    The result is filled one slab of its first axis at a time (see
+    :func:`correlate_separable_slabs`).  Within a slab each mode is one GEMM
+    over the slab's window origins (``sliding_window_view(..., n_i) @ F_i.T``),
+    so windows that overlap share their partial products instead of
+    recomputing them.  Every output entry is the same chain of n_i-term dot
+    products as the per-window mode products, and rounds the same.  A window
+    as long as its axis (``m_i = 1``) is the plain mode product.
     """
-    out = np.asarray(x, dtype=float)
-    lead = out.ndim - len(factors)
+    out, slabs = correlate_separable_slabs(x, factors, stride)
+    for _ in slabs:
+        pass
+    return out
+
+
+def correlate_separable_slabs(
+    x: np.ndarray, factors: list[np.ndarray], stride: int = 1
+) -> tuple[np.ndarray, Iterator[int]]:
+    """The uninitialized result of :func:`correlate_separable` and an iterator that fills it.
+
+    Each step fills the next slab of whole planes of the result's first axis
+    (a leading axis, or with none the first mode's window origins) and yields
+    how many of the result's flat (C-order) entries are now final, so a
+    caller can consume the entries while they are still in cache.  A slab
+    holds about :data:`_SLAB_BYTES` of planes, and at least two: a slab of one
+    plane can make numpy take another matmul path (matrix-vector, or strides
+    it hands to BLAS instead of its own loop), which rounds differently, so a
+    one-plane remainder joins the slab before it.  A slab along window origins
+    reads ``stride * (planes - 1) + n_1`` input rows, its windows' halo
+    included.  The last mode's GEMM writes straight into the result.
+    """
+    x = np.asarray(x, dtype=float)
+    lead = x.ndim - len(factors)
+    if not factors:
+        raise ValueError("at least one factor is needed")
     if lead < 0:
         raise ValueError(
-            f"{len(factors)} factors need at least {len(factors)} axes, got {out.ndim}"
+            f"{len(factors)} factors need at least {len(factors)} axes, got {x.ndim}"
         )
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
+    factors = [np.asarray(factor, dtype=float) for factor in factors]
     for mode, factor in enumerate(factors):
-        factor = np.asarray(factor, dtype=float)
-        axis = lead + mode
-        if factor.ndim != 2 or not 1 <= factor.shape[1] <= out.shape[axis]:
+        length = x.shape[lead + mode]
+        if factor.ndim != 2 or not 1 <= factor.shape[1] <= length:
             raise ValueError(
                 f"factor for mode {mode} has shape {factor.shape}; its window "
-                f"does not fit axis length {out.shape[axis]}"
+                f"does not fit axis length {length}"
             )
-        k, n = factor.shape
-        windows = np.lib.stride_tricks.sliding_window_view(out, n, axis=axis)
-        windows = windows[(slice(None),) * axis + (slice(None, None, stride),)]
-        out = (windows.reshape(-1, n) @ factor.T).reshape(windows.shape[:-1] + (k,))
-    return out
+    starts = tuple((d - f.shape[1]) // stride + 1 for f, d in zip(factors, x.shape[lead:]))
+    out = np.empty(x.shape[:lead] + starts + tuple(len(f) for f in factors))
+    return out, _fill_slabs(x, factors, stride, lead, out)
+
+
+def _fill_slabs(
+    x: np.ndarray, factors: list[np.ndarray], stride: int, lead: int, out: np.ndarray
+) -> Iterator[int]:
+    """Fill ``out`` slab by slab for :func:`correlate_separable_slabs`."""
+    plane = math.prod(out.shape[1:])
+    planes = max(2, _SLAB_BYTES // max(8 * plane, 1))
+    total = len(out)
+    # The first mode's windows of the whole input; a slab is a slice of their first axis.
+    first = _windows(x, factors[0].shape[1], lead, stride)
+    start = 0
+    while start < total:
+        stop = total if total - start <= planes + 1 else start + planes
+        windows = first[start:stop]
+        for mode, factor in enumerate(factors):
+            k, n = factor.shape
+            if mode:
+                windows = _windows(part, n, lead + mode, stride)
+            shape = windows.shape[:-1] + (k,)
+            rows = windows.reshape(-1, n)
+            if mode + 1 < len(factors):
+                part = (rows @ factor.T).reshape(shape)
+            else:
+                np.matmul(rows, factor.T, out=out[start:stop].reshape(len(rows), k))
+        yield stop * plane
+        start = stop
+
+
+def _windows(a: np.ndarray, n: int, axis: int, stride: int) -> np.ndarray:
+    """View of the length-``n`` windows of ``a`` at every ``stride``-th origin along ``axis``,
+    the origins in place of ``axis`` and the window offsets last."""
+    windows = np.lib.stride_tricks.sliding_window_view(a, n, axis=axis)
+    return windows[(slice(None),) * axis + (slice(None, None, stride),)]
 
 
 def correlate_separable_adjoint(

@@ -3,9 +3,11 @@
 The package never materializes a Kronecker product or unfolds a tensor; these
 helpers state what its separable evaluations must equal.  :func:`mode_product`
 is the ``tensordot`` n-mode product that a chain of one-mode correlations must
-equal bit for bit, and :func:`whole_array_adjoint` the one-transpose adjoint
-that the blocked :func:`sepop.tensor.correlate_separable_adjoint` must equal
-bit for bit.
+equal bit for bit, :func:`whole_array_analysis` the one-GEMM-per-mode analysis
+that the slab-by-slab :func:`sepop.tensor.correlate_separable` must equal bit
+for bit, and :func:`whole_array_adjoint` the one-transpose adjoint that the
+blocked :func:`sepop.tensor.correlate_separable_adjoint` must equal bit for
+bit.
 :func:`extract_patch` is the per-patch definition of a training window, and
 :func:`cosparsity` counts the near-zero analysis coefficients of a patch.
 :func:`reconstruction_objective` gives the finite-difference oracles the
@@ -76,6 +78,25 @@ def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarra
     """
     contracted = np.tensordot(tensor, np.asarray(matrix, dtype=float), axes=([mode], [1]))
     return np.ascontiguousarray(np.moveaxis(contracted, -1, mode))
+
+
+def whole_array_analysis(x: np.ndarray, factors: list[np.ndarray], stride: int = 1) -> np.ndarray:
+    """``correlate_separable`` with each mode one GEMM over all window origins at once.
+
+    Mode i is ``sliding_window_view(..., n_i)[::stride] @ F_i.T`` over the
+    whole array, its windows reshaped to rows (a copy where they cannot be
+    viewed as rows).
+    """
+    out = np.asarray(x, dtype=float)
+    lead = out.ndim - len(factors)
+    for mode, factor in enumerate(factors):
+        factor = np.asarray(factor, dtype=float)
+        axis = lead + mode
+        k, n = factor.shape
+        windows = np.lib.stride_tricks.sliding_window_view(out, n, axis=axis)
+        windows = windows[(slice(None),) * axis + (slice(None, None, stride),)]
+        out = (windows.reshape(-1, n) @ factor.T).reshape(windows.shape[:-1] + (k,))
+    return out
 
 
 def whole_array_adjoint(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from sepop import manifold, objective, tensor
 from sepop.objective import BarrierError, LearningParams
+from sepop.reconstruct import ReconConfig
 
 import oracles
 import reference_objective
@@ -67,6 +69,60 @@ class TestSparsityMeasure:
         c = layout(base)
         assert not c.flags.c_contiguous
         assert objective.sparsity_measure(c, nu) == np.sum(np.log1p(nu * c * c))
+
+
+NU_OWNERS = {
+    "LearningParams": lambda nu: LearningParams(nu=nu),
+    "ReconConfig": lambda nu: ReconConfig(lam=1.0, nu=nu),
+    "sparsity_measure": lambda nu: objective.sparsity_measure(np.ones(3), nu),
+    "analysis_sparsity": lambda nu: objective.analysis_sparsity(np.ones((4, 4)), [np.ones((2, 3))] * 2, nu),
+}
+
+
+@pytest.mark.parametrize("nu", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("owner", list(NU_OWNERS))
+def test_every_penalty_weight_owner_refuses_nu_with_one_message(owner, nu):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'nu must be positive and finite, got {nu}')}$"):
+        NU_OWNERS[owner](nu)
+
+
+class TestAnalysisSparsity:
+    """The fused analysis and penalty sum equal the analysis and numpy's sum over it, bit for bit."""
+
+    SHAPES = [(3, 5), (5, 3), (3, 4)]  # 45 coefficients per window: odd plane sizes
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("slab_bytes", [1, 40_000, None], ids=["two-planes", "some-planes", "default"])
+    @pytest.mark.parametrize("chunk", [128, None], ids=["short-leaves", "default-leaves"])
+    def test_equals_numpys_sum_of_the_whole_array_analysis(self, monkeypatch, stride, slab_bytes, chunk):
+        rng = np.random.default_rng(stride)
+        if slab_bytes is not None:
+            monkeypatch.setattr(tensor, "_SLAB_BYTES", slab_bytes)
+        if chunk is not None:
+            monkeypatch.setattr(objective, "_CHUNK", chunk)
+        factors = [rng.standard_normal(shape) for shape in self.SHAPES]
+        x = rng.standard_normal((14, 9, 10)) * rng.choice([1e-3, 0.1, 10.0], (14, 9, 10))
+        nu = 1000.0
+        c = oracles.whole_array_analysis(x, factors, stride)
+        penalty, coeffs = objective.analysis_sparsity(x, factors, nu, stride)
+        assert np.array_equal(coeffs, c)
+        assert penalty == np.sum(np.log1p(nu * c * c))
+
+    def test_slab_ends_fall_inside_tree_leaves(self, monkeypatch):
+        # the case the test above exercises: a leaf is summed only once the
+        # slab that ends inside it has been filled
+        monkeypatch.setattr(tensor, "_SLAB_BYTES", 1)
+        monkeypatch.setattr(objective, "_CHUNK", 128)
+        rng = np.random.default_rng(1)
+        factors = [rng.standard_normal(shape) for shape in self.SHAPES]
+        x = rng.standard_normal((14, 9, 10))
+        _, slabs = tensor.correlate_separable_slabs(x, factors)
+        slab_ends = list(slabs)
+        leaf_ends: list[int] = []
+        flat = np.zeros(slab_ends[-1])
+        objective._log_penalty_sum(flat, 1.0, np.empty(128), leaf_ends.append)
+        assert leaf_ends == sorted(leaf_ends) and leaf_ends[-1] == flat.size
+        assert any(end not in leaf_ends for end in slab_ends[:-1])
 
 
 class TestSparsityGradient:

@@ -166,6 +166,8 @@ class TestCorrelateSeparable:
             tensor.correlate_separable(x, [f, np.zeros((3, 5))])
         with pytest.raises(ValueError, match="stride"):
             tensor.correlate_separable(x, [f, f], stride=0)
+        with pytest.raises(ValueError, match="at least one factor"):
+            tensor.correlate_separable(x, [])
 
 
 class TestCorrelateSeparableAdjoint:
@@ -246,3 +248,62 @@ class TestBlockedAdjoint:
             monkeypatch.setattr(tensor, "_BLOCK_BYTES", 8 * width * rows)
         back = tensor.correlate_separable_adjoint(z, factors, dims, stride)
         assert np.array_equal(back, oracles.whole_array_adjoint(z, factors, dims, stride))
+
+
+class TestSlabbedAnalysis:
+    """The slab-by-slab analysis equals the whole-array one-GEMM-per-mode analysis bit for bit."""
+
+    CASES = [
+        ([(6, 5)] * 3, (13, 12, 11), 1),
+        ([(6, 5)] * 3, (14, 13, 11), 2),
+        ([(6, 5)] * 3, (16, 17, 15), 3),
+        ([(4, 3), (7, 4), (5, 5)], (10, 11, 12), 1),
+        ([(6, 5)] * 3, (5, 11, 9, 12), 1),  # a leading axis: slabs of whole leading planes
+        ([(4, 3), (7, 4), (5, 5)], (4, 9, 8, 7), 2),
+        ([(3, 4), (2, 5)], (4, 12, 9), 3),
+        ([(6, 5)] * 3, (5, 12, 11), 1),  # m_1 = 1: one plane
+        ([(1, 5), (1, 5)], (6, 12, 13), 1),  # one-row factors: matrix-vector products
+        ([(1, 4), (3, 3)], (9, 11), 3),
+        ([(4, 4)], (9,), 1),  # one mode: one GEMM row per plane
+    ]
+
+    # Planes per slab budgeted: under one plane, one, two, three, the count that
+    # leaves a one-plane remainder (which joins the slab before it), and the default.
+    @pytest.mark.parametrize("shapes, dims, stride", CASES)
+    @pytest.mark.parametrize("planes", [0.5, 1, 2, 3, "one short", "default"])
+    def test_equals_the_whole_array_analysis(self, monkeypatch, shapes, dims, stride, planes):
+        rng = np.random.default_rng(len(dims) + stride)
+        factors = [rng.standard_normal(shape) for shape in shapes]
+        x = rng.standard_normal(dims)
+        whole = oracles.whole_array_analysis(x, factors, stride)
+        if planes == "one short":
+            planes = max(len(whole) - 1, 1)
+        if planes != "default":
+            plane_bytes = whole[0].nbytes
+            monkeypatch.setattr(tensor, "_SLAB_BYTES", int(planes * plane_bytes))
+        analysis = tensor.correlate_separable(x, factors, stride)
+        assert analysis.shape == whole.shape
+        assert np.array_equal(analysis, whole)
+
+    @pytest.mark.parametrize("shapes, dims, stride", CASES)
+    def test_each_step_makes_a_prefix_final(self, monkeypatch, shapes, dims, stride):
+        rng = np.random.default_rng(5)
+        factors = [rng.standard_normal(shape) for shape in shapes]
+        x = rng.standard_normal(dims)
+        whole = oracles.whole_array_analysis(x, factors, stride).reshape(-1)
+        monkeypatch.setattr(tensor, "_SLAB_BYTES", 1)
+        out, slabs = tensor.correlate_separable_slabs(x, factors, stride)
+        assert out.size == whole.size
+        ends = []
+        for end in slabs:
+            assert np.array_equal(out.reshape(-1)[:end], whole[:end])
+            ends.append(end)
+        assert ends == sorted(set(ends)) and ends[-1] == whole.size
+        # a budget under one plane still fills two planes a step, or the whole axis
+        plane = whole.size // len(out)
+        steps = [b - a for a, b in zip([0] + ends, ends)]
+        assert all(step >= min(2, len(out)) * plane for step in steps)
+
+    def test_slab_checks_raise_before_any_step(self):
+        with pytest.raises(ValueError, match="stride"):
+            tensor.correlate_separable_slabs(np.zeros((4, 4)), [np.zeros((3, 2))], stride=0)
