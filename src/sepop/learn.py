@@ -4,9 +4,9 @@
 over one unit-row-norm factor per mode with the package's conjugate gradient
 (:mod:`sepop.cg`) in its oblique geometry, which carries the line-search rule
 (nonmonotone acceptance, 40 trials); :func:`minimize_on_product` is that
-solver for any cost on the product manifold.  Each evaluation analyzes
-the patches once, and the cost and the gradient at that point share the
-analysis.  The module also reads and writes the operator file format.
+solver for any cost on the product manifold.  The patches are laid out once per
+run and analyzed once per evaluation; the cost and the gradient at that point
+share the analysis.  The module also reads and writes the operator file format.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 
 from sepop import cg, manifold
 from sepop.cg import LearnReport, SolverConfig
-from sepop.objective import LearningParams, learning_cost, learning_gradient, patch_analysis
+from sepop.objective import LearningParams, PatchBatch, learning_cost, learning_gradient
+from sepop.objective import patch_analysis
 
 
 def minimize_on_product(
@@ -51,29 +52,28 @@ def learn_operators(
     and searches them with :data:`sepop.cg.OBLIQUE`'s line search.  Returns
     the learned factors and the run report.
     """
-    patches = np.asarray(patches, dtype=float)
-    if patches.ndim != len(shapes) + 1:
+    shape = np.shape(patches)
+    if len(shape) != len(shapes) + 1:
         raise ValueError(
-            f"patch batch of order {patches.ndim - 1} does not match "
-            f"{len(shapes)} factor shapes"
+            f"patch batch of order {len(shape) - 1} does not match {len(shapes)} factor shapes"
         )
-    if patches.shape[0] < 1:
+    if shape[0] < 1:
         raise ValueError("training set is empty")
-    for mode, (k, n) in enumerate(shapes):
+    for mode, ((k, n), length) in enumerate(zip(shapes, shape[1:])):
         if k < n:
             raise ValueError(f"factor shape {k}x{n} for mode {mode} is not tall")
-        if n != patches.shape[mode + 1]:
+        if n != length:
             raise ValueError(
-                f"factor for mode {mode} expects signals of length {n}, "
-                f"patches have {patches.shape[mode + 1]}"
+                f"factor for mode {mode} expects signals of length {n}, patches have {length}"
             )
 
     start = manifold.random_point(shapes, np.random.default_rng(cfg.seed))
+    batch = PatchBatch.of(patches)  # laid out once; every evaluation reads it
 
     def evaluate(fs):
-        analysis = patch_analysis(fs, patches, params.nu)
-        cost = learning_cost(fs, patches, params, analysis)
-        return cost, lambda: learning_gradient(fs, patches, params, analysis)
+        analysis = patch_analysis(fs, batch, params.nu)
+        cost = learning_cost(fs, batch, params, analysis)
+        return cost, lambda: learning_gradient(fs, batch, params, analysis)
 
     return minimize_on_product(evaluate, start, cfg)
 

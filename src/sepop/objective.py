@@ -9,8 +9,9 @@ non-finite values; the line search treats that as a too-long step.
 Both the cost and its gradient start from :func:`patch_analysis`, the
 analysis coefficients of the patch batch and each patch's sparsity.  A solver
 that needs both at one point computes it once and passes it to each; called
-without it, each computes it.  The analysis also keeps the batch as each
-mode's product read it, which the gradient would otherwise compute again.
+without it, each computes it.  The analysis, one :func:`sepop.tensor.rotate_product`
+per mode from the layouts of a :class:`PatchBatch` (built once per run), also keeps
+what each mode's product read, which the gradient would otherwise compute again.
 
 The sparsity penalty log(1 + nu c^2) of learning and reconstruction alike is
 summed by :func:`sparsity_measure` and differentiated in place by
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sepop.tensor import correlate_separable, correlate_separable_slabs
+from sepop.tensor import correlate_separable_slabs, rotate_product
 
 COHERENCE_BARRIER_TOL = 1e-12
 
@@ -192,44 +193,56 @@ def coherence_penalty_gradient(factor: np.ndarray) -> np.ndarray:
     return 2.0 * weights @ factor
 
 
+@dataclass(frozen=True)
+class PatchBatch:
+    """(T, n_1, ..., n_N) patches in the read-only layouts that the analysis, ``leading``
+    (n_1, ..., n_N, T), and the first mode's partial, ``first_mode`` (n_2, ..., n_N, T,
+    n_1), start from; the functions here lay out a plain array on entry."""
+
+    shape: tuple[int, ...]
+    leading: np.ndarray
+    first_mode: np.ndarray
+
+    @classmethod
+    def of(cls, patches: np.ndarray | PatchBatch) -> PatchBatch:
+        if isinstance(patches, PatchBatch):
+            return patches
+        patches = np.asarray(patches, dtype=float)
+        if patches.ndim < 2:
+            raise ValueError(f"a patch batch has axes (T, n_1, ...), got shape {patches.shape}")
+        leading = np.ascontiguousarray(np.moveaxis(patches, 0, -1))
+        first_mode = np.ascontiguousarray(np.moveaxis(patches, (0, 1), (-2, -1)))
+        for layout in (leading, first_mode):
+            layout.flags.writeable = False  # every analysis of the run reads them
+        return cls(patches.shape, leading, first_mode)
+
+
 def analyze_batch(
-    patches: np.ndarray,
+    patches: np.ndarray | PatchBatch,
     factors: list[np.ndarray],
     mode_inputs: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Apply one factor per mode to a (T, n_1, ..., n_N) batch of patches.
 
-    The modes are analyzed in order.  If ``mode_inputs`` is a list, the array
-    each mode reads is appended to it: for mode i, the batch with modes
-    1..i-1 analyzed, with axes (T, n_i, ..., n_N, k_1, ..., k_{i-1}).
+    The modes are analyzed in order, each by a leading-mode product, from
+    (n_1, ..., n_N, T) to (T, k_1, ..., k_N).  If ``mode_inputs`` is a list,
+    the array each mode reads is appended: (n_i, ..., n_N, T, k_1, ..., k_{i-1}).
     """
-    patches = np.asarray(patches, dtype=float)
-    if patches.ndim != len(factors) + 1:
+    batch = PatchBatch.of(patches)
+    if len(batch.shape) != len(factors) + 1:
         raise ValueError(
-            f"batch of order-{len(factors)} patches expected, got array of "
-            f"shape {patches.shape}"
+            f"batch of order-{len(factors)} patches expected, got array of shape {batch.shape}"
         )
-    factors = [np.asarray(factor, dtype=float) for factor in factors]
-    for mode, factor in enumerate(factors):
-        if factor.shape[1] != patches.shape[mode + 1]:
+    for mode, (factor, n) in enumerate(zip(factors, batch.shape[1:])):
+        if np.shape(factor)[1] != n:
             raise ValueError(
-                f"factor for mode {mode} has shape {factor.shape} but patch "
-                f"axis has length {patches.shape[mode + 1]}"
+                f"factor for mode {mode} has shape {np.shape(factor)} but patch axis has length {n}"
             )
-    return _apply_each(patches, factors, 1, mode_inputs)
-
-
-def _apply_each(x: np.ndarray, factors: list, axis: int, inputs: list | None = None) -> np.ndarray:
-    """Contract ``axis`` of ``x`` with each factor in turn, putting each new axis last.
-
-    Each product is one separable correlation whose window spans the axis;
-    if ``inputs`` is a list, the array each product reads is appended to it.
-    """
+    x = batch.leading
     for factor in factors:
-        if inputs is not None:
-            inputs.append(x)
-        signals = np.moveaxis(x, axis, -1)
-        x = correlate_separable(signals, [factor]).reshape(signals.shape[:-1] + (len(factor),))
+        if mode_inputs is not None:
+            mode_inputs.append(x)
+        x = rotate_product(x, factor)
     return x
 
 
@@ -248,7 +261,7 @@ class PatchAnalysis:
     mode_inputs: list[np.ndarray]
 
     def release(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Hand ``coeffs`` and ``mode_inputs`` to the caller, who may overwrite them."""
+        """Hand over ``coeffs``, which the caller may overwrite, and ``mode_inputs``, to read."""
         if self.coeffs is None:
             raise ValueError("this analysis has already served a gradient")
         released = self.coeffs, self.mode_inputs
@@ -256,17 +269,21 @@ class PatchAnalysis:
         return released
 
 
-def patch_analysis(factors: list[np.ndarray], patches: np.ndarray, nu: float) -> PatchAnalysis:
+def patch_analysis(
+    factors: list[np.ndarray], patches: np.ndarray | PatchBatch, nu: float
+) -> PatchAnalysis:
     """The batch's coefficients, per-patch sum of log(1 + nu c^2), and the gradient's share."""
     mode_inputs: list[np.ndarray] = []
     coeffs = analyze_batch(patches, factors, mode_inputs)
-    per_sample = np.sum(np.log1p(nu * coeffs * coeffs), axis=tuple(range(1, coeffs.ndim)))
+    q = np.multiply(coeffs, nu)  # np.log1p(nu * coeffs * coeffs), in one buffer
+    q *= coeffs
+    per_sample = np.sum(np.log1p(q, out=q), axis=tuple(range(1, q.ndim)))
     return PatchAnalysis(coeffs, per_sample, mode_inputs)
 
 
 def learning_cost(
     factors: list[np.ndarray],
-    patches: np.ndarray,
+    patches: np.ndarray | PatchBatch,
     params: LearningParams,
     analysis: PatchAnalysis | None = None,
 ) -> float:
@@ -286,7 +303,7 @@ def learning_cost(
 
 def learning_gradient(
     factors: list[np.ndarray],
-    patches: np.ndarray,
+    patches: np.ndarray | PatchBatch,
     params: LearningParams,
     analysis: PatchAnalysis | None = None,
 ) -> list[np.ndarray]:
@@ -295,26 +312,28 @@ def learning_gradient(
     ``analysis`` is :func:`patch_analysis` at this point, if the caller has
     it; the gradient releases it (see :meth:`PatchAnalysis.release`).
     """
+    batch = PatchBatch.of(patches)
     if analysis is None:
-        analysis = patch_analysis(factors, patches, params.nu)
-    weighted, mode_inputs = analysis.release()
+        analysis = patch_analysis(factors, batch, params.nu)
+    weighted, inputs = analysis.release()
     count = weighted.shape[0]
     # d(g^2)/dA = 2 g * 2 nu A / (1 + nu A^2), per sample, formed in place
     sparsity_gradient(weighted, params.nu)
     weighted *= (2.0 * analysis.per_sample).reshape((count,) + (1,) * (weighted.ndim - 1))
 
-    # The partial for a mode applies every other factor, in mode order; the
-    # factors before it were applied by the analysis, to the array that mode
-    # read, (T, n_i, n_{i+1}, ..., k_1, ..., k_{i-1}).  Applying the rest at
-    # axis 2 leaves (T, n_i, k_1, ..., k_{i-1}, k_{i+1}, ..., k_N).
+    # A mode's partial applies the later factors to the array the mode read, with
+    # n_i moved behind T (for the first mode, a layout of the batch), which leaves
+    # (T, n_i, k_1, ..., k_{i-1}, k_{i+1}, ..., k_N); the last mode's is that view.
     grads: list[np.ndarray] = []
     for mode, factor in enumerate(factors):
-        partial = _apply_each(mode_inputs[mode], factors[mode + 1 :], 2)
-        mode_inputs[mode] = None  # freed once this mode's partial is formed
+        partial = np.moveaxis(inputs[mode], 0, len(factors) - mode) if mode else batch.first_mode
+        inputs[mode] = None  # freed once this mode's partial is formed
+        for later in factors[mode + 1 :]:
+            partial = rotate_product(partial, later)
         w_mat = np.moveaxis(weighted, mode + 1, 1).reshape(count, weighted.shape[mode + 1], -1)
         p_mat = partial.reshape(count, partial.shape[1], -1)
-        del partial
         grad = np.einsum("tkr,tnr->kn", w_mat, p_mat) / count
+        del partial, p_mat, w_mat  # freed before the next mode's partial is formed
         if params.kappa > 0:
             grad = grad + params.kappa * rank_penalty_gradient(factor)
         if params.mu > 0:

@@ -22,6 +22,16 @@ _BLOCK_BYTES = 256 * 1024
 _SLAB_BYTES = 2 * 1024 * 1024
 
 
+def rotate_product(x: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """Contract the leading axis of ``x`` with a (k, n) factor and put the new axis last.
+
+    One GEMM, whose operand ``x.reshape(n, -1).T`` BLAS reads transposed in place (a
+    C-contiguous ``x`` is not copied); each entry is ``np.tensordot``'s over axis 0, bit for bit."""
+    x, factor = np.asarray(x, dtype=float), np.asarray(factor, dtype=float)
+    rows = x.reshape(len(x), math.prod(x.shape[1:])).T
+    return (rows @ factor.T).reshape(x.shape[1:] + (len(factor),))
+
+
 def correlate_separable(
     x: np.ndarray, factors: list[np.ndarray], stride: int = 1
 ) -> np.ndarray:

@@ -3,7 +3,9 @@
 The package never materializes a Kronecker product or unfolds a tensor; these
 helpers state what its separable evaluations must equal.  :func:`mode_product`
 is the ``tensordot`` n-mode product that a chain of one-mode correlations must
-equal bit for bit, :func:`whole_array_analysis` the one-GEMM-per-mode analysis
+equal bit for bit, :func:`leading_mode_product` the ``tensordot`` product over
+the leading axis that :func:`sepop.tensor.rotate_product` must equal bit for
+bit, :func:`whole_array_analysis` the one-GEMM-per-mode analysis
 that the slab-by-slab :func:`sepop.tensor.correlate_separable` must equal bit
 for bit, and :func:`whole_array_adjoint` the one-transpose adjoint that the
 blocked :func:`sepop.tensor.correlate_separable_adjoint` must equal bit for
@@ -78,6 +80,16 @@ def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarra
     """
     contracted = np.tensordot(tensor, np.asarray(matrix, dtype=float), axes=([mode], [1]))
     return np.ascontiguousarray(np.moveaxis(contracted, -1, mode))
+
+
+def leading_mode_product(tensor: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Contract ``tensor``'s leading axis with the columns of ``matrix`` by ``tensordot``.
+
+    The new axis comes last.
+    """
+    return np.tensordot(
+        np.asarray(tensor, dtype=float), np.asarray(matrix, dtype=float), axes=([0], [1])
+    )
 
 
 def whole_array_analysis(x: np.ndarray, factors: list[np.ndarray], stride: int = 1) -> np.ndarray:

@@ -259,6 +259,33 @@ class TestSharedAnalysis:
         assert got[1].iterations == 40
         assert_same_run(got, reference_solve(patches, [(6, 5)] * 3, params, cfg))
 
+    def test_two_modes_equal_the_reference_solve(self):
+        # one slice of each phantom patch: the first mode's and the last
+        # mode's partials are neighbours, with no middle mode between them
+        patches = np.ascontiguousarray(phantom_patches((16, 16, 16), 300)[:, :, :, 2])
+        shapes = [(6, 5), (7, 5)]
+        params, cfg = LearningParams(), SolverConfig(max_iters=15, seed=4)
+        got = learn_operators(patches, shapes, params, cfg)
+        assert got[1].iterations > 1
+        assert_same_run(got, reference_solve(patches, shapes, params, cfg))
+
+    def test_run_leaves_the_laid_out_patches_as_they_were(self, monkeypatch):
+        patches = phantom_patches((16, 16, 16), 300)
+        batches = []
+
+        def analysis(fs, batch, nu):
+            if not batches:
+                batches.append((batch, batch.leading.copy(), batch.first_mode.copy()))
+            assert batch is batches[0][0]  # laid out once per run
+            return objective.patch_analysis(fs, batch, nu)
+
+        monkeypatch.setattr(learn, "patch_analysis", analysis)
+        learn_operators(patches, [(6, 5)] * 3, LearningParams(), SolverConfig(max_iters=10, seed=2))
+        ((batch, leading, first_mode),) = batches
+        assert not batch.leading.flags.writeable and not batch.first_mode.flags.writeable
+        assert np.array_equal(batch.leading, leading)
+        assert np.array_equal(batch.first_mode, first_mode)
+
     def test_line_search_failure_equals_the_reference_solve(self, monkeypatch):
         # Two trials per line search and a demanding Armijo test: after one
         # accepted step the run ends in a line-search failure, whose gradient

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,6 +325,14 @@ SHAPE_SETS = {
 }
 
 
+# orders other than 3: the first and the last mode are one at N = 1, neighbours at N = 2
+ORDER_SETS = {
+    "order-1": [(6, 5)],
+    "order-2": [(6, 5), (7, 4)],
+    "order-4": [(6, 5), (5, 4), (4, 3), (3, 2)],
+}
+
+
 def random_instance(shapes, count, seed):
     r = np.random.default_rng(seed)
     factors = [manifold.random_factor(k, n, r) for k, n in shapes]
@@ -345,12 +354,33 @@ class TestSharedAnalysis:
     @pytest.mark.parametrize("shapes", list(SHAPE_SETS.values()), ids=list(SHAPE_SETS))
     @pytest.mark.parametrize("shared", [False, True], ids=["own-analysis", "shared-analysis"])
     def test_equals_reference(self, shapes, count, shared):
+        self.check(shapes, count, shared)
+
+    @pytest.mark.parametrize("count", [1, 7, 300])
+    @pytest.mark.parametrize("shapes", list(ORDER_SETS.values()), ids=list(ORDER_SETS))
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-analysis", "shared-analysis"])
+    def test_other_orders_equal_reference(self, shapes, count, shared):
+        self.check(shapes, count, shared)
+
+    @staticmethod
+    def check(shapes, count, shared):
         params = LearningParams()
         factors, patches = random_instance(shapes, count, seed=count)
         analysis = objective.patch_analysis(factors, patches, params.nu) if shared else None
         cost = objective.learning_cost(factors, patches, params, analysis)
         assert cost == reference_objective.learning_cost(factors, patches, params)
         grads = objective.learning_gradient(factors, patches, params, analysis)
+        assert_equal_to_reference(factors, patches, params, grads)
+
+    def test_a_laid_out_batch_gives_the_same_numbers(self):
+        params = LearningParams()
+        factors, patches = random_instance(SHAPE_SETS["non-cubic"], 7, seed=2)
+        batch = objective.PatchBatch.of(patches)
+        analysis = objective.patch_analysis(factors, batch, params.nu)
+        assert objective.learning_cost(factors, batch, params, analysis) == (
+            reference_objective.learning_cost(factors, patches, params)
+        )
+        grads = objective.learning_gradient(factors, batch, params, analysis)
         assert_equal_to_reference(factors, patches, params, grads)
 
     def test_gradient_in_short_chunks_equals_reference(self, monkeypatch):
@@ -370,13 +400,79 @@ class TestSharedAnalysis:
             assert per_sample[t] == pytest.approx(objective.sparsity_measure(coeffs[t], 1000.0), rel=1e-13)
 
 
+class TestPatchBatch:
+    """The per-run layouts of the patches: built once, shared, never written."""
+
+    @pytest.mark.parametrize(
+        "shapes", [SHAPE_SETS["non-cubic"], ORDER_SETS["order-1"]], ids=["order-3", "order-1"]
+    )
+    def test_layouts_are_read_only(self, shapes):
+        _factors, patches = random_instance(shapes, 7, seed=1)
+        batch = objective.PatchBatch.of(patches)
+        assert batch.shape == patches.shape
+        dims = patches.shape[1:]
+        assert np.array_equal(batch.leading, np.moveaxis(patches, 0, -1))
+        assert np.array_equal(batch.first_mode, np.moveaxis(patches, 1, -1).transpose(
+            tuple(range(1, len(dims))) + (0, len(dims))
+        ))
+        for layout in (batch.leading, batch.first_mode):
+            assert layout.flags.c_contiguous and not layout.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                layout[...] = 0.0
+        assert patches.flags.writeable  # the caller's array is left as it was
+        assert objective.PatchBatch.of(batch) is batch
+
+    def test_every_analysis_shares_the_leading_layout(self):
+        factors, patches = random_instance(SHAPE_SETS["6x5"], 5, seed=2)
+        batch = objective.PatchBatch.of(patches)
+        first = objective.patch_analysis(factors, batch, 1000.0)
+        second = objective.patch_analysis(factors, batch, 1000.0)
+        assert first.mode_inputs[0] is batch.leading is second.mode_inputs[0]
+
+    def test_too_few_axes_rejected(self):
+        with pytest.raises(ValueError, match=r"axes \(T, n_1, ...\), got shape \(5,\)"):
+            objective.PatchBatch.of(np.zeros(5))
+
+
+class TestAnalysisMemory:
+    """Peak memory of one learning evaluation at T = 2000, the batch laid out beforehand."""
+
+    @staticmethod
+    def peak_in_coefficients(gradient):
+        params = LearningParams()
+        factors, patches = random_instance(SHAPE_SETS["6x5"], 2000, seed=3)
+        batch = objective.PatchBatch.of(patches)
+        coeff_bytes = 8 * 2000 * 216
+        tracemalloc.start()
+        try:
+            analysis = objective.patch_analysis(factors, batch, params.nu)
+            objective.learning_cost(factors, batch, params, analysis)
+            if gradient:
+                objective.learning_gradient(factors, batch, params, analysis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / coeff_bytes
+
+    def test_cost(self):
+        # the coefficients, the arrays modes 2 and 3 read (0.69x and 0.83x) and
+        # one buffer for the per-sample sum
+        peak = self.peak_in_coefficients(gradient=False)
+        assert peak < 3.7, f"peak {peak:.2f}x the coefficients"
+
+    def test_cost_and_gradient(self):
+        # one mode's partial at a time: the previous mode's is freed first
+        peak = self.peak_in_coefficients(gradient=True)
+        assert peak < 4.5, f"peak {peak:.2f}x the coefficients"
+
+
 class TestGradientWork:
     """Given the analysis, the gradient applies only the factors the analysis
-    did not: N - 1 + N - 2 + ... + 0 one-mode correlations, and analyzes nothing."""
+    did not: N - 1 + N - 2 + ... + 0 leading-mode products, and analyzes nothing."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        calls = {"correlate_separable": 0, "analyze_batch": 0}
+        calls = {"rotate_product": 0, "analyze_batch": 0}
         for name in calls:
             original = getattr(objective, name)
 
@@ -391,9 +487,9 @@ class TestGradientWork:
         params = LearningParams()
         factors, patches = random_instance(SHAPE_SETS["non-cubic"], 40, seed=5)
         analysis = objective.patch_analysis(factors, patches, params.nu)
-        assert counted == {"correlate_separable": 3, "analyze_batch": 1}
+        assert counted == {"rotate_product": 3, "analyze_batch": 1}
         grads = objective.learning_gradient(factors, patches, params, analysis)
-        assert counted == {"correlate_separable": 6, "analyze_batch": 1}
+        assert counted == {"rotate_product": 6, "analyze_batch": 1}
         assert_equal_to_reference(factors, patches, params, grads)
 
     def test_an_analysis_serves_one_gradient(self):

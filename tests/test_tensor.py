@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,60 @@ class TestCorrelateSeparable:
             tensor.correlate_separable(x, [f, f], stride=0)
         with pytest.raises(ValueError, match="at least one factor"):
             tensor.correlate_separable(x, [])
+
+
+class TestRotateProduct:
+    """The leading-mode product equals ``tensordot`` over the leading axis bit for bit."""
+
+    SHAPES = {
+        "order-1": (5,),
+        "order-2": (4, 7),
+        "order-3": (3, 5, 2),
+        "order-4": (5, 4, 3, 6),
+        "learning-batch": (5, 5, 5, 2000),
+        "one-patch": (5, 5, 5, 1),
+        "one-row-order-2": (5, 1),
+        "one-row-order-4": (4, 1, 1, 1),
+    }
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 9], ids=lambda k: f"k{k}")
+    @pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
+    def test_equals_tensordot_bit_for_bit(self, shape, k):
+        rng = np.random.default_rng(k * 31 + len(shape))
+        x = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 1e3], shape)
+        factor = rng.standard_normal((k, shape[0]))
+        out = tensor.rotate_product(x, factor)
+        assert out.shape == shape[1:] + (k,)
+        assert np.array_equal(out, oracles.leading_mode_product(x, factor))
+
+    def test_chain_over_the_modes_is_the_batch_analysis(self):
+        # (n_1, ..., n_N, T) rotated once per mode is (T, k_1, ..., k_N)
+        rng = np.random.default_rng(3)
+        factors = [random_factor(6, 5, rng), random_factor(7, 4, rng), random_factor(4, 3, rng)]
+        patches = rng.standard_normal((9, 5, 4, 3))
+        chain = np.moveaxis(patches, 0, -1)
+        for factor in factors:
+            chain = tensor.rotate_product(chain, factor)
+        expected = patches
+        for mode, factor in enumerate(factors):
+            expected = oracles.mode_product(expected, factor, mode + 1)
+        assert np.array_equal(chain, expected)
+
+    def test_reads_a_contiguous_operand_in_place(self):
+        x = np.random.default_rng(5).standard_normal((5, 40_000))
+        factor = np.random.default_rng(6).standard_normal((6, 5))
+        tracemalloc.start()
+        try:
+            out = tensor.rotate_product(x, factor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result only: a copy of the operand would add 5/6 of it
+        assert peak < 1.1 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the result"
+
+    def test_factor_that_does_not_fit_the_leading_axis_rejected(self):
+        with pytest.raises(ValueError):
+            tensor.rotate_product(np.zeros((5, 2)), np.zeros((3, 4)))
 
 
 class TestCorrelateSeparableAdjoint:
