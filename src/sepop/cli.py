@@ -142,6 +142,8 @@ def _recover(
 
 def cmd_denoise(args: argparse.Namespace) -> int:
     volume_mod.check_sigma(args.sigma)  # before it derives the default lambda
+    if args.lam is None and args.sigma == 0:
+        raise ValueError("--lambda is required when --sigma is 0 (its default is 200*sigma)")
     factors, cfg = _load_solve(args, args.lam if args.lam is not None else 200.0 * args.sigma)
     ref = volume_mod.read_volume(args.ref) if args.ref else None
 

@@ -8,8 +8,9 @@ line-search rule (monotone Armijo backtracking, 50 trials); the gradient is
 computed only at the points it moves to.
 
 Analyzing every patch with the separable operator is a separable
-correlation, computed one slab of patch origins at a time (one GEMM per mode
-per slab, :func:`sepop.tensor.correlate_separable_slabs`), and the cost sums
+correlation, computed one slab of patch origins at a time (per mode and slab,
+the shifted slices stacked and contracted in one GEMM,
+:func:`sepop.tensor.correlate_separable_slabs`), and the cost sums
 the penalty over each slab as soon as it is filled
 (:func:`sepop.objective.analysis_sparsity`); the gradient applies the
 correlation's adjoint (:func:`sepop.tensor.correlate_separable_adjoint`, one

@@ -2,8 +2,11 @@
 
 Tensors are plain C-contiguous ``numpy.ndarray`` values with row-major
 storage (last index fastest), so the vectorization of a separable analysis is
-the Kronecker chain of its factors applied to ``tensor.ravel()``.  Formulas
-in the docs are stated 1-based; all code indices are 0-based.
+the Kronecker chain of its factors applied to ``tensor.ravel()``.  Every factor
+is applied by one kernel, :func:`rotate_product`, a GEMM over a leading axis:
+learning chains it over patch batches, and the analysis of every window over
+stacks of shifted slices.  Formulas in the docs are stated 1-based; all code
+indices are 0-based.
 """
 
 from __future__ import annotations
@@ -22,14 +25,18 @@ _BLOCK_BYTES = 256 * 1024
 _SLAB_BYTES = 2 * 1024 * 1024
 
 
-def rotate_product(x: np.ndarray, factor: np.ndarray) -> np.ndarray:
+def rotate_product(x: np.ndarray, factor: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Contract the leading axis of ``x`` with a (k, n) factor and put the new axis last.
 
     One GEMM, whose operand ``x.reshape(n, -1).T`` BLAS reads transposed in place (a
-    C-contiguous ``x`` is not copied); each entry is ``np.tensordot``'s over axis 0, bit for bit."""
+    C-contiguous ``x`` is not copied); each entry is ``np.tensordot``'s over axis 0, bit for bit.
+    The result is written into ``out`` (C-contiguous, of the result's shape) if it is given."""
     x, factor = np.asarray(x, dtype=float), np.asarray(factor, dtype=float)
     rows = x.reshape(len(x), math.prod(x.shape[1:])).T
-    return (rows @ factor.T).reshape(x.shape[1:] + (len(factor),))
+    if out is None:
+        return (rows @ factor.T).reshape(x.shape[1:] + (len(factor),))
+    np.matmul(rows, factor.T, out=out.reshape(len(rows), len(factor)))
+    return out
 
 
 def correlate_separable(
@@ -45,12 +52,14 @@ def correlate_separable(
     ``stride * p``: a bank of k_1 ... k_N separable correlation filters.
 
     The result is filled one slab of its first axis at a time (see
-    :func:`correlate_separable_slabs`).  Within a slab each mode is one GEMM
-    over the slab's window origins (``sliding_window_view(..., n_i) @ F_i.T``),
-    so windows that overlap share their partial products instead of
-    recomputing them.  Every output entry is the same chain of n_i-term dot
-    products as the per-window mode products, and rounds the same.  A window
-    as long as its axis (``m_i = 1``) is the plain mode product.
+    :func:`correlate_separable_slabs`).  Within a slab, mode i stacks the n_i
+    shifted (strided) slices of the partial product along its axis and
+    contracts them with F_i in one :func:`rotate_product`, which puts k_i last:
+    one GEMM over the slab's window origins, so windows that overlap share
+    their partial products instead of recomputing them.  Every output entry
+    is the same chain of n_i-term dot products as the per-window mode
+    products, and rounds the same.  A window as long as its axis (``m_i = 1``)
+    is the plain mode product.
     """
     out, slabs = correlate_separable_slabs(x, factors, stride)
     for _ in slabs:
@@ -74,7 +83,7 @@ def correlate_separable_slabs(
     reads ``stride * (planes - 1) + n_1`` input rows, its windows' halo
     included.  The last mode's GEMM writes straight into the result.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)  # np.stack keeps its slices' memory order
     lead = x.ndim - len(factors)
     if not factors:
         raise ValueError("at least one factor is needed")
@@ -103,32 +112,28 @@ def _fill_slabs(
     """Fill ``out`` slab by slab for :func:`correlate_separable_slabs`."""
     plane = math.prod(out.shape[1:])
     planes = max(2, _SLAB_BYTES // max(8 * plane, 1))
-    total = len(out)
-    # The first mode's windows of the whole input; a slab is a slice of their first axis.
-    first = _windows(x, factors[0].shape[1], lead, stride)
+    total, first = len(out), factors[0].shape[1]
     start = 0
     while start < total:
         stop = total if total - start <= planes + 1 else start + planes
-        windows = first[start:stop]
+        # A slab along window origins also reads its windows' halo.
+        part = x[start:stop] if lead else x[stride * start : stride * (stop - 1) + first]
         for mode, factor in enumerate(factors):
-            k, n = factor.shape
-            if mode:
-                windows = _windows(part, n, lead + mode, stride)
-            shape = windows.shape[:-1] + (k,)
-            rows = windows.reshape(-1, n)
+            axis, (k, n) = lead + mode, factor.shape
+            span = stride * ((part.shape[axis] - n) // stride) + 1
+            before = (slice(None),) * axis
+            shifted = [part[before + (slice(a, a + span, stride),)] for a in range(n)]
+            # Each window offset's slice of the part, stacked in C order by contiguous runs.
+            # A one-row factor takes numpy's matrix-vector path, which rounds by the operand's
+            # layout, so there the offsets go last and the product reads rows, one window each.
+            offsets = 0 if k > 1 else -1
+            stack = np.moveaxis(np.stack(shifted, axis=offsets), offsets, 0)
             if mode + 1 < len(factors):
-                part = (rows @ factor.T).reshape(shape)
+                part = rotate_product(stack, factor)
             else:
-                np.matmul(rows, factor.T, out=out[start:stop].reshape(len(rows), k))
+                rotate_product(stack, factor, out=out[start:stop])
         yield stop * plane
         start = stop
-
-
-def _windows(a: np.ndarray, n: int, axis: int, stride: int) -> np.ndarray:
-    """View of the length-``n`` windows of ``a`` at every ``stride``-th origin along ``axis``,
-    the origins in place of ``axis`` and the window offsets last."""
-    windows = np.lib.stride_tricks.sliding_window_view(a, n, axis=axis)
-    return windows[(slice(None),) * axis + (slice(None, None, stride),)]
 
 
 def correlate_separable_adjoint(

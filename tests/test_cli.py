@@ -408,13 +408,14 @@ class TestDenoise:
         assert "bad_ops.txt" in capsys.readouterr().err
 
     def test_lambda_defaults_to_200_sigma(self, tmp_path, phantom, operators, capsys):
-        # sigma 0 without an explicit lambda gives lambda 0, a validation error
-        code = run(
-            "denoise", "--in", phantom, "--op", operators, "--sigma", "0",
-            "--out", str(tmp_path / "d.vol"),
-        )
-        assert code == 1
-        assert "lam must be positive" in capsys.readouterr().err
+        # sigma 0, given or by default, leaves lambda no default: refused, naming the flag
+        out = tmp_path / "d.vol"
+        for sigma in (["--sigma", "0"], []):
+            argv = ["denoise", "--in", phantom, "--op", operators, *sigma, "--out", str(out)]
+            assert run(*argv) == 1
+            err = capsys.readouterr().err
+            assert "--lambda is required" in err and "200*sigma" in err
+            assert not out.exists()
 
     def test_ref_without_payload_exits_1_naming_it(self, tmp_path, phantom, operators, capsys):
         ref = str(tmp_path / "ref.vol")

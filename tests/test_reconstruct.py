@@ -337,6 +337,42 @@ class TestMssim:
             mssim(Volume(np.zeros((8, 8, 8))), Volume(np.zeros((8, 8, 8))))
 
 
+class TestAnalysisWork:
+    """The regularizer's analysis is one ``tensor.rotate_product`` per mode and slab, over
+    stacked shifted slices: no window view of the volume or of a partial product."""
+
+    def test_three_products_per_slab_and_no_window_view(self, monkeypatch, rng, factors):
+        calls = {"rotate_product": 0, "slabs": 0}
+        rotate_product, slabs = tensor.rotate_product, objective.correlate_separable_slabs
+
+        def counting_product(*args, **kwargs):
+            calls["rotate_product"] += 1
+            return rotate_product(*args, **kwargs)
+
+        def counting_slabs(*args, **kwargs):
+            out, steps = slabs(*args, **kwargs)
+
+            def counted():
+                for end in steps:
+                    calls["slabs"] += 1
+                    yield end
+
+            return out, counted()
+
+        def no_windows(*args, **kwargs):
+            raise AssertionError("sliding_window_view called")
+
+        monkeypatch.setattr(tensor, "rotate_product", counting_product)
+        monkeypatch.setattr(objective, "correlate_separable_slabs", counting_slabs)
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", no_windows)
+        dims = (32, 32, 8)
+        op = IdentityMeasurement(dims)
+        v = rng.uniform(0, 255, dims)
+        reconstruct._evaluate(v, op.forward(v), op, factors, ReconConfig(lam=1500.0))
+        # 28 planes of 28 x 4 origins, 10 to a 2 MiB slab: 10, 10 and 8
+        assert calls == {"rotate_product": 3 * 3, "slabs": 3}
+
+
 class TestCacheSizedPasses:
     """The regularizer's elementwise passes run chunk by chunk, and round as
     they would over the whole array."""
@@ -406,3 +442,19 @@ class TestCacheSizedPasses:
         # The analysis fills the coefficients a slab at a time and the penalty
         # sums them as they are filled: beside them, only one slab's windows.
         assert peak < 1.2 * coeff_bytes, f"peak {peak / coeff_bytes:.2f}x the coefficients"
+
+    def test_peak_memory_of_the_cost_at_32x32x8(self, rng, factors):
+        dims = (32, 32, 8)
+        op = FourierMeasurement(dims, radial_mask_for_rate(dims[0], dims[1], 0.6))
+        v = rng.uniform(0, 255, dims)
+        y = op.forward(v + 15.0 * rng.standard_normal(dims))
+        coeff_bytes = 8 * 216 * math.prod(d - 4 for d in dims)
+        tracemalloc.start()
+        try:
+            reconstruct._evaluate(v, y, op, factors, ReconConfig(lam=1500.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Beside the coefficients, one slab's partial product and stacked slices, which
+        # weigh more against 5.2 MiB of coefficients than at 32^3.
+        assert peak < 1.65 * coeff_bytes, f"peak {peak / coeff_bytes:.2f}x the coefficients"

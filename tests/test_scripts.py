@@ -1,0 +1,45 @@
+"""The repository scripts' own logic, on tiny inputs (the scripts' full runs take minutes)."""
+
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture
+def compare_outputs(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import compare_outputs
+
+    return compare_outputs
+
+
+def write(path: Path, data: bytes) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+
+
+def test_compare_dirs_names_every_file_of_either_side(tmp_path, compare_outputs):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        write(side / "ops.txt", b"mode 0 6 5\n")
+        write(side / "sub" / "m.csv", b"noisy,1.0,0.5\n")
+    write(parent / "d.vol", b"\x00\x01")
+    write(change / "d.vol", b"\x00\x02")
+    write(change / "extra.log", b"")
+    assert compare_outputs.compare_dirs(str(parent), str(change)) == {
+        "d.vol": "differs",
+        "extra.log": "differs",
+        "ops.txt": "same",
+        "sub/m.csv": "same",
+    }
+
+
+def test_quick_start_reads_the_readme_commands(compare_outputs):
+    commands = compare_outputs.quick_start((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert commands and all(argv[0] == "sepop" for argv in commands)
+    # a command continued over lines is one argument vector, without comments
+    learn = next(argv for argv in commands if argv[1] == "learn")
+    assert learn[-2:] == ["--out", "ops.txt"]
+    assert not any(arg.startswith("#") for argv in commands for arg in argv)

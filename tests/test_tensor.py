@@ -321,6 +321,9 @@ class TestSlabbedAnalysis:
         ([(1, 5), (1, 5)], (6, 12, 13), 1),  # one-row factors: matrix-vector products
         ([(1, 4), (3, 3)], (9, 11), 3),
         ([(4, 4)], (9,), 1),  # one mode: one GEMM row per plane
+        ([(6, 5), (1, 5), (6, 5)], (13, 12, 11), 1),  # a one-row factor between multi-row ones
+        ([(4, 3), (1, 5)], (12, 13), 2),  # a one-row last factor at stride 2
+        ([(1, 11), (1, 11)], (3, 13, 12), 1),  # MSSIM's taps, on a leading axis of slices
     ]
 
     # Planes per slab budgeted: under one plane, one, two, three, the count that
@@ -359,6 +362,16 @@ class TestSlabbedAnalysis:
         plane = whole.size // len(out)
         steps = [b - a for a, b in zip([0] + ends, ends)]
         assert all(step >= min(2, len(out)) * plane for step in steps)
+
+    @pytest.mark.parametrize("shapes", [[(1, 11), (1, 11)], [(6, 5), (6, 5)]])
+    def test_a_strided_input_is_analyzed_as_its_copy(self, shapes):
+        # MSSIM analyzes its slices through a moveaxis view of the volume
+        rng = np.random.default_rng(9)
+        factors = [rng.standard_normal(shape) for shape in shapes]
+        volume = rng.standard_normal((24, 22, 6)) * rng.choice([1e-3, 1e3], (24, 22, 6))
+        x = np.moveaxis(volume, 2, 0)
+        whole = oracles.whole_array_analysis(x, factors)
+        assert np.array_equal(tensor.correlate_separable(x, factors), whole)
 
     def test_slab_checks_raise_before_any_step(self):
         with pytest.raises(ValueError, match="stride"):
