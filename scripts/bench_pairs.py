@@ -12,7 +12,10 @@ seed from A to B, ``bench/run.py --workload W --seed S --seconds T`` runs once
 in each copy, one run at a time; the first side alternates pair to pair,
 starting with the parent.  Each pair is printed as it finishes, then, per
 end-to-end metric of ``BENCHMARK.json``, each side's median and inclusive
-quartiles and the pairs the change won.
+quartiles, the pairs the change won, and whether it meets the claim rule:
+better in at least 9 of 10 pairs (ties count for neither side), with the
+medians apart, in the better direction, by more than the parent's
+interquartile range.
 
 With ``--out``, the pairs and summary are written as
 ``workloads[W]`` of a ``BENCH_*.json`` file (an existing file keeps its other
@@ -105,12 +108,15 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         change = [pair["change"][name] for pair in pairs]
         gains = [sign * (c - p) for p, c in zip(parent, change)]
         mid = statistics.median(parent)
+        wins, spread = sum(g > 0 for g in gains), quartiles(parent)
         summary[name] = {
-            "parent": quartiles(parent),
+            "parent": spread,
             "change": quartiles(change),
-            "change_better_pairs": sum(g > 0 for g in gains),
+            "change_better_pairs": wins,
             "tied_pairs": sum(g == 0 for g in gains),
             "median_change_pct": 100.0 * (statistics.median(change) - mid) / mid if mid else 0.0,
+            "meets_claim_rule": (10 * wins >= 9 * len(pairs)
+                                 and sign * (statistics.median(change) - mid) > spread["iqr"]),
         }
     return summary
 
@@ -172,7 +178,8 @@ def main() -> int:
         print(f"{name:15s} parent {par['median']:.6g} [{par['q1']:.6g}, {par['q3']:.6g}]  "
               f"change {chg['median']:.6g} [{chg['q1']:.6g}, {chg['q3']:.6g}]  "
               f"{s['median_change_pct']:+.2f} %  change better in {s['change_better_pairs']}"
-              f"/{len(pairs)}, tied {s['tied_pairs']}")
+              f"/{len(pairs)}, tied {s['tied_pairs']}; "
+              f"{'meets' if s['meets_claim_rule'] else 'does not meet'} the claim rule")
 
     if args.out:
         record = {}

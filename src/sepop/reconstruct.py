@@ -14,14 +14,17 @@ the shifted slices stacked and contracted in one GEMM,
 the penalty over each slab as soon as it is filled
 (:func:`sepop.objective.analysis_sparsity`); the gradient applies the
 correlation's adjoint (:func:`sepop.tensor.correlate_separable_adjoint`, one
-GEMM per mode and a scatter-add over the patch offsets).  Both are the same
-dot products, in the same order, as the per-patch definition, so cost and
-gradient are bit-identical to it.  The penalty on the coefficients, its sum
-and its derivative, is the learning cost's, from :mod:`sepop.objective`.
+GEMM per mode and a scatter-add over the patch offsets, each add along the
+axis with the most patch origins).  Both are the same dot products, in the
+same order, as the per-patch definition, so cost and gradient are
+bit-identical to it.  The penalty on the coefficients, its sum and its
+derivative, is the learning cost's, from :mod:`sepop.objective`.
 
 Two measurement models are provided: identity (denoising) and per-slice
-centered unitary 2D Fourier sampling on a boolean mask (CS recovery).  Every
-operator passes a randomized adjoint-consistency check at construction.
+centered unitary 2D Fourier sampling on a boolean mask (CS recovery), which
+transforms all slices in one slice-major ``fft2`` and reads the mask's bins
+unshifted.  Every operator passes a randomized adjoint-consistency check at
+construction.
 """
 
 from __future__ import annotations
@@ -164,7 +167,12 @@ class FourierMeasurement(MeasurementOp):
     """Per-slice centered unitary 2D DFT sampled on a shared mask.
 
     Slices are taken along the third axis; kept coefficients are stacked
-    slice-major into one complex vector.
+    slice-major into one complex vector, each slice's in the mask's row-major
+    order.  The mask marks bins of the fftshifted (centered) spectrum; the
+    operator maps them once, at construction, to the unshifted bins
+    ``((r - h//2) % h, (c - w//2) % w)`` that ``fft2`` returns, and transforms
+    a slice-major copy of the volume, so no spectrum is shifted.  It keeps a
+    private read-only copy of the mask, so the bins always match ``mask``.
     """
 
     kind = "fourier"
@@ -174,29 +182,30 @@ class FourierMeasurement(MeasurementOp):
             raise ValueError(
                 f"mask shape {mask.mask.shape} does not match slice dims {dims[:2]}"
             )
-        self.mask = mask
+        self.mask = SamplingMask(mask.mask.copy())
+        self.mask.mask.flags.writeable = False
+        h, w = self.mask.mask.shape
+        rows, cols = np.nonzero(self.mask.mask)
+        self._bins = ((rows - h // 2) % h, (cols - w // 2) % w)
         super().__init__(dims)
 
     def forward(self, data: np.ndarray) -> np.ndarray:
-        data = np.asarray(data, dtype=float)
-        keep = self.mask.mask
-        spectrum = np.fft.fftshift(np.fft.fft2(data, axes=(0, 1), norm="ortho"), axes=(0, 1))
-        # spectrum[keep] is (samples, slices); its transpose ravels slice-major.
-        return spectrum[keep].T.ravel()
+        slices = np.ascontiguousarray(np.moveaxis(np.asarray(data, dtype=float), 2, 0))
+        spectra = np.fft.fft2(slices, axes=(1, 2), norm="ortho")
+        return spectra[(slice(None), *self._bins)].ravel()
 
     def adjoint(self, measurement: np.ndarray) -> np.ndarray:
-        keep = self.mask.mask
-        per_slice = int(keep.sum())
+        per_slice = len(self._bins[0])
         measurement = np.asarray(measurement)
         if measurement.size != per_slice * self.dims[2]:
             raise ValueError(
                 f"measurement length {measurement.size} does not match "
                 f"{per_slice} samples x {self.dims[2]} slices"
             )
-        spectrum = np.zeros(self.dims, dtype=complex)
-        spectrum[keep] = measurement.reshape(self.dims[2], per_slice).T
-        image = np.fft.ifft2(np.fft.ifftshift(spectrum, axes=(0, 1)), axes=(0, 1), norm="ortho")
-        return np.ascontiguousarray(image.real)
+        spectra = np.zeros((self.dims[2], *self.dims[:2]), dtype=complex)
+        spectra[(slice(None), *self._bins)] = measurement.reshape(self.dims[2], per_slice)
+        slices = np.fft.ifft2(spectra, axes=(1, 2), norm="ortho")
+        return np.ascontiguousarray(np.moveaxis(slices.real, 0, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ storage (last index fastest), so the vectorization of a separable analysis is
 the Kronecker chain of its factors applied to ``tensor.ravel()``.  Every factor
 is applied by one kernel, :func:`rotate_product`, a GEMM over a leading axis:
 learning chains it over patch batches, and the analysis of every window over
-stacks of shifted slices.  Formulas in the docs are stated 1-based; all code
-indices are 0-based.
+stacks of shifted slices.  The adjoint of that analysis synthesizes the
+windows with one GEMM per mode and block of window origins, and adds them in
+along the axis with the most origins.  Formulas in the docs are stated
+1-based; all code indices are 0-based.
 """
 
 from __future__ import annotations
@@ -124,10 +126,12 @@ def _fill_slabs(
             before = (slice(None),) * axis
             shifted = [part[before + (slice(a, a + span, stride),)] for a in range(n)]
             # Each window offset's slice of the part, stacked in C order by contiguous runs.
-            # A one-row factor takes numpy's matrix-vector path, which rounds by the operand's
-            # layout, so there the offsets go last and the product reads rows, one window each.
-            offsets = 0 if k > 1 else -1
-            stack = np.moveaxis(np.stack(shifted, axis=offsets), offsets, 0)
+            stack = np.stack(shifted)
+            if k == 1:
+                # A one-row factor takes numpy's matrix-vector path, which rounds by the
+                # operand's layout, so there the offsets go last in memory (one transposed
+                # copy) and the product reads rows, one window each.
+                stack = np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)
             if mode + 1 < len(factors):
                 part = rotate_product(stack, factor)
             else:
@@ -144,13 +148,23 @@ def correlate_separable_adjoint(
     ``coeffs`` has the layout that ``correlate_separable`` returns for an
     input of ``shape``.  Each window's coefficients are synthesized with the
     transposed factors and added into the window, summed where windows
-    overlap.  The window origins are synthesized in blocks of rows of the
-    (origins, k_1 ... k_N) coefficient matrix, each small enough to stay in
-    cache: the block is transposed to put (k_1, ..., k_N) first, then mode i
+    overlap.  The window origins are walked with leading axes first and,
+    among the N origin axes, the one with the most origins last (on a tie the
+    later axis, so a cube keeps C order), so that each add runs along the
+    longest axis: on a thin 28x28x4 grid, runs of 28 instead of 4.  They are
+    synthesized in blocks of whole runs along that axis, about
+    :data:`_BLOCK_BYTES` of coefficients and at least two origins each: a
+    block's coefficients are copied in walk order, transposed to put
+    (k_1, ..., k_N) first, from a strided view of ``coeffs`` (one copy per
+    segment of runs that is contiguous in the grid's other axes), then mode i
     is ``F_i.T @ z`` batched over the window offsets already synthesized, so
-    every entry is the same k_i-term dot product as a per-window adjoint.
-    The windows are then added in, one offset at a time in lexicographic
-    order; leading axes pass through.
+    every entry is the same k_i-term dot product as a per-window adjoint; the
+    last mode's GEMM writes straight into the block's columns of the (window
+    offsets, origins) synthesis.  The windows are then added in, one offset at a time
+    in lexicographic order, into a volume laid out in walk order, which one
+    transposed copy returns to ``shape``.  Every voxel receives the same
+    windows in the same order as from a per-window adjoint, so the result is
+    the same bit for bit, whatever the walk.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     shape = tuple(shape)
@@ -168,25 +182,49 @@ def correlate_separable_adjoint(
     if coeffs.shape != expected:
         raise ValueError(f"coefficients of shape {coeffs.shape}, expected {expected}")
 
-    rows = coeffs.reshape(-1, math.prod(len(factor) for factor in factors))
-    origins = len(rows)
-    block = max(2, _BLOCK_BYTES // (8 * rows.shape[1]))
+    # Walk the origins with the axis of most origins last (on a tie the later one), so the
+    # scatter-add runs along it; leading axes stay first.
+    longest = lead + max(range(modes), key=lambda mode: (starts[mode], mode))
+    order = [*range(longest), *range(longest + 1, len(grid)), longest]
+    width, origins = math.prod(len(factor) for factor in factors), math.prod(grid)
+    before, run = math.prod(grid[:longest]), grid[longest]
+    # The coefficients as runs of origins along that axis, indexed by the grid's axes before
+    # and after it: a (k_1 ... k_N, before, after, run) view, read one segment of runs at a
+    # time.  With no axes after it, the runs are one segment.
+    runs = coeffs.reshape(before, run, -1, width).transpose(3, 0, 2, 1)
+    if runs.shape[2] == 1:
+        runs = runs.reshape(width, 1, before, run)
+    segment = runs.shape[2]
+    # Whole runs per block; a one-origin block would take numpy's matrix-vector path, which
+    # rounds differently.
+    block = run * max(_BLOCK_BYTES // (8 * width) // run, 1 if run > 1 else 2)
     synth = np.empty((math.prod(sizes), origins))
+    last = factors[-1]
+    into = synth.reshape(math.prod(sizes[:-1]), sizes[-1], origins)
     start = 0
     while start < origins:
-        # A one-row block would take numpy's matrix-vector path, which rounds
-        # differently, so a one-row remainder joins the block before it.
+        # A one-origin remainder joins the block before it.
         stop = origins if origins - start <= block + 1 else start + block
-        z = np.ascontiguousarray(rows[start:stop].T)
-        for mode, factor in enumerate(factors):
+        # The block's runs in walk order, transposed to put (k_1, ..., k_N) first.
+        count = (stop - start) // run
+        z = np.empty((width, count, run))
+        taken = 0
+        while taken < count:
+            outer, inner = divmod(start // run + taken, segment)
+            step = min(count - taken, segment - inner)
+            z[:, taken : taken + step] = runs[:, outer, inner : inner + step]
+            taken += step
+        for mode, factor in enumerate(factors[:-1]):
             z = factor.T @ z.reshape(math.prod(sizes[:mode]), len(factor), -1)
-        synth[:, start:stop] = z.reshape(len(synth), -1)
+        np.matmul(last.T, z.reshape(len(into), len(last), -1), out=into[:, :, start:stop])
         start = stop
     per_mode = [
         [slice(a, a + stride * m, stride) for a in range(n)] for n, m in zip(sizes, starts)
     ]
-    out = np.zeros(shape)
-    for piece, window in zip(synth.reshape((-1,) + grid), product(*per_mode)):
-        out[(Ellipsis, *window)] += piece
-    return out
-
+    out = np.zeros(tuple(shape[axis] for axis in order))
+    leading = (slice(None),) * lead
+    walk = tuple(grid[axis] for axis in order)
+    for piece, window in zip(synth.reshape((-1,) + walk), product(*per_mode)):
+        spots = leading + window
+        out[tuple(spots[axis] for axis in order)] += piece
+    return np.ascontiguousarray(out.transpose(np.argsort(order)))

@@ -187,18 +187,48 @@ class TestBitIdentityWithPerPatchDefinition:
         assert cost == ref_cost
         assert np.array_equal(grad, ref_grad)
 
-    @pytest.mark.parametrize("dims", [(32, 32, 8), (31, 33, 5), (16, 16, 1)])
-    def test_fourier_pair_equals_per_slice_transforms(self, rng, dims):
-        mask = radial_mask_for_rate(dims[0], dims[1], 0.6)
+    @pytest.mark.parametrize("dims", [(32, 32, 8), (31, 33, 5), (16, 16, 1), (12, 12, 4)])
+    @pytest.mark.parametrize("sampling", ["radial", "full"])
+    def test_fourier_pair_equals_per_slice_transforms(self, rng, dims, sampling):
+        if sampling == "radial":
+            mask = radial_mask_for_rate(dims[0], dims[1], 0.6)
+        else:
+            mask = SamplingMask(np.ones(dims[:2], dtype=bool))
         op = FourierMeasurement(dims, mask)
         ref_op = reference_objective.SliceFourierMeasurement(dims, mask)
-        v = rng.standard_normal(dims)
+        for _ in range(3):
+            v = rng.standard_normal(dims)
+            y = op.forward(v)
+            assert np.array_equal(y, ref_op.forward(v))
+            m = y + rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+            back = op.adjoint(m)
+            assert back.flags.c_contiguous
+            assert np.array_equal(back, ref_op.adjoint(m))
+
+    def test_fourier_pair_shifts_no_spectrum(self, rng, monkeypatch):
+        # the mask's centered bins are mapped to fft2's unshifted ones at construction
+        def refuse(*args, **kwargs):
+            raise AssertionError("the spectrum was shifted")
+
+        monkeypatch.setattr(np.fft, "fftshift", refuse)
+        monkeypatch.setattr(np.fft, "ifftshift", refuse)
+        op = FourierMeasurement((12, 12, 4), radial_mask_for_rate(12, 12, 0.4))
+        y = op.forward(rng.standard_normal(op.dims))
+        assert op.adjoint(y).shape == op.dims
+
+    def test_fourier_op_keeps_its_own_mask(self, rng):
+        mask = radial_mask_for_rate(16, 16, 0.4)
+        keep = mask.mask.copy()
+        op = FourierMeasurement((16, 16, 3), mask)
+        v = rng.standard_normal(op.dims)
         y = op.forward(v)
-        assert np.array_equal(y, ref_op.forward(v))
-        m = y + rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-        back = op.adjoint(m)
-        assert back.flags.c_contiguous
-        assert np.array_equal(back, ref_op.adjoint(m))
+        back = op.adjoint(y)
+        mask.mask[:] = True  # the caller edits its mask afterwards
+        mask.mask[0, 0] = False
+        assert np.array_equal(op.mask.mask, keep)
+        assert np.array_equal(op.forward(v), y)
+        assert np.array_equal(op.adjoint(y), back)
+        assert not op.mask.mask.flags.writeable
 
     def test_cs_solver_trace_equals_the_reference(self, factors, monkeypatch):
         vol = volume.synth_phantom((32, 32, 8), seed=5)

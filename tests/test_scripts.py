@@ -15,6 +15,14 @@ def compare_outputs(monkeypatch):
     return compare_outputs
 
 
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import bench_pairs
+
+    return bench_pairs
+
+
 def write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(data)
@@ -43,3 +51,29 @@ def test_quick_start_reads_the_readme_commands(compare_outputs):
     learn = next(argv for argv in commands if argv[1] == "learn")
     assert learn[-2:] == ["--out", "ops.txt"]
     assert not any(arg.startswith("#") for argv in commands for arg in argv)
+
+
+def pairs_of(parent: list[float], change: list[float]) -> list[dict]:
+    return [{"parent": {"wall_s": p, "mssim": p}, "change": {"wall_s": c, "mssim": c}}
+            for p, c in zip(parent, change)]
+
+
+METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "mssim", "better": "higher"}]
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]  # IQR 0.02
+
+
+@pytest.mark.parametrize(
+    "change, wall_s_meets",
+    [
+        ([p - 0.05 for p in PARENT], True),  # lower in 10/10, medians 0.05 apart
+        ([p - 0.05 for p in PARENT[:9]] + [1.2], True),  # lower in 9/10
+        ([p - 0.05 for p in PARENT[:8]] + [1.2, 1.2], False),  # lower in 8/10
+        ([p - 0.05 for p in PARENT[:8]] + PARENT[8:], False),  # 8 wins and 2 ties
+        ([p - 0.01 for p in PARENT], False),  # lower in 10/10, medians under the IQR apart
+    ],
+)
+def test_claim_rule(bench_pairs, change, wall_s_meets):
+    summary = bench_pairs.summarize(pairs_of(PARENT, change), METRICS)
+    assert summary["wall_s"]["meets_claim_rule"] is wall_s_meets
+    # the same numbers are worse where higher is better
+    assert summary["mssim"]["meets_claim_rule"] is False

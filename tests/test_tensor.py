@@ -287,6 +287,15 @@ class TestBlockedAdjoint:
             ([(4, 3), (7, 4), (5, 5)], (10, 11, 12), 1),
             ([(4, 3), (7, 4), (5, 5)], (3, 9, 8, 7), 2),
             ([(3, 4), (2, 5)], (4, 12, 9), 3),
+            # Thin and permuted window-origin grids: the origins are walked with the
+            # axis of most origins last, whole runs of it per block.
+            ([(6, 5)] * 3, (32, 32, 8), 1),  # the cs grid, 28x28x4
+            ([(6, 5)] * 3, (40, 12, 12), 1),  # the longest axis first
+            ([(6, 5)] * 3, (9, 30, 7), 1),  # the longest axis in the middle
+            ([(6, 5)] * 3, (2, 20, 20, 6), 1),  # a leading axis on a thin grid
+            ([(6, 5)] * 3, (21, 21, 9), 2),
+            ([(6, 5)] * 3, (5, 14, 9), 1),  # one origin on the first axis
+            ([(6, 5)] * 3, (3, 5, 5, 5), 1),  # runs of one origin: two per block at least
         ],
     )
     # Rows per block: most leave a short last block, and "one short" leaves a
@@ -303,6 +312,7 @@ class TestBlockedAdjoint:
         if rows != "default":
             monkeypatch.setattr(tensor, "_BLOCK_BYTES", 8 * width * rows)
         back = tensor.correlate_separable_adjoint(z, factors, dims, stride)
+        assert back.flags.c_contiguous
         assert np.array_equal(back, oracles.whole_array_adjoint(z, factors, dims, stride))
 
 
