@@ -116,8 +116,11 @@ def load_operators(path: str) -> tuple[list[np.ndarray], dict[str, str]]:
     """
     if not os.path.isfile(path):
         raise ValueError(f"operator file {path} is missing or not a regular file")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(number, ln.split()) for number, ln in enumerate(fh, 1) if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(number, ln.split()) for number, ln in enumerate(fh, 1) if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     if not lines or lines[0][1] != ["sepop-operators", "v1"]:
         raise ValueError(f"{path}: not a sepop operator file")
     meta: dict[str, str] = {}

@@ -15,21 +15,19 @@ what each mode's product read, which the gradient would otherwise compute again.
 
 The sparsity penalty log(1 + nu c^2) of learning and reconstruction alike is
 summed by :func:`sparsity_measure` and differentiated in place by
-:func:`sparsity_gradient`, both one cache-sized chunk at a time; its weight
-nu is checked by :func:`check_nu` wherever it is given.  For a volume,
-:func:`analysis_sparsity` analyzes every window and sums the penalty in one
-pass, each chunk as soon as the analysis has filled it.
+:func:`sparsity_gradient`, both one cache-sized chunk at a time, from
+coefficients however they were analyzed; its weight nu is checked by
+:func:`check_nu` wherever it is given.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from sepop.tensor import correlate_separable_slabs, rotate_product
+from sepop.tensor import rotate_product
 
 COHERENCE_BARRIER_TOL = 1e-12
 
@@ -73,51 +71,17 @@ def sparsity_measure(coeffs: np.ndarray, nu: float) -> float:
     return float(_log_penalty_sum(c, nu, np.empty(min(_CHUNK, c.size))))
 
 
-def analysis_sparsity(
-    x: np.ndarray, factors: list[np.ndarray], nu: float, stride: int = 1
-) -> tuple[float, np.ndarray]:
-    """The sparsity measure of the separable analysis of every window of ``x``, and that analysis.
-
-    Bit for bit ``sparsity_measure(c, nu)`` and ``c = correlate_separable(x,
-    factors, stride)``, but each chunk of the sum is taken as soon as the
-    analysis has filled it (:func:`sepop.tensor.correlate_separable_slabs`),
-    while its coefficients are still in cache.
-    """
-    check_nu(nu)
-    coeffs, slabs = correlate_separable_slabs(x, factors, stride)
-    filled = 0
-
-    def ready(end: int) -> None:
-        nonlocal filled
-        while filled < end:
-            filled = next(slabs)
-
-    flat = coeffs.reshape(-1)
-    return float(_log_penalty_sum(flat, nu, np.empty(min(_CHUNK, flat.size)), ready)), coeffs
-
-
-def _log_penalty_sum(
-    c: np.ndarray,
-    nu: float,
-    buf: np.ndarray,
-    ready: Callable[[int], None] | None = None,
-    offset: int = 0,
-) -> np.float64:
+def _log_penalty_sum(c: np.ndarray, nu: float, buf: np.ndarray) -> np.float64:
     """``np.sum(np.log1p(nu * c * c))`` over the flat ``c``, bit for bit, one chunk at a time.
 
     numpy sums a contiguous float64 array pairwise: it splits ``n`` elements
     at ``n // 2`` rounded down to a multiple of 8, down to blocks of at most
     128.  This follows the same tree down to pieces of at most ``len(buf)``
     (at least 128), which ``np.sum`` finishes in ``buf``, so every partial sum
-    is the one numpy forms over the whole array.  The pieces are read in
-    ascending order; before reading one that ends at entry ``end`` of ``c``
-    (``c`` itself starting at ``offset``), ``ready(offset + end)`` is called,
-    so a producer can fill ``c`` as the sum goes.
+    is the one numpy forms over the whole array.
     """
     n = len(c)
     if n <= len(buf):
-        if ready is not None:
-            ready(offset + n)
         q = buf[:n]
         np.multiply(c, nu, out=q)
         q *= c
@@ -125,9 +89,7 @@ def _log_penalty_sum(
         return np.sum(q)
     half = n // 2
     half -= half % 8
-    return _log_penalty_sum(c[:half], nu, buf, ready, offset) + _log_penalty_sum(
-        c[half:], nu, buf, ready, offset + half
-    )
+    return _log_penalty_sum(c[:half], nu, buf) + _log_penalty_sum(c[half:], nu, buf)
 
 
 def sparsity_gradient(coeffs: np.ndarray, nu: float) -> None:

@@ -8,11 +8,10 @@ line-search rule (monotone Armijo backtracking, 50 trials); the gradient is
 computed only at the points it moves to.
 
 Analyzing every patch with the separable operator is a separable
-correlation, computed one slab of patch origins at a time (per mode and slab,
-the shifted slices stacked and contracted in one GEMM,
-:func:`sepop.tensor.correlate_separable_slabs`), and the cost sums
-the penalty over each slab as soon as it is filled
-(:func:`sepop.objective.analysis_sparsity`); the gradient applies the
+correlation (:func:`sepop.tensor.correlate_separable`, per mode and slab of
+patch origins the shifted slices stacked and contracted in one GEMM), and the
+cost sums the penalty over its coefficients
+(:func:`sepop.objective.sparsity_measure`); the gradient applies the
 correlation's adjoint (:func:`sepop.tensor.correlate_separable_adjoint`, one
 GEMM per mode and a scatter-add over the patch offsets, each add along the
 axis with the most patch origins).  Both are the same dot products, in the
@@ -36,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from sepop import cg
-from sepop.objective import analysis_sparsity, check_nu, sparsity_gradient
+from sepop.objective import check_nu, sparsity_gradient, sparsity_measure
 from sepop.tensor import correlate_separable, correlate_separable_adjoint
 from sepop.volume import Volume
 
@@ -223,7 +222,8 @@ def _evaluate(
     The gradient takes over the residual and the analysis coefficients that
     the cost computed, so it can be called once; it overwrites the
     coefficients with the penalty's derivative and frees them as soon as it
-    has used them.  Neither cost nor gradient holds a second
+    has used them.  The cost is two calls, the analysis and then the sum of
+    the penalty over it, and neither it nor the gradient holds a second
     coefficient-sized array: the analysis fills the coefficients one slab at
     a time, and the penalty's sum and derivative work through the flat
     coefficients one cache-sized chunk at a time.
@@ -236,8 +236,8 @@ def _evaluate(
     # overlap produced by the stride.
     overlap = math.prod(-(-d // cfg.patch_stride) for d in cfg.patch_dims)
     weight = cfg.lam / overlap
-    penalty, coeffs = analysis_sparsity(v, factors, cfg.nu, cfg.patch_stride)
-    reg_term = weight * penalty
+    coeffs = correlate_separable(v, factors, cfg.patch_stride)
+    reg_term = weight * sparsity_measure(coeffs, cfg.nu)
     state = [residual, coeffs]
 
     def gradient() -> np.ndarray:

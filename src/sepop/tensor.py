@@ -5,16 +5,16 @@ storage (last index fastest), so the vectorization of a separable analysis is
 the Kronecker chain of its factors applied to ``tensor.ravel()``.  Every factor
 is applied by one kernel, :func:`rotate_product`, a GEMM over a leading axis:
 learning chains it over patch batches, and the analysis of every window over
-stacks of shifted slices.  The adjoint of that analysis synthesizes the
-windows with one GEMM per mode and block of window origins, and adds them in
-along the axis with the most origins.  Formulas in the docs are stated
-1-based; all code indices are 0-based.
+stacks of shifted slices, one cache-sized slab of the result at a time.  The
+adjoint of that analysis synthesizes the windows with one GEMM per mode and
+block of window origins, and adds them in along the axis with the most
+origins.  Formulas in the docs are stated 1-based; all code indices are
+0-based.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from itertools import product
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 # block and its partial products stay in a per-core L2 cache.
 _BLOCK_BYTES = 256 * 1024
 # The analysis fills about this many bytes of its result at a time, so that a
-# slab and its partial products stay in cache until its caller has used them.
+# slab and its partial products stay in cache.
 _SLAB_BYTES = 2 * 1024 * 1024
 
 
@@ -53,37 +53,22 @@ def correlate_separable(
     separable analysis of the n_1 x ... x n_N window starting at
     ``stride * p``: a bank of k_1 ... k_N separable correlation filters.
 
-    The result is filled one slab of its first axis at a time (see
-    :func:`correlate_separable_slabs`).  Within a slab, mode i stacks the n_i
-    shifted (strided) slices of the partial product along its axis and
-    contracts them with F_i in one :func:`rotate_product`, which puts k_i last:
-    one GEMM over the slab's window origins, so windows that overlap share
-    their partial products instead of recomputing them.  Every output entry
-    is the same chain of n_i-term dot products as the per-window mode
-    products, and rounds the same.  A window as long as its axis (``m_i = 1``)
-    is the plain mode product.
-    """
-    out, slabs = correlate_separable_slabs(x, factors, stride)
-    for _ in slabs:
-        pass
-    return out
-
-
-def correlate_separable_slabs(
-    x: np.ndarray, factors: list[np.ndarray], stride: int = 1
-) -> tuple[np.ndarray, Iterator[int]]:
-    """The uninitialized result of :func:`correlate_separable` and an iterator that fills it.
-
-    Each step fills the next slab of whole planes of the result's first axis
-    (a leading axis, or with none the first mode's window origins) and yields
-    how many of the result's flat (C-order) entries are now final, so a
-    caller can consume the entries while they are still in cache.  A slab
-    holds about :data:`_SLAB_BYTES` of planes, and at least two: a slab of one
-    plane can make numpy take another matmul path (matrix-vector, or strides
-    it hands to BLAS instead of its own loop), which rounds differently, so a
-    one-plane remainder joins the slab before it.  A slab along window origins
-    reads ``stride * (planes - 1) + n_1`` input rows, its windows' halo
-    included.  The last mode's GEMM writes straight into the result.
+    The result is filled one slab of whole planes of its first axis (a
+    leading axis, or with none the first mode's window origins) at a time,
+    about :data:`_SLAB_BYTES` each, so that a slab's partial products stay in
+    cache.  A slab holds at least two planes: a slab of one plane can make
+    numpy take another matmul path (matrix-vector, or strides it hands to
+    BLAS instead of its own loop), which rounds differently, so a one-plane
+    remainder joins the slab before it.  A slab along window origins reads
+    ``stride * (planes - 1) + n_1`` input rows, its windows' halo included.
+    Within a slab, mode i stacks the n_i shifted (strided) slices of the
+    partial product along its axis and contracts them with F_i in one
+    :func:`rotate_product`, which puts k_i last: one GEMM over the slab's
+    window origins, so windows that overlap share their partial products
+    instead of recomputing them; the last mode's GEMM writes straight into
+    the result.  Every output entry is the same chain of n_i-term dot
+    products as the per-window mode products, and rounds the same.  A window
+    as long as its axis (``m_i = 1``) is the plain mode product.
     """
     x = np.ascontiguousarray(x, dtype=float)  # np.stack keeps its slices' memory order
     lead = x.ndim - len(factors)
@@ -105,15 +90,7 @@ def correlate_separable_slabs(
             )
     starts = tuple((d - f.shape[1]) // stride + 1 for f, d in zip(factors, x.shape[lead:]))
     out = np.empty(x.shape[:lead] + starts + tuple(len(f) for f in factors))
-    return out, _fill_slabs(x, factors, stride, lead, out)
-
-
-def _fill_slabs(
-    x: np.ndarray, factors: list[np.ndarray], stride: int, lead: int, out: np.ndarray
-) -> Iterator[int]:
-    """Fill ``out`` slab by slab for :func:`correlate_separable_slabs`."""
-    plane = math.prod(out.shape[1:])
-    planes = max(2, _SLAB_BYTES // max(8 * plane, 1))
+    planes = max(2, _SLAB_BYTES // max(8 * math.prod(out.shape[1:]), 1))
     total, first = len(out), factors[0].shape[1]
     start = 0
     while start < total:
@@ -136,8 +113,8 @@ def _fill_slabs(
                 part = rotate_product(stack, factor)
             else:
                 rotate_product(stack, factor, out=out[start:stop])
-        yield stop * plane
         start = stop
+    return out
 
 
 def correlate_separable_adjoint(

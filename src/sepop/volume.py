@@ -181,7 +181,7 @@ def read_volume(path: str) -> Volume:
     with open(hpath, "r", encoding="utf-8") as fh:
         try:
             header = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{hpath}: malformed header: {exc}") from exc
     for key in ("dims", "intensity_range", "byte_order", "dtype"):
         if not isinstance(header, dict) or key not in header:
@@ -225,10 +225,19 @@ def import_raw_volume(
     dtype: str = "u8",
     intensity_range: tuple[float, float] = (0.0, 255.0),
 ) -> Volume:
-    """Import a headerless 8/16-bit raw grid (e.g. atlas exports) as a Volume."""
+    """Import a headerless 8/16-bit raw grid (e.g. atlas exports) as a Volume.
+
+    A path that is not a regular file, dims that are not three positive
+    integers and a size that does not match them are refused, before any work,
+    with a ``ValueError`` naming them.
+    """
     dtypes = {"u8": "u1", "u16": "<u2"}
     if dtype not in dtypes:
         raise ValueError(f"unsupported raw dtype {dtype!r}; expected one of {sorted(dtypes)}")
+    if len(dims) != 3 or not all(isinstance(d, (int, np.integer)) and d >= 1 for d in dims):
+        raise ValueError(f"raw volume dims must be three positive integers, got {dims}")
+    if not os.path.isfile(path):
+        raise ValueError(f"raw volume {path} is missing or not a regular file")
     raw = np.fromfile(path, dtype=dtypes[dtype])
     expected = math.prod(dims)
     if raw.size != expected:

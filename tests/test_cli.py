@@ -383,7 +383,7 @@ class TestDenoise:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "defect", ["truncated block", "truncated header", "nan entry", "long row"]
+        "defect", ["truncated block", "truncated header", "nan entry", "long row", "not UTF-8"]
     )
     def test_malformed_operator_file_exits_1_naming_it(
         self, tmp_path, phantom, operators, capsys, defect
@@ -396,10 +396,11 @@ class TestDenoise:
             lines = lines[:first]
         elif defect == "nan entry":
             lines[first + 1] = " ".join(["nan"] + lines[first + 1].split()[1:])
-        else:
+        elif defect == "long row":
             lines[first + 1] = " ".join(repr(2.0 * float(v)) for v in lines[first + 1].split())
         bad = tmp_path / "bad_ops.txt"
-        bad.write_text("\n".join(lines) + "\n")
+        prefix = b"\xff" if defect == "not UTF-8" else b""
+        bad.write_bytes(prefix + ("\n".join(lines) + "\n").encode())
         code = run(
             "denoise", "--in", phantom, "--op", str(bad), "--sigma", "5",
             "--max-iters", "2", "--out", str(tmp_path / "d.vol"),
@@ -504,6 +505,13 @@ class TestEval:
             fh.write(header.replace(old, value))
         assert run("eval", "--ref", phantom, "--test", phantom) == 1
         assert f"{hpath}: malformed header field {field!r}" in capsys.readouterr().err
+
+    def test_header_that_is_not_utf8_exits_1_naming_it(self, capsys, phantom):
+        hpath = volume.header_path(phantom)
+        with open(hpath, "r+b") as fh:
+            fh.write(b"\xff")
+        assert run("eval", "--ref", phantom, "--test", phantom) == 1
+        assert f"{hpath}: malformed header" in capsys.readouterr().err
 
 
 class TestDeterminism:

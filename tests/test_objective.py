@@ -76,7 +76,6 @@ NU_OWNERS = {
     "LearningParams": lambda nu: LearningParams(nu=nu),
     "ReconConfig": lambda nu: ReconConfig(lam=1.0, nu=nu),
     "sparsity_measure": lambda nu: objective.sparsity_measure(np.ones(3), nu),
-    "analysis_sparsity": lambda nu: objective.analysis_sparsity(np.ones((4, 4)), [np.ones((2, 3))] * 2, nu),
 }
 
 
@@ -88,7 +87,8 @@ def test_every_penalty_weight_owner_refuses_nu_with_one_message(owner, nu):
 
 
 class TestAnalysisSparsity:
-    """The fused analysis and penalty sum equal the analysis and numpy's sum over it, bit for bit."""
+    """The penalty summed over the slabbed analysis equals numpy's sum over the whole-array
+    analysis, bit for bit, whatever the slab budget and the sum's leaf size."""
 
     SHAPES = [(3, 5), (5, 3), (3, 4)]  # 45 coefficients per window: odd plane sizes
 
@@ -105,25 +105,9 @@ class TestAnalysisSparsity:
         x = rng.standard_normal((14, 9, 10)) * rng.choice([1e-3, 0.1, 10.0], (14, 9, 10))
         nu = 1000.0
         c = oracles.whole_array_analysis(x, factors, stride)
-        penalty, coeffs = objective.analysis_sparsity(x, factors, nu, stride)
+        coeffs = tensor.correlate_separable(x, factors, stride)
         assert np.array_equal(coeffs, c)
-        assert penalty == np.sum(np.log1p(nu * c * c))
-
-    def test_slab_ends_fall_inside_tree_leaves(self, monkeypatch):
-        # the case the test above exercises: a leaf is summed only once the
-        # slab that ends inside it has been filled
-        monkeypatch.setattr(tensor, "_SLAB_BYTES", 1)
-        monkeypatch.setattr(objective, "_CHUNK", 128)
-        rng = np.random.default_rng(1)
-        factors = [rng.standard_normal(shape) for shape in self.SHAPES]
-        x = rng.standard_normal((14, 9, 10))
-        _, slabs = tensor.correlate_separable_slabs(x, factors)
-        slab_ends = list(slabs)
-        leaf_ends: list[int] = []
-        flat = np.zeros(slab_ends[-1])
-        objective._log_penalty_sum(flat, 1.0, np.empty(128), leaf_ends.append)
-        assert leaf_ends == sorted(leaf_ends) and leaf_ends[-1] == flat.size
-        assert any(end not in leaf_ends for end in slab_ends[:-1])
+        assert objective.sparsity_measure(coeffs, nu) == np.sum(np.log1p(nu * c * c))
 
 
 class TestSparsityGradient:

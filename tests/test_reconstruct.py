@@ -373,27 +373,18 @@ class TestAnalysisWork:
 
     def test_three_products_per_slab_and_no_window_view(self, monkeypatch, rng, factors):
         calls = {"rotate_product": 0, "slabs": 0}
-        rotate_product, slabs = tensor.rotate_product, objective.correlate_separable_slabs
+        rotate_product = tensor.rotate_product
 
         def counting_product(*args, **kwargs):
             calls["rotate_product"] += 1
+            # a slab's last mode writes straight into the result
+            calls["slabs"] += kwargs.get("out") is not None
             return rotate_product(*args, **kwargs)
-
-        def counting_slabs(*args, **kwargs):
-            out, steps = slabs(*args, **kwargs)
-
-            def counted():
-                for end in steps:
-                    calls["slabs"] += 1
-                    yield end
-
-            return out, counted()
 
         def no_windows(*args, **kwargs):
             raise AssertionError("sliding_window_view called")
 
         monkeypatch.setattr(tensor, "rotate_product", counting_product)
-        monkeypatch.setattr(objective, "correlate_separable_slabs", counting_slabs)
         monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", no_windows)
         dims = (32, 32, 8)
         op = IdentityMeasurement(dims)
@@ -401,6 +392,28 @@ class TestAnalysisWork:
         reconstruct._evaluate(v, op.forward(v), op, factors, ReconConfig(lam=1500.0))
         # 28 planes of 28 x 4 origins, 10 to a 2 MiB slab: 10, 10 and 8
         assert calls == {"rotate_product": 3 * 3, "slabs": 3}
+
+    def test_the_cost_analyzes_once_then_sums_once(self, monkeypatch, rng, factors):
+        # the names the benchmark's per-layer wrappers replace, so each call is timed
+        # in its own layer
+        calls = {"correlate_separable": 0, "sparsity_measure": 0}
+
+        def counting(name):
+            original = getattr(reconstruct, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(reconstruct, name, counting(name))
+        dims = (32, 32, 8)
+        op = FourierMeasurement(dims, radial_mask_for_rate(dims[0], dims[1], 0.6))
+        v = rng.uniform(0, 255, dims)
+        reconstruct._evaluate(v, op.forward(v), op, factors, ReconConfig(lam=1500.0))
+        assert calls == {"correlate_separable": 1, "sparsity_measure": 1}
 
 
 class TestCacheSizedPasses:

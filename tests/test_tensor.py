@@ -168,6 +168,8 @@ class TestCorrelateSeparable:
             tensor.correlate_separable(x, [f, np.zeros((3, 5))])
         with pytest.raises(ValueError, match="stride"):
             tensor.correlate_separable(x, [f, f], stride=0)
+        with pytest.raises(ValueError, match="stride"):
+            tensor.correlate_separable(x, [f], stride=0)  # one mode, one leading axis
         with pytest.raises(ValueError, match="at least one factor"):
             tensor.correlate_separable(x, [])
 
@@ -354,25 +356,6 @@ class TestSlabbedAnalysis:
         assert analysis.shape == whole.shape
         assert np.array_equal(analysis, whole)
 
-    @pytest.mark.parametrize("shapes, dims, stride", CASES)
-    def test_each_step_makes_a_prefix_final(self, monkeypatch, shapes, dims, stride):
-        rng = np.random.default_rng(5)
-        factors = [rng.standard_normal(shape) for shape in shapes]
-        x = rng.standard_normal(dims)
-        whole = oracles.whole_array_analysis(x, factors, stride).reshape(-1)
-        monkeypatch.setattr(tensor, "_SLAB_BYTES", 1)
-        out, slabs = tensor.correlate_separable_slabs(x, factors, stride)
-        assert out.size == whole.size
-        ends = []
-        for end in slabs:
-            assert np.array_equal(out.reshape(-1)[:end], whole[:end])
-            ends.append(end)
-        assert ends == sorted(set(ends)) and ends[-1] == whole.size
-        # a budget under one plane still fills two planes a step, or the whole axis
-        plane = whole.size // len(out)
-        steps = [b - a for a, b in zip([0] + ends, ends)]
-        assert all(step >= min(2, len(out)) * plane for step in steps)
-
     @pytest.mark.parametrize("shapes", [[(1, 11), (1, 11)], [(6, 5), (6, 5)]])
     def test_a_strided_input_is_analyzed_as_its_copy(self, shapes):
         # MSSIM analyzes its slices through a moveaxis view of the volume
@@ -382,7 +365,3 @@ class TestSlabbedAnalysis:
         x = np.moveaxis(volume, 2, 0)
         whole = oracles.whole_array_analysis(x, factors)
         assert np.array_equal(tensor.correlate_separable(x, factors), whole)
-
-    def test_slab_checks_raise_before_any_step(self):
-        with pytest.raises(ValueError, match="stride"):
-            tensor.correlate_separable_slabs(np.zeros((4, 4)), [np.zeros((3, 2))], stride=0)

@@ -270,6 +270,15 @@ class TestVolumeFiles:
         with pytest.raises(ValueError, match="missing header field 'dims'"):
             volume.read_volume(path)
 
+    def test_header_that_is_not_utf8_named(self, tmp_path):
+        path = str(tmp_path / "v.vol")
+        volume.write_volume(volume.synth_phantom((8, 8, 8), seed=19), path)
+        hpath = volume.header_path(path)
+        with open(hpath, "r+b") as fh:
+            fh.write(b"\xff")
+        with pytest.raises(ValueError, match=re.escape(f"{hpath}: malformed header")):
+            volume.read_volume(path)
+
     def test_patch_survives_round_trip(self, tmp_path):
         vol = volume.synth_phantom((12, 12, 12), seed=14)
         path = str(tmp_path / "v.vol")
@@ -294,3 +303,19 @@ class TestRawImport:
         np.zeros(10, dtype=np.uint8).tofile(path)
         with pytest.raises(ValueError, match="require"):
             volume.import_raw_volume(path, (3, 3, 3), dtype="u8")
+
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_path_that_is_not_a_regular_file_rejected(self, tmp_path, kind):
+        path = str(tmp_path / "grid.raw")
+        if kind == "directory":
+            os.mkdir(path)
+        with pytest.raises(ValueError, match=f"raw volume {re.escape(path)} is missing or not a regular file"):
+            volume.import_raw_volume(path, (3, 3, 3), dtype="u8")
+
+    @pytest.mark.parametrize("dims", [(0, 0, 0), (3, 3), (3, -3, 3), (3, 3.0, 3)])
+    def test_dims_that_are_not_three_positive_integers_rejected(self, tmp_path, dims):
+        path = str(tmp_path / "grid.raw")
+        np.zeros(27, dtype=np.uint8).tofile(path)
+        message = f"raw volume dims must be three positive integers, got {dims}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            volume.import_raw_volume(path, dims, dtype="u8")
