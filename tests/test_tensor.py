@@ -356,6 +356,35 @@ class TestSlabbedAnalysis:
         assert analysis.shape == whole.shape
         assert np.array_equal(analysis, whole)
 
+    @pytest.mark.parametrize("shapes, dims, stride", CASES)
+    def test_each_step_makes_a_prefix_final(self, monkeypatch, shapes, dims, stride):
+        rng = np.random.default_rng(5)
+        factors = [rng.standard_normal(shape) for shape in shapes]
+        x = rng.standard_normal(dims)
+        whole = oracles.whole_array_analysis(x, factors, stride).reshape(-1)
+        rotate_product, ends = tensor.rotate_product, []
+
+        def checking_product(*args, out=None, **kwargs):
+            result = rotate_product(*args, out=out, **kwargs)
+            if out is not None:
+                # a slab's last mode writes its planes of the result: every entry up
+                # to the slab's end is final once it returns
+                result_start = out.base.__array_interface__["data"][0]
+                end = (out.__array_interface__["data"][0] - result_start) // 8 + out.size
+                assert np.array_equal(out.base.reshape(-1)[:end], whole[:end])
+                ends.append(end)
+            return result
+
+        monkeypatch.setattr(tensor, "_SLAB_BYTES", 1)
+        monkeypatch.setattr(tensor, "rotate_product", checking_product)
+        out = tensor.correlate_separable(x, factors, stride)
+        assert out.size == whole.size
+        assert ends == sorted(set(ends)) and ends[-1] == whole.size
+        # a budget under one plane still fills two planes a step, or the whole axis
+        plane = whole.size // len(out)
+        steps = [b - a for a, b in zip([0] + ends, ends)]
+        assert all(step >= min(2, len(out)) * plane for step in steps)
+
     @pytest.mark.parametrize("shapes", [[(1, 11), (1, 11)], [(6, 5), (6, 5)]])
     def test_a_strided_input_is_analyzed_as_its_copy(self, shapes):
         # MSSIM analyzes its slices through a moveaxis view of the volume
