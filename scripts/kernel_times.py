@@ -1,0 +1,175 @@
+#!/usr/bin/env python3
+"""Time the package's hot kernels in the working tree, and at a parent commit if one is given.
+
+Usage, from anywhere inside the repository::
+
+    scripts/kernel_times.py [PARENT_REF] [--rounds 4] [--reps 25]
+
+The working tree (and ``PARENT_REF``) are exported as ``scripts/bench_pairs.py``
+exports them.  Each round runs one fresh worker process per side, one at a
+time, the first side alternating round to round; a worker imports ``sepop``
+from its side's ``src``, builds the same seeded inputs, calls each kernel once
+to warm it, then times ``--reps`` calls of it.  Workers run with one BLAS
+thread and the benchmark's malloc settings.  Per kernel and side, the minimum
+and median over every timed call are printed in milliseconds, and with a
+parent the change of the minimum.  ``--tiny`` uses small shapes, to check the
+tool itself.  The temporary copies are removed however the script ends.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+from bench_pairs import export_ref, export_worktree, git
+from compare_outputs import BLAS_THREADS
+
+MALLOC = {"MALLOC_MMAP_MAX_": "0", "MALLOC_TRIM_THRESHOLD_": str(1 << 30)}  # bench/common.py's
+
+# Learning batch size, and the reconstruction volumes of the denoise and cs workloads.
+SIZES = {
+    "full": {"T": 2000, "cube": (32, 32, 32), "thin": (32, 32, 8)},
+    "tiny": {"T": 40, "cube": (8, 8, 8), "thin": (8, 8, 5)},
+}
+
+
+def kernels(size: str) -> dict:
+    """Name -> (set-up run before each timed call, or None; the call), on seeded inputs,
+    for the ``sepop`` on the path."""
+    import numpy as np
+
+    from sepop import manifold, objective, reconstruct, tensor
+
+    dims = SIZES[size]
+    rng = np.random.default_rng(20)
+    factors = [manifold.random_factor(6, 5, rng) for _ in range(3)]
+    params = objective.LearningParams()
+    batch = objective.PatchBatch.of(rng.standard_normal((dims["T"], 5, 5, 5)))
+    inputs: list = []
+    objective.analyze_batch(batch, factors, inputs)
+    # What the gradient's partials read: the first mode's layout and its product with F_2,
+    # and the mode-1 partial's strided view of the array mode 2 read.
+    first = tensor.rotate_product(batch.first_mode, factors[1])
+    strided = np.moveaxis(inputs[1], 0, 2)
+    table = {
+        f"rotate_product analysis mode {i + 1}": (None, lambda i=i: tensor.rotate_product(inputs[i], factors[i]))
+        for i in range(3)
+    }
+    table["rotate_product partial 1, F_2"] = (None, lambda: tensor.rotate_product(batch.first_mode, factors[1]))
+    table["rotate_product partial 1, F_3"] = (None, lambda: tensor.rotate_product(first, factors[2]))
+    table["rotate_product partial 2 (strided)"] = (None, lambda: tensor.rotate_product(strided, factors[2]))
+    table["patch_analysis"] = (None, lambda: objective.patch_analysis(factors, batch, params.nu))
+    table["learning cost"] = (None, lambda: objective.learning_cost(factors, batch, params))
+
+    def cost_and_gradient():
+        analysis = objective.patch_analysis(factors, batch, params.nu)
+        objective.learning_cost(factors, batch, params, analysis)
+        objective.learning_gradient(factors, batch, params, analysis)
+
+    table["learning cost+gradient"] = (None, cost_and_gradient)
+    for name in ("cube", "thin"):
+        shape = dims[name]
+        label = "x".join(map(str, shape))
+        volume = rng.standard_normal(shape)
+        coeffs = tensor.correlate_separable(volume, factors)
+        scratch = np.empty_like(coeffs)
+        table[f"correlate_separable {label}"] = (None, lambda v=volume: tensor.correlate_separable(v, factors))
+        table[f"correlate_separable_adjoint {label}"] = (
+            None, lambda c=coeffs, s=shape: tensor.correlate_separable_adjoint(c, factors, s))
+        table[f"sparsity_measure {label}"] = (None, lambda c=coeffs: objective.sparsity_measure(c, params.nu))
+        table[f"sparsity_gradient {label}"] = (
+            lambda c=coeffs, s=scratch: np.copyto(s, c),
+            lambda s=scratch: objective.sparsity_gradient(s, params.nu))
+    shape = dims["thin"]
+    label = "x".join(map(str, shape))
+    volume = rng.standard_normal(shape)
+    op = reconstruct.FourierMeasurement(shape, reconstruct.radial_mask_for_rate(*shape[:2], 0.6))
+    measured = op.forward(volume)
+    table[f"Fourier forward {label}"] = (None, lambda: op.forward(volume))
+    table[f"Fourier adjoint {label}"] = (None, lambda: op.adjoint(measured))
+    return table
+
+
+def worker(size: str, reps: int) -> None:
+    """Print, as JSON, each kernel's ``reps`` call times in ms, for the ``sepop`` on the path."""
+    times = {}
+    for name, (prepare, call) in kernels(size).items():
+        if prepare:
+            prepare()
+        call()  # warm
+        samples = []
+        for _ in range(reps):
+            if prepare:
+                prepare()
+            begin = time.perf_counter()
+            call()
+            samples.append(1e3 * (time.perf_counter() - begin))
+        times[name] = samples
+    print(json.dumps(times))
+
+
+def run_worker(checkout: str, size: str, reps: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), **MALLOC)
+    env.update(dict.fromkeys(BLAS_THREADS, "1"))
+    cmd = [sys.executable, os.path.abspath(__file__), "--worker", "--reps", str(reps)]
+    if size == "tiny":
+        cmd.append("--tiny")
+    done = subprocess.run(cmd, env=env, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"kernel worker in {checkout} exited {done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_ref", metavar="PARENT_REF", nargs="?")
+    parser.add_argument("--rounds", type=int, default=4)
+    parser.add_argument("--reps", type=int, default=25)
+    parser.add_argument("--tiny", action="store_const", const="tiny", default="full", dest="size")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.rounds < 1 or args.reps < 1:
+        parser.error("--rounds and --reps must be at least 1")
+    if args.worker:
+        worker(args.size, args.reps)
+        return 0
+
+    root = git(os.getcwd(), "rev-parse", "--show-toplevel").decode().strip()
+    sides = ("parent", "change") if args.parent_ref else ("change",)
+    samples: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
+    tmp = tempfile.mkdtemp(prefix="kernel-times-")
+    try:
+        checkouts = {side: os.path.join(tmp, side) for side in sides}
+        if args.parent_ref:
+            export_ref(root, args.parent_ref, checkouts["parent"])
+        export_worktree(root, checkouts["change"])
+        for round_ in range(args.rounds):
+            for side in sides if round_ % 2 == 0 else sides[::-1]:
+                for name, times in run_worker(checkouts[side], args.size, args.reps).items():
+                    samples[side].setdefault(name, []).extend(times)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    print(f"{'kernel (ms)':40s}" + "".join(f"{side + ' min':>13s}{side + ' median':>15s}" for side in sides)
+          + ("  min change" if args.parent_ref else ""))
+    for name in samples["change"]:
+        row = f"{name:40s}"
+        for side in sides:
+            times = samples[side][name]
+            row += f"{min(times):13.3f}{statistics.median(times):15.3f}"
+        if args.parent_ref:
+            old, new = min(samples["parent"][name]), min(samples["change"][name])
+            row += f"  {100 * (new - old) / old:+9.1f} %"
+        print(row)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -82,14 +82,17 @@ def _log_penalty_sum(c: np.ndarray, nu: float, buf: np.ndarray) -> np.float64:
     """
     n = len(c)
     if n <= len(buf):
-        q = buf[:n]
-        np.multiply(c, nu, out=q)
-        q *= c
-        np.log1p(q, out=q)
-        return np.sum(q)
+        return np.sum(_log_penalty(c, nu, buf[:n]))
     half = n // 2
     half -= half % 8
     return _log_penalty_sum(c[:half], nu, buf) + _log_penalty_sum(c[half:], nu, buf)
+
+
+def _log_penalty(c: np.ndarray, nu: float, q: np.ndarray) -> np.ndarray:
+    """``q = np.log1p(nu * c * c)``, computed in ``q``, which has ``c``'s shape."""
+    np.multiply(c, nu, out=q)
+    q *= c
+    return np.log1p(q, out=q)
 
 
 def sparsity_gradient(coeffs: np.ndarray, nu: float) -> None:
@@ -234,12 +237,20 @@ class PatchAnalysis:
 def patch_analysis(
     factors: list[np.ndarray], patches: np.ndarray | PatchBatch, nu: float
 ) -> PatchAnalysis:
-    """The batch's coefficients, per-patch sum of log(1 + nu c^2), and the gradient's share."""
+    """The batch's coefficients, per-patch sum of log(1 + nu c^2), and the gradient's share.
+
+    The penalty is formed and summed one block of whole patches at a time, about
+    :data:`_CHUNK` entries, in one reused buffer: each patch's sum is still numpy's over
+    its contiguous entries, so it equals the sum over the whole array's patch axes."""
     mode_inputs: list[np.ndarray] = []
     coeffs = analyze_batch(patches, factors, mode_inputs)
-    q = np.multiply(coeffs, nu)  # np.log1p(nu * coeffs * coeffs), in one buffer
-    q *= coeffs
-    per_sample = np.sum(np.log1p(q, out=q), axis=tuple(range(1, q.ndim)))
+    flat = coeffs.reshape(len(coeffs), -1)
+    per_sample = np.empty(len(flat))
+    step = max(1, _CHUNK // flat.shape[1])
+    buf = np.empty((min(step, len(flat)), flat.shape[1]))
+    for start in range(0, len(flat), step):
+        c = flat[start : start + step]
+        np.sum(_log_penalty(c, nu, buf[: len(c)]), axis=1, out=per_sample[start : start + step])
     return PatchAnalysis(coeffs, per_sample, mode_inputs)
 
 

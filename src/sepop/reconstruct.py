@@ -103,15 +103,25 @@ def radial_mask(h: int, w: int, num_lines: int) -> SamplingMask:
 
 
 def radial_mask_for_rate(h: int, w: int, rate: float) -> SamplingMask:
-    """Smallest line count whose radial mask reaches the target rate."""
+    """Smallest line count whose radial mask reaches the target rate.
+
+    Masks of up to 4 (h + w) + 1 lines are tried.  A rate that none of them
+    reaches is refused with a ``ValueError`` naming the highest rate reached: on
+    an even grid, row 0 and column 0 are never sampled, as their mirror about
+    DC falls outside the grid.
+    """
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must lie in (0, 1], got {rate}")
-    num_lines = 1
-    while True:
+    highest = 0.0
+    for num_lines in range(1, 4 * (h + w) + 2):
         m = radial_mask(h, w, num_lines)
-        if m.sampling_rate >= rate or num_lines > 4 * (h + w):
+        if m.sampling_rate >= rate:
             return m
-        num_lines += 1
+        highest = max(highest, m.sampling_rate)
+    raise ValueError(
+        f"rate {rate} is not reached by any radial mask on a {h}x{w} grid; "
+        f"the highest rate reached is {highest}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,13 @@
 Tensors are plain C-contiguous ``numpy.ndarray`` values with row-major
 storage (last index fastest), so the vectorization of a separable analysis is
 the Kronecker chain of its factors applied to ``tensor.ravel()``.  Every factor
-is applied by one kernel, :func:`rotate_product`, a GEMM over a leading axis:
-learning chains it over patch batches, and the analysis of every window over
-stacks of shifted slices, one cache-sized slab of the result at a time.  The
-adjoint of that analysis synthesizes the windows with one GEMM per mode and
-block of window origins, and adds them in along the axis with the most
-origins.  Formulas in the docs are stated 1-based; all code indices are
-0-based.
+is applied by one kernel, :func:`rotate_product`, a GEMM over a leading axis
+issued in cache-sized blocks of rows: learning chains it over patch batches,
+and the analysis of every window over stacks of shifted slices, one
+cache-sized slab of the result at a time.  The adjoint of that analysis
+synthesizes the windows with one GEMM per mode and block of window origins,
+and adds them in along the axis with the most origins.  Formulas in the docs
+are stated 1-based; all code indices are 0-based.
 """
 
 from __future__ import annotations
@@ -25,19 +25,37 @@ _BLOCK_BYTES = 256 * 1024
 # The analysis fills about this many bytes of its result at a time, so that a
 # slab and its partial products stay in cache.
 _SLAB_BYTES = 2 * 1024 * 1024
+# A leading-mode product issues its GEMM in blocks of about this many bytes of
+# operand and result rows, so that a block's packed operand and result stay in a
+# per-core L2 cache.
+_GEMM_BYTES = 512 * 1024
 
 
 def rotate_product(x: np.ndarray, factor: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Contract the leading axis of ``x`` with a (k, n) factor and put the new axis last.
 
-    One GEMM, whose operand ``x.reshape(n, -1).T`` BLAS reads transposed in place (a
-    C-contiguous ``x`` is not copied); each entry is ``np.tensordot``'s over axis 0, bit for bit.
-    The result is written into ``out`` (C-contiguous, of the result's shape) if it is given."""
+    A GEMM whose operand ``x.reshape(n, -1).T`` BLAS reads transposed in place (a
+    C-contiguous ``x`` is not copied), issued in consecutive blocks of its rows, each about
+    :data:`_GEMM_BYTES` of operand and result rows and at least two rows, so that a block's
+    packed operand and result stay in cache.  A one-row remainder joins the block before
+    it, and a one-row factor is one call: either would take numpy's matrix-vector path,
+    which rounds by the operand's layout.  Each entry is ``np.tensordot``'s over axis 0,
+    bit for bit.  The result is written into ``out`` (C-contiguous, of the result's shape)
+    if it is given."""
     x, factor = np.asarray(x, dtype=float), np.asarray(factor, dtype=float)
     rows = x.reshape(len(x), math.prod(x.shape[1:])).T
+    (total, n), k = rows.shape, len(factor)
     if out is None:
-        return (rows @ factor.T).reshape(x.shape[1:] + (len(factor),))
-    np.matmul(rows, factor.T, out=out.reshape(len(rows), len(factor)))
+        result = np.empty((total, k))
+        out = result.reshape(x.shape[1:] + (k,))
+    else:
+        result = out.reshape(total, k)
+    block = total if k == 1 else max(2, _GEMM_BYTES // (8 * (n + k)))
+    start = 0
+    while start < total:
+        stop = total if total - start <= block + 1 else start + block
+        np.matmul(rows[start:stop], factor.T, out=result[start:stop])
+        start = stop
     return out
 
 

@@ -194,13 +194,10 @@ def read_volume(path: str) -> Volume:
     intensity_range = _header_values(hpath, header, "intensity_range", float, 2)
     if not os.path.isfile(path):
         raise ValueError(f"missing volume payload {path}")
+    size, expected = os.path.getsize(path), 8 * math.prod(dims)
+    if size != expected:  # before reading any of it
+        raise ValueError(f"{path}: payload has {size} bytes, header dims {dims} require {expected}")
     raw = np.fromfile(path, dtype="<f8")
-    expected = math.prod(dims)
-    if raw.size != expected:
-        raise ValueError(
-            f"{path}: payload has {raw.size} values, header dims {dims} "
-            f"require {expected}"
-        )
     if not np.all(np.isfinite(raw)):
         bad = int(np.flatnonzero(~np.isfinite(raw))[0])
         raise ValueError(f"{path}: non-finite value at flat index {bad}")
@@ -238,10 +235,10 @@ def import_raw_volume(
         raise ValueError(f"raw volume dims must be three positive integers, got {dims}")
     if not os.path.isfile(path):
         raise ValueError(f"raw volume {path} is missing or not a regular file")
+    size, expected = os.path.getsize(path), np.dtype(dtypes[dtype]).itemsize * math.prod(dims)
+    if size != expected:  # before reading any of it
+        raise ValueError(f"{path}: {size} bytes, dims {dims} of {dtype} require {expected}")
     raw = np.fromfile(path, dtype=dtypes[dtype])
-    expected = math.prod(dims)
-    if raw.size != expected:
-        raise ValueError(f"{path}: {raw.size} samples, dims {dims} require {expected}")
     data = raw.astype(float).reshape(dims)
     peak = data.max()
     if peak > 0:

@@ -432,13 +432,13 @@ class TestDenoise:
 
 class TestCs:
     def test_tiny_lambda_keeps_zero_fill(self, tmp_path, phantom, operators):
-        # digital radial lines cannot cover every pixel, so "--rate 1.0" yields
-        # the densest attainable mask; with a negligible regularizer weight the
+        # digital radial lines cannot cover every pixel: 0.87890625 is the densest
+        # attainable mask on a 16x16 slice; with a negligible regularizer weight the
         # reconstruction stays at the data-consistent zero-filling estimate
         out = str(tmp_path / "r.vol")
         csv = str(tmp_path / "m.csv")
         code = run(
-            "cs", "--in", phantom, "--op", operators, "--rate", "1.0",
+            "cs", "--in", phantom, "--op", operators, "--rate", "0.87890625",
             "--lambda", "1e-6", "--max-iters", "30", "--out", out, "--csv", csv,
         )
         assert code == 0
@@ -464,6 +464,14 @@ class TestCs:
         )
         assert code == 1
         assert "rate must lie in (0, 1], got 1.5" in capsys.readouterr().err
+
+    def test_rate_above_the_densest_mask_exits_1(self, tmp_path, phantom, operators, capsys):
+        out = str(tmp_path / "r.vol")
+        code = run("cs", "--in", phantom, "--op", operators, "--rate", "1.0", "--out", out)
+        assert code == 1
+        assert ("rate 1.0 is not reached by any radial mask on a 16x16 grid; "
+                "the highest rate reached is 0.87890625") in capsys.readouterr().err
+        assert not Path(out).exists()
 
 
 class TestEval:

@@ -75,6 +75,14 @@ class TestRadialMask:
             expected = oracles.radial_mask(h, w, lines)
             assert np.array_equal(radial_mask(h, w, lines).mask, expected), lines
 
+    @pytest.mark.parametrize("h, w, highest", [(32, 32, 0.9384765625), (16, 16, 0.87890625)])
+    def test_rate_above_the_highest_reached_is_refused(self, h, w, highest):
+        # on an even grid, row 0 and column 0 are never sampled
+        assert max(radial_mask(h, w, n).sampling_rate for n in range(1, 4 * (h + w) + 2)) == highest
+        with pytest.raises(ValueError, match=rf"rate 1.0 .* {h}x{w} grid; the highest rate reached is {highest}$"):
+            radial_mask_for_rate(h, w, 1.0)
+        assert radial_mask_for_rate(h, w, highest).sampling_rate == highest
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             radial_mask(2, 9, 1)

@@ -77,3 +77,18 @@ def test_claim_rule(bench_pairs, change, wall_s_meets):
     assert summary["wall_s"]["meets_claim_rule"] is wall_s_meets
     # the same numbers are worse where higher is better
     assert summary["mssim"]["meets_claim_rule"] is False
+
+
+def test_kernel_times_prints_a_row_per_kernel(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    monkeypatch.chdir(ROOT)
+    import kernel_times
+
+    assert kernel_times.main(["--tiny", "--rounds", "1", "--reps", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    names = list(kernel_times.kernels("tiny"))
+    assert names and len(rows) == len(names)
+    for name, row in zip(names, rows):
+        assert row.startswith(name)
+        low, median = map(float, row[len(name):].split())
+        assert 0 < low <= median

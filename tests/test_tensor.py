@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -210,6 +211,54 @@ class TestRotateProduct:
         for mode, factor in enumerate(factors):
             expected = oracles.mode_product(expected, factor, mode + 1)
         assert np.array_equal(chain, expected)
+
+    @pytest.fixture
+    def gemm_rows(self, monkeypatch):
+        """The operand rows of each GEMM that ``rotate_product`` issues."""
+        rows, matmul = [], np.matmul
+
+        def recording(a, b, *args, **kwargs):
+            rows.append(len(a))
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        return rows
+
+    # rows per block: 2, 3, one short of the operand (on these shapes, whose row count less
+    # one is prime, a one-row remainder that joins the block before it), all and more
+    BLOCKS = {"2-rows": lambda m: 2, "3-rows": lambda m: 3, "one-row-remainder": lambda m: m - 1,
+              "over-the-operand": lambda m: 2 * m}
+
+    @pytest.mark.parametrize("given_out", [False, True], ids=["new", "out"])
+    @pytest.mark.parametrize("block", list(BLOCKS), ids=list(BLOCKS))
+    @pytest.mark.parametrize("k", [2, 5, 9], ids=lambda k: f"k{k}")
+    @pytest.mark.parametrize("shape", ["learning-batch", "order-4"])
+    def test_blocks_equal_tensordot_bit_for_bit(self, monkeypatch, gemm_rows, shape, k, block, given_out):
+        shape = self.SHAPES[shape]
+        n, total = shape[0], math.prod(shape[1:])
+        rows = self.BLOCKS[block](total)
+        monkeypatch.setattr(tensor, "_GEMM_BYTES", 8 * (n + k) * rows)
+        rng = np.random.default_rng(k * 31 + len(shape))
+        x = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 1e3], shape)
+        factor = rng.standard_normal((k, n))
+        out = np.empty(shape[1:] + (k,)) if given_out else None
+        result = tensor.rotate_product(x, factor, out=out)
+        assert result is out if given_out else result.shape == shape[1:] + (k,)
+        assert np.array_equal(result, oracles.leading_mode_product(x, factor))
+        whole, last = divmod(total, rows)
+        if last == 1 and whole:
+            expected = [rows] * (whole - 1) + [rows + 1]
+        else:
+            expected = [rows] * whole + ([last] if last else [])
+        assert gemm_rows == expected
+
+    def test_a_one_row_factor_is_one_gemm(self, monkeypatch, gemm_rows):
+        monkeypatch.setattr(tensor, "_GEMM_BYTES", 1)
+        x = np.random.default_rng(2).standard_normal(self.SHAPES["learning-batch"])
+        factor = np.random.default_rng(3).standard_normal((1, 5))
+        out = tensor.rotate_product(x, factor)
+        assert gemm_rows == [50_000]
+        assert np.array_equal(out, oracles.leading_mode_product(x, factor))
 
     def test_reads_a_contiguous_operand_in_place(self):
         x = np.random.default_rng(5).standard_normal((5, 40_000))

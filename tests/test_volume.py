@@ -177,6 +177,10 @@ class TestSynthPhantom:
             volume.synth_phantom((4, 16, 16), seed=0)
 
 
+def refuse_read(*args, **kwargs):
+    raise AssertionError("the file was read before its size was checked")
+
+
 class TestVolumeFiles:
     def test_round_trip(self, tmp_path):
         vol = volume.synth_phantom((9, 10, 11), seed=10)
@@ -193,6 +197,16 @@ class TestVolumeFiles:
         with open(path, "r+b") as fh:
             fh.truncate(100)
         with pytest.raises(ValueError, match="payload"):
+            volume.read_volume(path)
+
+    def test_oversized_payload_refused_before_it_is_read(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "v.vol")
+        volume.write_volume(volume.synth_phantom((8, 8, 8), seed=11), path)
+        with open(path, "r+b") as fh:
+            fh.truncate(3 << 30)  # sparse: no data is written
+        monkeypatch.setattr(np, "fromfile", refuse_read)
+        message = f"{path}: payload has {3 << 30} bytes, header dims (8, 8, 8) require 4096"
+        with pytest.raises(ValueError, match=re.escape(message)):
             volume.read_volume(path)
 
     def test_dims_product_validated(self, tmp_path):
@@ -303,6 +317,22 @@ class TestRawImport:
         np.zeros(10, dtype=np.uint8).tofile(path)
         with pytest.raises(ValueError, match="require"):
             volume.import_raw_volume(path, (3, 3, 3), dtype="u8")
+
+    @pytest.mark.parametrize("dtype, expected", [("u8", 27), ("u16", 54)])
+    def test_oversized_file_refused_before_it_is_read(self, tmp_path, monkeypatch, dtype, expected):
+        path = str(tmp_path / "grid.raw")
+        with open(path, "wb") as fh:
+            fh.truncate(3 << 30)  # sparse: no data is written
+        monkeypatch.setattr(np, "fromfile", refuse_read)
+        message = f"{path}: {3 << 30} bytes, dims (3, 3, 3) of {dtype} require {expected}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            volume.import_raw_volume(path, (3, 3, 3), dtype=dtype)
+
+    def test_u16_import_reads_the_whole_grid(self, tmp_path):
+        path = str(tmp_path / "grid.raw")
+        np.arange(27, dtype="<u2").tofile(path)
+        vol = volume.import_raw_volume(path, (3, 3, 3), dtype="u16")
+        assert vol.data[2, 2, 2] == pytest.approx(255.0) and vol.data[0, 0, 1] == pytest.approx(255.0 / 26)
 
     @pytest.mark.parametrize("kind", ["directory", "missing"])
     def test_path_that_is_not_a_regular_file_rejected(self, tmp_path, kind):
