@@ -33,10 +33,11 @@ from compare_outputs import BLAS_THREADS
 
 MALLOC = {"MALLOC_MMAP_MAX_": "0", "MALLOC_TRIM_THRESHOLD_": str(1 << 30)}  # bench/common.py's
 
-# Learning batch size, and the reconstruction volumes of the denoise and cs workloads.
+# Learning batch size, and the reconstruction volumes of the denoise and cs workloads
+# (tiny slices fit MSSIM's 11x11 window).
 SIZES = {
     "full": {"T": 2000, "cube": (32, 32, 32), "thin": (32, 32, 8)},
-    "tiny": {"T": 40, "cube": (8, 8, 8), "thin": (8, 8, 5)},
+    "tiny": {"T": 40, "cube": (12, 12, 12), "thin": (12, 12, 5)},
 }
 
 
@@ -46,6 +47,7 @@ def kernels(size: str) -> dict:
     import numpy as np
 
     from sepop import manifold, objective, reconstruct, tensor
+    from sepop.volume import Volume
 
     dims = SIZES[size]
     rng = np.random.default_rng(20)
@@ -94,6 +96,12 @@ def kernels(size: str) -> dict:
     measured = op.forward(volume)
     table[f"Fourier forward {label}"] = (None, lambda: op.forward(volume))
     table[f"Fourier adjoint {label}"] = (None, lambda: op.adjoint(measured))
+    for name in ("cube", "thin"):
+        shape = dims[name]
+        label = "x".join(map(str, shape))
+        ref = Volume(rng.uniform(0, 255, shape))
+        noisy = Volume(ref.data + rng.normal(0, 15, shape))
+        table[f"mssim {label}"] = (None, lambda r=ref, t=noisy: reconstruct.mssim(r, t))
     return table
 
 

@@ -113,14 +113,15 @@ def sparsity_gradient(coeffs: np.ndarray, nu: float) -> None:
 
 
 def rank_penalty(factor: np.ndarray) -> float:
-    """Log-barrier keeping a factor full rank; equals 1 for tight frames."""
+    """Log-barrier keeping a factor full rank; equals 1 for tight frames, whose log det
+    is -n ln n, so only ``slogdet``'s sign and finiteness refuse a factor."""
     factor = np.asarray(factor, dtype=float)
     k, n = factor.shape
     if n < 2:
         raise ValueError(f"rank penalty needs n >= 2 columns, got {n}")
     gram = factor.T @ factor / k
     sign, logdet = np.linalg.slogdet(gram)
-    if sign <= 0 or not math.isfinite(logdet) or logdet < -690.0:
+    if sign <= 0 or not math.isfinite(logdet):
         raise BarrierError(f"rank barrier: {k}x{n} factor is numerically rank deficient")
     return -logdet / (n * math.log(n))
 

@@ -24,6 +24,9 @@ centered unitary 2D Fourier sampling on a boolean mask (CS recovery), which
 transforms all slices in one slice-major ``fft2`` and reads the mask's bins
 unshifted.  Every operator passes a randomized adjoint-consistency check at
 construction.
+
+MSSIM blurs its slices itself, one in-plane axis at a time as a sum of
+weighted shifted slices; it does not use the separable kernels.
 """
 
 from __future__ import annotations
@@ -313,14 +316,10 @@ def psnr(ref: Volume, test: Volume) -> float:
 
 
 _SSIM_WINDOW = 11
-
-
-def _gaussian_taps(size: int = _SSIM_WINDOW, sigma: float = 1.5) -> np.ndarray:
-    """The normalized 1-D Gaussian; its outer product with itself is the SSIM window."""
-    half = (size - 1) / 2.0
-    coords = np.arange(size) - half
-    g = np.exp(-(coords**2) / (2.0 * sigma * sigma))
-    return g / g.sum()
+# The normalized 1-D Gaussian, sigma 1.5 (2 sigma^2 = 4.5); its outer product with itself
+# is the SSIM window.
+_SSIM_TAPS = np.exp(-((np.arange(_SSIM_WINDOW) - (_SSIM_WINDOW - 1) / 2.0) ** 2) / 4.5)
+_SSIM_TAPS /= _SSIM_TAPS.sum()
 
 
 def check_mssim_dims(dims: tuple[int, ...]) -> None:
@@ -333,32 +332,41 @@ def check_mssim_dims(dims: tuple[int, ...]) -> None:
         )
 
 
+def _blur(a: np.ndarray) -> np.ndarray:
+    """Every slice of (slices, h, w) correlated with the SSIM window, fully interior
+    windows only: per in-plane axis, the 11 weighted shifted slices summed into one
+    output (the window is symmetric, so correlation equals convolution)."""
+    for axis in (1, 2):
+        m = a.shape[axis] - _SSIM_WINDOW + 1
+        shifted = [a[(slice(None),) * axis + (slice(j, j + m),)] for j in range(_SSIM_WINDOW)]
+        out = shifted[0] * _SSIM_TAPS[0]
+        term = np.empty_like(out)
+        for tap, part in zip(_SSIM_TAPS[1:], shifted[1:]):
+            out += np.multiply(part, tap, out=term)
+        a = out
+    return a
+
+
 def mssim(ref: Volume, test: Volume) -> float:
     """Mean SSIM over fully interior 11x11 Gaussian windows, then over slices;
     the constants scale with the reference's intensity range.
 
-    The window is separable, so every slice is blurred at once with
-    :func:`sepop.tensor.correlate_separable`, one 1x11 factor per in-plane
-    mode (the window is symmetric, so correlation equals convolution).
+    The window is separable, so every slice is blurred at once, one in-plane
+    axis at a time (:func:`_blur`).
     """
     if ref.data.shape != test.data.shape:
         raise ValueError(f"shape mismatch: {ref.data.shape} vs {test.data.shape}")
     check_mssim_dims(ref.dims)
     lo, hi = ref.intensity_range
-    taps = _gaussian_taps()[np.newaxis]
-
-    def blur(a: np.ndarray) -> np.ndarray:
-        return correlate_separable(a, [taps, taps])[..., 0, 0]
-
     c1 = (0.01 * (hi - lo)) ** 2
     c2 = (0.03 * (hi - lo)) ** 2
     x = np.moveaxis(ref.data, 2, 0)
     y = np.moveaxis(test.data, 2, 0)
-    mu_x = blur(x)
-    mu_y = blur(y)
-    xx = blur(x * x) - mu_x * mu_x
-    yy = blur(y * y) - mu_y * mu_y
-    xy = blur(x * y) - mu_x * mu_y
+    mu_x = _blur(x)
+    mu_y = _blur(y)
+    xx = _blur(x * x) - mu_x * mu_x
+    yy = _blur(y * y) - mu_y * mu_y
+    xy = _blur(x * y) - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * xy + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (xx + yy + c2)
     return float(np.mean(np.mean(num / den, axis=(1, 2))))

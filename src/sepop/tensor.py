@@ -2,14 +2,15 @@
 
 Tensors are plain C-contiguous ``numpy.ndarray`` values with row-major
 storage (last index fastest), so the vectorization of a separable analysis is
-the Kronecker chain of its factors applied to ``tensor.ravel()``.  Every factor
-is applied by one kernel, :func:`rotate_product`, a GEMM over a leading axis
-issued in cache-sized blocks of rows: learning chains it over patch batches,
-and the analysis of every window over stacks of shifted slices, one
-cache-sized slab of the result at a time.  The adjoint of that analysis
-synthesizes the windows with one GEMM per mode and block of window origins,
-and adds them in along the axis with the most origins.  Formulas in the docs
-are stated 1-based; all code indices are 0-based.
+the Kronecker chain of its factors applied to ``tensor.ravel()``.  Every
+factor is applied by one kernel, :func:`rotate_product`, a GEMM over the
+first axis issued in cache-sized blocks of rows: learning chains it over
+patch batches, and the analysis of every window of an order-N tensor, one
+factor per mode, over stacks of shifted slices, one cache-sized slab of the
+result at a time.  The adjoint of that analysis synthesizes the windows with
+one GEMM per mode and block of window origins, and adds them in along the
+axis with the most origins.  Formulas in the docs are stated 1-based; all
+code indices are 0-based.
 """
 
 from __future__ import annotations
@@ -25,23 +26,22 @@ _BLOCK_BYTES = 256 * 1024
 # The analysis fills about this many bytes of its result at a time, so that a
 # slab and its partial products stay in cache.
 _SLAB_BYTES = 2 * 1024 * 1024
-# A leading-mode product issues its GEMM in blocks of about this many bytes of
-# operand and result rows, so that a block's packed operand and result stay in a
+# rotate_product issues its GEMM in blocks of about this many bytes of operand
+# and result rows, so that a block's packed operand and result stay in a
 # per-core L2 cache.
 _GEMM_BYTES = 512 * 1024
 
 
 def rotate_product(x: np.ndarray, factor: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Contract the leading axis of ``x`` with a (k, n) factor and put the new axis last.
+    """Contract the first axis of ``x`` with a (k, n) factor and put the new axis last.
 
     A GEMM whose operand ``x.reshape(n, -1).T`` BLAS reads transposed in place (a
     C-contiguous ``x`` is not copied), issued in consecutive blocks of its rows, each about
     :data:`_GEMM_BYTES` of operand and result rows and at least two rows, so that a block's
     packed operand and result stay in cache.  A one-row remainder joins the block before
-    it, and a one-row factor is one call: either would take numpy's matrix-vector path,
-    which rounds by the operand's layout.  Each entry is ``np.tensordot``'s over axis 0,
-    bit for bit.  The result is written into ``out`` (C-contiguous, of the result's shape)
-    if it is given."""
+    it: it would take numpy's matrix-vector path, which rounds by the operand's layout.
+    Each entry is ``np.tensordot``'s over axis 0, bit for bit.  The result is written into
+    ``out`` (C-contiguous, of the result's shape) if it is given."""
     x, factor = np.asarray(x, dtype=float), np.asarray(factor, dtype=float)
     rows = x.reshape(len(x), math.prod(x.shape[1:])).T
     (total, n), k = rows.shape, len(factor)
@@ -50,7 +50,7 @@ def rotate_product(x: np.ndarray, factor: np.ndarray, out: np.ndarray | None = N
         out = result.reshape(x.shape[1:] + (k,))
     else:
         result = out.reshape(total, k)
-    block = total if k == 1 else max(2, _GEMM_BYTES // (8 * (n + k)))
+    block = max(2, _GEMM_BYTES // (8 * (n + k)))
     start = 0
     while start < total:
         stop = total if total - start <= block + 1 else start + block
@@ -62,71 +62,63 @@ def rotate_product(x: np.ndarray, factor: np.ndarray, out: np.ndarray | None = N
 def correlate_separable(
     x: np.ndarray, factors: list[np.ndarray], stride: int = 1
 ) -> np.ndarray:
-    """Analyze every (strided) window of the last N axes with one factor per mode.
+    """Analyze every (strided) window of an order-N tensor with one factor per mode.
 
-    With ``N = len(factors)`` and factor i of shape (k_i, n_i), the result has
-    shape ``x.shape[:-N] + (m_1, ..., m_N, k_1, ..., k_N)``, where
-    ``m_i = (x.shape[-N + i] - n_i) // stride + 1`` counts the window origins
-    ``0, stride, 2 * stride, ...`` along mode i.  Entry ``[..., p, :]`` is the
+    With ``N = len(factors) = x.ndim`` and factor i of shape (k_i, n_i), the
+    result has shape ``(m_1, ..., m_N, k_1, ..., k_N)``, where
+    ``m_i = (x.shape[i] - n_i) // stride + 1`` counts the window origins
+    ``0, stride, 2 * stride, ...`` along mode i.  Entry ``[p, :]`` is the
     separable analysis of the n_1 x ... x n_N window starting at
     ``stride * p``: a bank of k_1 ... k_N separable correlation filters.
 
-    The result is filled one slab of whole planes of its first axis (a
-    leading axis, or with none the first mode's window origins) at a time,
-    about :data:`_SLAB_BYTES` each, so that a slab's partial products stay in
-    cache.  A slab holds at least two planes: a slab of one plane can make
-    numpy take another matmul path (matrix-vector, or strides it hands to
-    BLAS instead of its own loop), which rounds differently, so a one-plane
-    remainder joins the slab before it.  A slab along window origins reads
-    ``stride * (planes - 1) + n_1`` input rows, its windows' halo included.
-    Within a slab, mode i stacks the n_i shifted (strided) slices of the
-    partial product along its axis and contracts them with F_i in one
-    :func:`rotate_product`, which puts k_i last: one GEMM over the slab's
-    window origins, so windows that overlap share their partial products
-    instead of recomputing them; the last mode's GEMM writes straight into
-    the result.  Every output entry is the same chain of n_i-term dot
-    products as the per-window mode products, and rounds the same.  A window
-    as long as its axis (``m_i = 1``) is the plain mode product.
+    The result is filled one slab of whole planes of its first axis (the
+    first mode's window origins) at a time, about :data:`_SLAB_BYTES` each, so
+    that a slab's partial products stay in cache.  A slab holds at least two
+    planes: a slab of one plane can make numpy take another matmul path
+    (matrix-vector, or strides it hands to BLAS instead of its own loop),
+    which rounds differently, so a one-plane remainder joins the slab before
+    it.  A slab reads ``stride * (planes - 1) + n_1`` input rows, its windows'
+    halo included.  Within a slab, mode i stacks the n_i shifted (strided)
+    slices of the partial product along its axis and contracts them with F_i
+    in one :func:`rotate_product`, which puts k_i last: one GEMM over the
+    slab's window origins, so windows that overlap share their partial
+    products instead of recomputing them; the last mode's GEMM writes
+    straight into the result.  Every output entry is the same chain of
+    n_i-term dot products as the per-window mode products, and rounds the
+    same.  A window as long as its axis (``m_i = 1``) is the plain mode
+    product.
     """
     x = np.ascontiguousarray(x, dtype=float)  # np.stack keeps its slices' memory order
-    lead = x.ndim - len(factors)
     if not factors:
         raise ValueError("at least one factor is needed")
-    if lead < 0:
+    if x.ndim != len(factors):
         raise ValueError(
-            f"{len(factors)} factors need at least {len(factors)} axes, got {x.ndim}"
+            f"{len(factors)} factors need an order-{len(factors)} tensor, got order {x.ndim}"
         )
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got {stride}")
     factors = [np.asarray(factor, dtype=float) for factor in factors]
-    for mode, factor in enumerate(factors):
-        length = x.shape[lead + mode]
+    for mode, (factor, length) in enumerate(zip(factors, x.shape)):
         if factor.ndim != 2 or not 1 <= factor.shape[1] <= length:
             raise ValueError(
                 f"factor for mode {mode} has shape {factor.shape}; its window "
                 f"does not fit axis length {length}"
             )
-    starts = tuple((d - f.shape[1]) // stride + 1 for f, d in zip(factors, x.shape[lead:]))
-    out = np.empty(x.shape[:lead] + starts + tuple(len(f) for f in factors))
+    starts = tuple((d - f.shape[1]) // stride + 1 for f, d in zip(factors, x.shape))
+    out = np.empty(starts + tuple(len(f) for f in factors))
     planes = max(2, _SLAB_BYTES // max(8 * math.prod(out.shape[1:]), 1))
     total, first = len(out), factors[0].shape[1]
     start = 0
     while start < total:
         stop = total if total - start <= planes + 1 else start + planes
-        # A slab along window origins also reads its windows' halo.
-        part = x[start:stop] if lead else x[stride * start : stride * (stop - 1) + first]
+        # A slab also reads its windows' halo.
+        part = x[stride * start : stride * (stop - 1) + first]
         for mode, factor in enumerate(factors):
-            axis, (k, n) = lead + mode, factor.shape
-            span = stride * ((part.shape[axis] - n) // stride) + 1
-            before = (slice(None),) * axis
-            shifted = [part[before + (slice(a, a + span, stride),)] for a in range(n)]
+            n = factor.shape[1]
+            span = stride * ((part.shape[mode] - n) // stride) + 1
+            before = (slice(None),) * mode
             # Each window offset's slice of the part, stacked in C order by contiguous runs.
-            stack = np.stack(shifted)
-            if k == 1:
-                # A one-row factor takes numpy's matrix-vector path, which rounds by the
-                # operand's layout, so there the offsets go last in memory (one transposed
-                # copy) and the product reads rows, one window each.
-                stack = np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)
+            stack = np.stack([part[before + (slice(a, a + span, stride),)] for a in range(n)])
             if mode + 1 < len(factors):
                 part = rotate_product(stack, factor)
             else:
@@ -140,47 +132,49 @@ def correlate_separable_adjoint(
 ) -> np.ndarray:
     """Exact adjoint of :func:`correlate_separable` for inputs of ``shape``.
 
-    ``coeffs`` has the layout that ``correlate_separable`` returns for an
-    input of ``shape``.  Each window's coefficients are synthesized with the
-    transposed factors and added into the window, summed where windows
-    overlap.  The window origins are walked with leading axes first and,
-    among the N origin axes, the one with the most origins last (on a tie the
-    later axis, so a cube keeps C order), so that each add runs along the
-    longest axis: on a thin 28x28x4 grid, runs of 28 instead of 4.  They are
+    ``shape`` is of order N, one axis per factor, and ``coeffs`` has the
+    layout that ``correlate_separable`` returns for an input of ``shape``.
+    Each window's coefficients are synthesized with the transposed factors
+    and added into the window, summed where windows overlap.  The window
+    origins are walked with the axis of most origins last (on a tie the later
+    axis, so a cube keeps C order), so that each add runs along the longest
+    axis: on a thin 28x28x4 grid, runs of 28 instead of 4.  They are
     synthesized in blocks of whole runs along that axis, about
-    :data:`_BLOCK_BYTES` of coefficients and at least two origins each: a
-    block's coefficients are copied in walk order, transposed to put
-    (k_1, ..., k_N) first, from a strided view of ``coeffs`` (one copy per
-    segment of runs that is contiguous in the grid's other axes), then mode i
-    is ``F_i.T @ z`` batched over the window offsets already synthesized, so
-    every entry is the same k_i-term dot product as a per-window adjoint; the
-    last mode's GEMM writes straight into the block's columns of the (window
-    offsets, origins) synthesis.  The windows are then added in, one offset at a time
-    in lexicographic order, into a volume laid out in walk order, which one
-    transposed copy returns to ``shape``.  Every voxel receives the same
-    windows in the same order as from a per-window adjoint, so the result is
-    the same bit for bit, whatever the walk.
+    :data:`_BLOCK_BYTES` of coefficients each: a block's coefficients are
+    copied in walk order, transposed to put (k_1, ..., k_N) first, from a
+    strided view of ``coeffs`` (one copy per segment of runs that is
+    contiguous in the grid's other axes), then mode i is ``F_i.T @ z``
+    batched over the window offsets already synthesized, so every entry is
+    the same k_i-term dot product as a per-window adjoint; the last mode's
+    GEMM writes straight into the block's columns of the (window offsets,
+    origins) synthesis.  A block holds two origins at least, unless the whole
+    grid is one origin: a run of one origin is the longest, so every run is.
+    The windows are then added in, one offset at a time in lexicographic
+    order, into a volume laid out in walk order, which one transposed copy
+    returns to ``shape``.  Every voxel receives the same windows in the same
+    order as from a per-window adjoint, so the result is the same bit for
+    bit, whatever the walk.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     shape = tuple(shape)
     modes = len(factors)
-    lead = len(shape) - modes
+    if len(shape) != modes:
+        raise ValueError(f"{modes} factors need an order-{modes} shape, got {shape}")
     factors = [np.asarray(factor, dtype=float) for factor in factors]
     sizes = tuple(factor.shape[1] for factor in factors)
-    if lead < 0 or stride < 1 or any(n > d for n, d in zip(sizes, shape[lead:])):
+    if stride < 1 or any(n > d for n, d in zip(sizes, shape)):
         raise ValueError(
             f"{modes} factors with windows {sizes} and stride {stride} do not fit shape {shape}"
         )
-    starts = tuple((d - n) // stride + 1 for n, d in zip(sizes, shape[lead:]))
-    grid = shape[:lead] + starts
+    grid = tuple((d - n) // stride + 1 for n, d in zip(sizes, shape))
     expected = grid + tuple(len(factor) for factor in factors)
     if coeffs.shape != expected:
         raise ValueError(f"coefficients of shape {coeffs.shape}, expected {expected}")
 
     # Walk the origins with the axis of most origins last (on a tie the later one), so the
-    # scatter-add runs along it; leading axes stay first.
-    longest = lead + max(range(modes), key=lambda mode: (starts[mode], mode))
-    order = [*range(longest), *range(longest + 1, len(grid)), longest]
+    # scatter-add runs along it.
+    longest = max(range(modes), key=lambda mode: (grid[mode], mode))
+    order = [*range(longest), *range(longest + 1, modes), longest]
     width, origins = math.prod(len(factor) for factor in factors), math.prod(grid)
     before, run = math.prod(grid[:longest]), grid[longest]
     # The coefficients as runs of origins along that axis, indexed by the grid's axes before
@@ -190,16 +184,12 @@ def correlate_separable_adjoint(
     if runs.shape[2] == 1:
         runs = runs.reshape(width, 1, before, run)
     segment = runs.shape[2]
-    # Whole runs per block; a one-origin block would take numpy's matrix-vector path, which
-    # rounds differently.
-    block = run * max(_BLOCK_BYTES // (8 * width) // run, 1 if run > 1 else 2)
+    block = run * max(_BLOCK_BYTES // (8 * width) // run, 1)  # whole runs per block
     synth = np.empty((math.prod(sizes), origins))
     last = factors[-1]
     into = synth.reshape(math.prod(sizes[:-1]), sizes[-1], origins)
-    start = 0
-    while start < origins:
-        # A one-origin remainder joins the block before it.
-        stop = origins if origins - start <= block + 1 else start + block
+    for start in range(0, origins, block):
+        stop = min(start + block, origins)
         # The block's runs in walk order, transposed to put (k_1, ..., k_N) first.
         count = (stop - start) // run
         z = np.empty((width, count, run))
@@ -212,14 +202,11 @@ def correlate_separable_adjoint(
         for mode, factor in enumerate(factors[:-1]):
             z = factor.T @ z.reshape(math.prod(sizes[:mode]), len(factor), -1)
         np.matmul(last.T, z.reshape(len(into), len(last), -1), out=into[:, :, start:stop])
-        start = stop
     per_mode = [
-        [slice(a, a + stride * m, stride) for a in range(n)] for n, m in zip(sizes, starts)
+        [slice(a, a + stride * m, stride) for a in range(n)] for n, m in zip(sizes, grid)
     ]
     out = np.zeros(tuple(shape[axis] for axis in order))
-    leading = (slice(None),) * lead
     walk = tuple(grid[axis] for axis in order)
     for piece, window in zip(synth.reshape((-1,) + walk), product(*per_mode)):
-        spots = leading + window
-        out[tuple(spots[axis] for axis in order)] += piece
+        out[tuple(window[axis] for axis in order)] += piece
     return np.ascontiguousarray(out.transpose(np.argsort(order)))

@@ -157,10 +157,13 @@ class TestRankPenalty:
     def test_identity_gives_one(self):
         assert objective.rank_penalty(np.eye(5)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_tight_frame_gives_one(self):
-        # two stacked orthonormal bases: gram is (k/n) I after the 1/k scaling
-        q = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
-        frame = np.vstack([np.eye(4), q])
+    # a tight frame's scaled gram has log det -n ln n, unbounded below as n grows, so no
+    # fixed floor on it may refuse a factor
+    @pytest.mark.parametrize("n", [4, 139, 140, 343])
+    def test_tight_frame_gives_one(self, n):
+        # two stacked orthonormal bases: gram is (1/n) I after the 1/k scaling
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))[0]
+        frame = np.vstack([np.eye(n), q])
         assert objective.rank_penalty(frame) == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_deficient_raises(self):

@@ -127,29 +127,24 @@ class TestCorrelateSeparable:
             min_size=1,
             max_size=3,
         ),
-        st.integers(0, 2),
         st.integers(1, 3),
         st.integers(0, 2**31 - 1),
     )
-    def test_matches_kronecker_oracle_on_every_window(self, modes, batch, stride, seed):
+    def test_matches_kronecker_oracle_on_every_window(self, modes, stride, seed):
         # modes: (rows k_i, window n_i, axis length beyond the window) per mode
         rng = np.random.default_rng(seed)
         factors = [rng.standard_normal((k, n)) for k, n, _ in modes]
-        lead = (2,) * batch
-        x = rng.standard_normal(lead + tuple(n + extra for _, n, extra in modes))
+        x = rng.standard_normal(tuple(n + extra for _, n, extra in modes))
         out = tensor.correlate_separable(x, factors, stride)
 
         starts = [range(0, extra + 1, stride) for _, _, extra in modes]
-        assert out.shape == lead + tuple(len(r) for r in starts) + tuple(k for k, _, _ in modes)
+        assert out.shape == tuple(len(r) for r in starts) + tuple(k for k, _, _ in modes)
         dense = oracles.kronecker_chain(factors)
-        for idx in np.ndindex(*lead):
-            for origin in np.ndindex(*(len(r) for r in starts)):
-                window = x[idx + tuple(
-                    slice(r[p], r[p] + n) for r, p, (_, n, _) in zip(starts, origin, modes)
-                )]
-                np.testing.assert_allclose(
-                    out[idx + origin].ravel(), dense @ window.ravel(), rtol=1e-12, atol=1e-12
-                )
+        for origin in np.ndindex(*(len(r) for r in starts)):
+            window = x[tuple(slice(r[p], r[p] + n) for r, p, (_, n, _) in zip(starts, origin, modes))]
+            np.testing.assert_allclose(
+                out[origin].ravel(), dense @ window.ravel(), rtol=1e-12, atol=1e-12
+            )
 
     def test_equals_mode_product_chain_bit_for_bit(self):
         rng = np.random.default_rng(11)
@@ -163,14 +158,16 @@ class TestCorrelateSeparable:
     def test_invalid_arguments_rejected(self):
         x = np.zeros((4, 4))
         f = np.zeros((3, 2))
-        with pytest.raises(ValueError, match="at least 3 axes"):
+        with pytest.raises(ValueError, match="3 factors need an order-3 tensor, got order 2"):
             tensor.correlate_separable(x, [f, f, f])
+        with pytest.raises(ValueError, match="1 factors need an order-1 tensor, got order 2"):
+            tensor.correlate_separable(x, [f])
         with pytest.raises(ValueError, match="mode 1"):
             tensor.correlate_separable(x, [f, np.zeros((3, 5))])
         with pytest.raises(ValueError, match="stride"):
             tensor.correlate_separable(x, [f, f], stride=0)
         with pytest.raises(ValueError, match="stride"):
-            tensor.correlate_separable(x, [f], stride=0)  # one mode, one leading axis
+            tensor.correlate_separable(np.zeros(4), [f], stride=0)
         with pytest.raises(ValueError, match="at least one factor"):
             tensor.correlate_separable(x, [])
 
@@ -189,7 +186,7 @@ class TestRotateProduct:
         "one-row-order-4": (4, 1, 1, 1),
     }
 
-    @pytest.mark.parametrize("k", [1, 2, 5, 9], ids=lambda k: f"k{k}")
+    @pytest.mark.parametrize("k", [2, 5, 9], ids=lambda k: f"k{k}")
     @pytest.mark.parametrize("shape", list(SHAPES.values()), ids=list(SHAPES))
     def test_equals_tensordot_bit_for_bit(self, shape, k):
         rng = np.random.default_rng(k * 31 + len(shape))
@@ -252,13 +249,17 @@ class TestRotateProduct:
             expected = [rows] * whole + ([last] if last else [])
         assert gemm_rows == expected
 
-    def test_a_one_row_factor_is_one_gemm(self, monkeypatch, gemm_rows):
-        monkeypatch.setattr(tensor, "_GEMM_BYTES", 1)
-        x = np.random.default_rng(2).standard_normal(self.SHAPES["learning-batch"])
-        factor = np.random.default_rng(3).standard_normal((1, 5))
-        out = tensor.rotate_product(x, factor)
-        assert gemm_rows == [50_000]
-        assert np.array_equal(out, oracles.leading_mode_product(x, factor))
+    @pytest.mark.parametrize("block", list(BLOCKS), ids=list(BLOCKS))
+    @pytest.mark.parametrize("shape", ["learning-batch", "order-4"])
+    def test_a_one_by_one_factor_equals_tensordot_bit_for_bit(self, monkeypatch, shape, block):
+        # the only one-row factor a caller can pass (a factor has k >= n): every entry is
+        # one multiplication, which rounds the same on any matmul path
+        shape = (1,) + self.SHAPES[shape][1:]
+        monkeypatch.setattr(tensor, "_GEMM_BYTES", 8 * 2 * self.BLOCKS[block](math.prod(shape)))
+        rng = np.random.default_rng(len(shape))
+        x = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 1e3], shape)
+        factor = rng.standard_normal((1, 1))
+        assert np.array_equal(tensor.rotate_product(x, factor), oracles.leading_mode_product(x, factor))
 
     def test_reads_a_contiguous_operand_in_place(self):
         x = np.random.default_rng(5).standard_normal((5, 40_000))
@@ -285,16 +286,15 @@ class TestCorrelateSeparableAdjoint:
             min_size=1,
             max_size=3,
         ),
-        st.integers(0, 1),
         st.integers(1, 3),
         st.integers(0, 2**31 - 1),
     )
-    def test_is_the_transpose_of_the_analysis(self, modes, batch, stride, seed):
+    def test_is_the_transpose_of_the_analysis(self, modes, stride, seed):
         # modes: (rows k_i, window n_i, axis length beyond the window) per mode;
         # every axis length is odd.
         rng = np.random.default_rng(seed)
         factors = [rng.standard_normal((k, n)) for k, n, _ in modes]
-        shape = (3,) * batch + tuple((n + extra) | 1 for _, n, extra in modes)
+        shape = tuple((n + extra) | 1 for _, n, extra in modes)
         x = rng.standard_normal(shape)
         analysis = tensor.correlate_separable(x, factors, stride)
         z = rng.standard_normal(analysis.shape)
@@ -307,18 +307,19 @@ class TestCorrelateSeparableAdjoint:
         dense = oracles.kronecker_chain(factors)
         sizes = tuple(n for _, n, _ in modes)
         expected = np.zeros(shape)
-        for idx in np.ndindex(*shape[:batch]):
-            for origin in np.ndindex(*analysis.shape[batch : batch + len(modes)]):
-                window = tuple(slice(stride * p, stride * p + n) for p, n in zip(origin, sizes))
-                expected[idx + window] += (dense.T @ z[idx + origin].ravel()).reshape(sizes)
+        for origin in np.ndindex(*analysis.shape[: len(modes)]):
+            window = tuple(slice(stride * p, stride * p + n) for p, n in zip(origin, sizes))
+            expected[window] += (dense.T @ z[origin].ravel()).reshape(sizes)
         np.testing.assert_allclose(back, expected, rtol=1e-12, atol=1e-12)
 
     def test_invalid_arguments_rejected(self):
         f = np.zeros((3, 2))
         with pytest.raises(ValueError, match="expected"):
             tensor.correlate_separable_adjoint(np.zeros((3, 3, 3)), [f, f], (4, 4))
-        with pytest.raises(ValueError, match="do not fit"):
+        with pytest.raises(ValueError, match=r"3 factors need an order-3 shape, got \(4, 4\)"):
             tensor.correlate_separable_adjoint(np.zeros((3, 3)), [f, f, f], (4, 4))
+        with pytest.raises(ValueError, match=r"1 factors need an order-1 shape, got \(4, 4\)"):
+            tensor.correlate_separable_adjoint(np.zeros((3, 3)), [f], (4, 4))
         with pytest.raises(ValueError, match="do not fit"):
             tensor.correlate_separable_adjoint(np.zeros((1, 3)), [np.zeros((3, 5))], (4,))
         with pytest.raises(ValueError, match="do not fit"):
@@ -332,21 +333,26 @@ class TestBlockedAdjoint:
         "shapes, dims, stride",
         [
             ([(6, 5)] * 3, (13, 12, 11), 1),
-            ([(6, 5)] * 3, (2, 11, 9, 12), 1),
             ([(6, 5)] * 3, (14, 13, 11), 2),
             ([(6, 5)] * 3, (16, 17, 15), 3),
             ([(4, 3), (7, 4), (5, 5)], (10, 11, 12), 1),
-            ([(4, 3), (7, 4), (5, 5)], (3, 9, 8, 7), 2),
-            ([(3, 4), (2, 5)], (4, 12, 9), 3),
+            ([(4, 3), (7, 4), (5, 5), (3, 2)], (9, 8, 7, 6), 2),  # order 4
+            ([(3, 4), (2, 5)], (12, 9), 3),  # order 2
+            ([(4, 4)], (9,), 1),  # order 1
+            # A 1x1 mode among 6x5 ones: its products are single multiplications.
+            ([(1, 1), (6, 5), (6, 5)], (9, 12, 11), 1),
+            ([(6, 5), (1, 1), (6, 5)], (13, 7, 11), 1),
+            ([(6, 5), (6, 5), (1, 1)], (13, 12, 6), 2),
             # Thin and permuted window-origin grids: the origins are walked with the
             # axis of most origins last, whole runs of it per block.
             ([(6, 5)] * 3, (32, 32, 8), 1),  # the cs grid, 28x28x4
             ([(6, 5)] * 3, (40, 12, 12), 1),  # the longest axis first
             ([(6, 5)] * 3, (9, 30, 7), 1),  # the longest axis in the middle
-            ([(6, 5)] * 3, (2, 20, 20, 6), 1),  # a leading axis on a thin grid
             ([(6, 5)] * 3, (21, 21, 9), 2),
             ([(6, 5)] * 3, (5, 14, 9), 1),  # one origin on the first axis
-            ([(6, 5)] * 3, (3, 5, 5, 5), 1),  # runs of one origin: two per block at least
+            # Runs of one origin: the longest run is one origin, so the whole grid is one.
+            ([(6, 5)] * 3, (5, 5, 5), 1),
+            ([(6, 5)] * 3, (6, 5, 7), 3),
         ],
     )
     # Rows per block: most leave a short last block, and "one short" leaves a
@@ -375,16 +381,14 @@ class TestSlabbedAnalysis:
         ([(6, 5)] * 3, (14, 13, 11), 2),
         ([(6, 5)] * 3, (16, 17, 15), 3),
         ([(4, 3), (7, 4), (5, 5)], (10, 11, 12), 1),
-        ([(6, 5)] * 3, (5, 11, 9, 12), 1),  # a leading axis: slabs of whole leading planes
-        ([(4, 3), (7, 4), (5, 5)], (4, 9, 8, 7), 2),
-        ([(3, 4), (2, 5)], (4, 12, 9), 3),
+        ([(4, 3), (7, 4), (5, 5), (3, 2)], (9, 8, 7, 6), 2),  # order 4
+        ([(3, 4), (2, 5)], (12, 9), 3),  # order 2
         ([(6, 5)] * 3, (5, 12, 11), 1),  # m_1 = 1: one plane
-        ([(1, 5), (1, 5)], (6, 12, 13), 1),  # one-row factors: matrix-vector products
-        ([(1, 4), (3, 3)], (9, 11), 3),
         ([(4, 4)], (9,), 1),  # one mode: one GEMM row per plane
-        ([(6, 5), (1, 5), (6, 5)], (13, 12, 11), 1),  # a one-row factor between multi-row ones
-        ([(4, 3), (1, 5)], (12, 13), 2),  # a one-row last factor at stride 2
-        ([(1, 11), (1, 11)], (3, 13, 12), 1),  # MSSIM's taps, on a leading axis of slices
+        # A 1x1 mode among 6x5 ones: its products are single multiplications.
+        ([(1, 1), (6, 5), (6, 5)], (9, 12, 11), 1),
+        ([(6, 5), (1, 1), (6, 5)], (13, 7, 11), 1),
+        ([(6, 5), (6, 5), (1, 1)], (13, 12, 6), 2),
     ]
 
     # Planes per slab budgeted: under one plane, one, two, three, the count that
@@ -434,11 +438,10 @@ class TestSlabbedAnalysis:
         steps = [b - a for a, b in zip([0] + ends, ends)]
         assert all(step >= min(2, len(out)) * plane for step in steps)
 
-    @pytest.mark.parametrize("shapes", [[(1, 11), (1, 11)], [(6, 5), (6, 5)]])
-    def test_a_strided_input_is_analyzed_as_its_copy(self, shapes):
-        # MSSIM analyzes its slices through a moveaxis view of the volume
+    def test_a_strided_input_is_analyzed_as_its_copy(self):
+        # a moveaxis view of a volume, three modes
         rng = np.random.default_rng(9)
-        factors = [rng.standard_normal(shape) for shape in shapes]
+        factors = [rng.standard_normal((6, 5)) for _ in range(3)]
         volume = rng.standard_normal((24, 22, 6)) * rng.choice([1e-3, 1e3], (24, 22, 6))
         x = np.moveaxis(volume, 2, 0)
         whole = oracles.whole_array_analysis(x, factors)
