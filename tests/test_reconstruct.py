@@ -447,10 +447,13 @@ class TestCacheSizedPasses:
         )
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
-    def test_analysis_is_c_contiguous(self, rng, factors, stride):
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_analysis_is_c_contiguous(self, rng, factors, stride, lead):
         # the gradient writes the derivative through coeffs.reshape(-1), which
-        # must be a view of the coefficients it then synthesizes from
-        x = rng.standard_normal((12, 11, 13))
+        # must be a view of the coefficients it then synthesizes from; a leading
+        # axis is analyzed as one more mode with a 1x1 factor
+        x = rng.standard_normal(lead + (12, 11, 13))
+        factors = [np.ones((1, 1))] * len(lead) + factors
         coeffs = tensor.correlate_separable(x, factors, stride)
         assert coeffs.flags.c_contiguous
         assert np.shares_memory(coeffs.reshape(-1), coeffs)

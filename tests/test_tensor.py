@@ -353,6 +353,13 @@ class TestBlockedAdjoint:
             # Runs of one origin: the longest run is one origin, so the whole grid is one.
             ([(6, 5)] * 3, (5, 5, 5), 1),
             ([(6, 5)] * 3, (6, 5, 7), 3),
+            # A 1x1 first mode walks whole planes of the first axis, as a stack of
+            # slices: its run of origins is the longest when the other axes have few.
+            ([(1, 1)] + [(6, 5)] * 3, (2, 11, 9, 12), 1),
+            ([(1, 1), (4, 3), (7, 4), (5, 5)], (3, 9, 8, 7), 2),
+            ([(1, 1), (3, 4), (2, 5)], (4, 12, 9), 3),
+            ([(1, 1)] + [(6, 5)] * 3, (2, 20, 20, 6), 1),  # on a thin grid
+            ([(1, 1)] + [(6, 5)] * 3, (3, 5, 5, 5), 1),  # one origin on every other axis
         ],
     )
     # Rows per block: most leave a short last block, and "one short" leaves a
@@ -389,6 +396,10 @@ class TestSlabbedAnalysis:
         ([(1, 1), (6, 5), (6, 5)], (9, 12, 11), 1),
         ([(6, 5), (1, 1), (6, 5)], (13, 7, 11), 1),
         ([(6, 5), (6, 5), (1, 1)], (13, 12, 6), 2),
+        # A 1x1 first mode: slabs of whole planes of a stack of slices, no halo.
+        ([(1, 1)] + [(6, 5)] * 3, (5, 11, 9, 12), 1),
+        ([(1, 1), (4, 3), (7, 4), (5, 5)], (4, 9, 8, 7), 2),
+        ([(1, 1), (3, 4), (2, 5)], (4, 12, 9), 3),
     ]
 
     # Planes per slab budgeted: under one plane, one, two, three, the count that
