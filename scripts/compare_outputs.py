@@ -9,12 +9,12 @@ Usage, from anywhere inside the repository::
 exports them.  The ``sh`` block under the working tree README's "Quick start"
 heading is run in a fresh directory per side, one command at a time, each
 ``sepop ...`` as ``python -m sepop.cli ...`` with that side's ``src`` on
-``PYTHONPATH`` and one BLAS thread; what the commands print goes to one more
-file, ``quick-start.stdout``.  Every file that either side wrote is then
-compared byte for byte and printed as "same" or "differs" (a file that only
-one side wrote differs).  The exit status is 1 if any file differs, and 0 if
-every file is the same.  The temporary copies are removed however the script
-ends.
+``PYTHONPATH`` and the benchmark's one-thread settings; what the commands
+print goes to one more file, ``quick-start.stdout``.  Every file that either
+side wrote is then compared byte for byte and printed as "same" or "differs"
+(a file that only one side wrote differs).  The exit status is 1 if any file
+differs, and 0 if every file is the same.  The temporary copies are removed
+however the script ends.
 """
 
 from __future__ import annotations
@@ -30,7 +30,10 @@ import tempfile
 
 from bench_pairs import SIDES, export_ref, export_worktree, git
 
-BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# The benchmark's worker environment has one owner, bench/common.py, which the scripts
+# read as it is (kernel_times.py takes MALLOC_ENV from here too).
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+from common import MALLOC_ENV, THREAD_VARS  # noqa: E402,F401
 
 
 def quick_start(readme: str) -> list[list[str]]:
@@ -49,7 +52,7 @@ def run_quick_start(checkout: str, commands: list[list[str]], rundir: str) -> No
     os.makedirs(rundir)
     printed = []
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
-    env.update(dict.fromkeys(BLAS_THREADS, "1"))
+    env.update(dict.fromkeys(THREAD_VARS, "1"))
     for argv in commands:
         if argv[0] != "sepop":
             raise ValueError(f"not a sepop command: {shlex.join(argv)}")

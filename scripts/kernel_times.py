@@ -29,15 +29,13 @@ import tempfile
 import time
 
 from bench_pairs import export_ref, export_worktree, git
-from compare_outputs import BLAS_THREADS
+from compare_outputs import MALLOC_ENV, THREAD_VARS  # bench/common.py's
 
-MALLOC = {"MALLOC_MMAP_MAX_": "0", "MALLOC_TRIM_THRESHOLD_": str(1 << 30)}  # bench/common.py's
-
-# Learning batch size, and the reconstruction volumes of the denoise and cs workloads
-# (tiny slices fit MSSIM's 11x11 window).
+# Learning batch size, the reconstruction volumes of the denoise and cs workloads (tiny
+# slices fit MSSIM's 11x11 window), and a volume between the two for the separable kernels.
 SIZES = {
-    "full": {"T": 2000, "cube": (32, 32, 32), "thin": (32, 32, 8)},
-    "tiny": {"T": 40, "cube": (12, 12, 12), "thin": (12, 12, 5)},
+    "full": {"T": 2000, "cube": (32, 32, 32), "thin": (32, 32, 8), "mid": (32, 32, 24)},
+    "tiny": {"T": 40, "cube": (12, 12, 12), "thin": (12, 12, 5), "mid": (12, 12, 9)},
 }
 
 
@@ -76,15 +74,17 @@ def kernels(size: str) -> dict:
         objective.learning_gradient(factors, batch, params, analysis)
 
     table["learning cost+gradient"] = (None, cost_and_gradient)
-    for name in ("cube", "thin"):
+    for name in ("cube", "thin", "mid"):
         shape = dims[name]
         label = "x".join(map(str, shape))
         volume = rng.standard_normal(shape)
         coeffs = tensor.correlate_separable(volume, factors)
-        scratch = np.empty_like(coeffs)
         table[f"correlate_separable {label}"] = (None, lambda v=volume: tensor.correlate_separable(v, factors))
         table[f"correlate_separable_adjoint {label}"] = (
             None, lambda c=coeffs, s=shape: tensor.correlate_separable_adjoint(c, factors, s))
+        if name == "mid":
+            continue
+        scratch = np.empty_like(coeffs)
         table[f"sparsity_measure {label}"] = (None, lambda c=coeffs: objective.sparsity_measure(c, params.nu))
         table[f"sparsity_gradient {label}"] = (
             lambda c=coeffs, s=scratch: np.copyto(s, c),
@@ -124,8 +124,8 @@ def worker(size: str, reps: int) -> None:
 
 
 def run_worker(checkout: str, size: str, reps: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), **MALLOC)
-    env.update(dict.fromkeys(BLAS_THREADS, "1"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), **MALLOC_ENV)
+    env.update(dict.fromkeys(THREAD_VARS, "1"))
     cmd = [sys.executable, os.path.abspath(__file__), "--worker", "--reps", str(reps)]
     if size == "tiny":
         cmd.append("--tiny")

@@ -67,6 +67,9 @@ def _write_csv(path: str | None, rows: list[str]) -> None:
 
 
 def _check_outputs(args: argparse.Namespace) -> None:
+    for flag in ("out", "csv"):
+        if vars(args).get(flag) == "":
+            raise ValueError(f"--{flag} needs a file name, got an empty one")
     out = vars(args).get("out")
     sidecar = args.sidecar(out) if out else None
     for path in filter(None, (out, sidecar, vars(args).get("csv"))):

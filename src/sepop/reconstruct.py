@@ -13,8 +13,9 @@ patch origins the shifted slices stacked and contracted in one GEMM), and the
 cost sums the penalty over its coefficients
 (:func:`sepop.objective.sparsity_measure`); the gradient applies the
 correlation's adjoint (:func:`sepop.tensor.correlate_separable_adjoint`, one
-GEMM per mode and a scatter-add over the patch offsets, each add along the
-axis with the most patch origins).  Both are the same dot products, in the
+GEMM per mode and block of patch origins, gathered in the order of the
+scatter-add over the patch offsets that follows, each add along the axis
+with the most patch origins).  Both are the same dot products, in the
 same order, as the per-patch definition, so cost and gradient are
 bit-identical to it.  The penalty on the coefficients, its sum and its
 derivative, is the learning cost's, from :mod:`sepop.objective`.

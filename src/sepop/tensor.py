@@ -8,9 +8,10 @@ first axis issued in cache-sized blocks of rows: learning chains it over
 patch batches, and the analysis of every window of an order-N tensor, one
 factor per mode, over stacks of shifted slices, one cache-sized slab of the
 result at a time.  The adjoint of that analysis synthesizes the windows with
-one GEMM per mode and block of window origins, and adds them in along the
-axis with the most origins.  Formulas in the docs are stated 1-based; all
-code indices are 0-based.
+one GEMM per mode and block of window origins, walked and added in along
+the axis with the most origins.  The GEMM rows, the slabs and the
+adjoint's blocks follow one rule, :func:`_blocks`.  Formulas in the docs are
+stated 1-based; all code indices are 0-based.
 """
 
 from __future__ import annotations
@@ -32,16 +33,27 @@ _SLAB_BYTES = 2 * 1024 * 1024
 _GEMM_BYTES = 512 * 1024
 
 
+def _blocks(total: int, budget_bytes: int, row_bytes: int):
+    """Consecutive ``(start, stop)`` blocks of ``total`` rows of ``row_bytes`` each, about
+    ``budget_bytes`` a block and at least two rows.  A one-row remainder joins the block
+    before it: a GEMM of one row takes numpy's matrix-vector path, which rounds by the
+    operand's layout."""
+    block = max(2, budget_bytes // max(row_bytes, 1))
+    start = 0
+    while start < total:
+        stop = total if total - start <= block + 1 else start + block
+        yield start, stop
+        start = stop
+
+
 def rotate_product(x: np.ndarray, factor: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Contract the first axis of ``x`` with a (k, n) factor and put the new axis last.
 
     A GEMM whose operand ``x.reshape(n, -1).T`` BLAS reads transposed in place (a
-    C-contiguous ``x`` is not copied), issued in consecutive blocks of its rows, each about
-    :data:`_GEMM_BYTES` of operand and result rows and at least two rows, so that a block's
-    packed operand and result stay in cache.  A one-row remainder joins the block before
-    it: it would take numpy's matrix-vector path, which rounds by the operand's layout.
-    Each entry is ``np.tensordot``'s over axis 0, bit for bit.  The result is written into
-    ``out`` (C-contiguous, of the result's shape) if it is given."""
+    C-contiguous ``x`` is not copied), issued in the :func:`_blocks` of its rows, each about
+    :data:`_GEMM_BYTES` of operand and result rows, so that a block's packed operand and
+    result stay in cache.  Each entry is ``np.tensordot``'s over axis 0, bit for bit.  The
+    result is written into ``out`` (C-contiguous, of the result's shape) if it is given."""
     x, factor = np.asarray(x, dtype=float), np.asarray(factor, dtype=float)
     rows = x.reshape(len(x), math.prod(x.shape[1:])).T
     (total, n), k = rows.shape, len(factor)
@@ -50,12 +62,8 @@ def rotate_product(x: np.ndarray, factor: np.ndarray, out: np.ndarray | None = N
         out = result.reshape(x.shape[1:] + (k,))
     else:
         result = out.reshape(total, k)
-    block = max(2, _GEMM_BYTES // (8 * (n + k)))
-    start = 0
-    while start < total:
-        stop = total if total - start <= block + 1 else start + block
+    for start, stop in _blocks(total, _GEMM_BYTES, 8 * (n + k)):
         np.matmul(rows[start:stop], factor.T, out=result[start:stop])
-        start = stop
     return out
 
 
@@ -72,21 +80,19 @@ def correlate_separable(
     ``stride * p``: a bank of k_1 ... k_N separable correlation filters.
 
     The result is filled one slab of whole planes of its first axis (the
-    first mode's window origins) at a time, about :data:`_SLAB_BYTES` each, so
-    that a slab's partial products stay in cache.  A slab holds at least two
-    planes: a slab of one plane can make numpy take another matmul path
-    (matrix-vector, or strides it hands to BLAS instead of its own loop),
-    which rounds differently, so a one-plane remainder joins the slab before
-    it.  A slab reads ``stride * (planes - 1) + n_1`` input rows, its windows'
-    halo included.  Within a slab, mode i stacks the n_i shifted (strided)
-    slices of the partial product along its axis and contracts them with F_i
-    in one :func:`rotate_product`, which puts k_i last: one GEMM over the
-    slab's window origins, so windows that overlap share their partial
-    products instead of recomputing them; the last mode's GEMM writes
-    straight into the result.  Every output entry is the same chain of
-    n_i-term dot products as the per-window mode products, and rounds the
-    same.  A window as long as its axis (``m_i = 1``) is the plain mode
-    product.
+    first mode's window origins) at a time, the :func:`_blocks` of those
+    planes, about :data:`_SLAB_BYTES` each, so that a slab's partial products
+    stay in cache (a slab of one plane could make numpy take another matmul
+    path, which rounds differently).  A slab reads
+    ``stride * (planes - 1) + n_1`` input rows, its windows' halo included.
+    Within a slab, mode i stacks the n_i shifted (strided) slices of the
+    partial product along its axis and contracts them with F_i in one
+    :func:`rotate_product`, which puts k_i last: one GEMM over the slab's
+    window origins, so windows that overlap share their partial products
+    instead of recomputing them; the last mode's GEMM writes straight into
+    the result.  Every output entry is the same chain of n_i-term dot
+    products as the per-window mode products, and rounds the same.  A window
+    as long as its axis (``m_i = 1``) is the plain mode product.
     """
     x = np.ascontiguousarray(x, dtype=float)  # np.stack keeps its slices' memory order
     if not factors:
@@ -106,11 +112,8 @@ def correlate_separable(
             )
     starts = tuple((d - f.shape[1]) // stride + 1 for f, d in zip(factors, x.shape))
     out = np.empty(starts + tuple(len(f) for f in factors))
-    planes = max(2, _SLAB_BYTES // max(8 * math.prod(out.shape[1:]), 1))
-    total, first = len(out), factors[0].shape[1]
-    start = 0
-    while start < total:
-        stop = total if total - start <= planes + 1 else start + planes
+    first = factors[0].shape[1]
+    for start, stop in _blocks(len(out), _SLAB_BYTES, 8 * math.prod(out.shape[1:])):
         # A slab also reads its windows' halo.
         part = x[stride * start : stride * (stop - 1) + first]
         for mode, factor in enumerate(factors):
@@ -123,7 +126,6 @@ def correlate_separable(
                 part = rotate_product(stack, factor)
             else:
                 rotate_product(stack, factor, out=out[start:stop])
-        start = stop
     return out
 
 
@@ -139,21 +141,18 @@ def correlate_separable_adjoint(
     origins are walked with the axis of most origins last (on a tie the later
     axis, so a cube keeps C order), so that each add runs along the longest
     axis: on a thin 28x28x4 grid, runs of 28 instead of 4.  They are
-    synthesized in blocks of whole runs along that axis, about
-    :data:`_BLOCK_BYTES` of coefficients each: a block's coefficients are
-    copied in walk order, transposed to put (k_1, ..., k_N) first, from a
-    strided view of ``coeffs`` (one copy per segment of runs that is
-    contiguous in the grid's other axes), then mode i is ``F_i.T @ z``
-    batched over the window offsets already synthesized, so every entry is
-    the same k_i-term dot product as a per-window adjoint; the last mode's
-    GEMM writes straight into the block's columns of the (window offsets,
-    origins) synthesis.  A block holds two origins at least, unless the whole
-    grid is one origin: a run of one origin is the longest, so every run is.
-    The windows are then added in, one offset at a time in lexicographic
-    order, into a volume laid out in walk order, which one transposed copy
-    returns to ``shape``.  Every voxel receives the same windows in the same
-    order as from a per-window adjoint, so the result is the same bit for
-    bit, whatever the walk.
+    synthesized in consecutive blocks of that walk, about :data:`_BLOCK_BYTES`
+    of coefficients each (see :func:`_blocks`), each gathered from the C-order
+    coefficients with one fancy-index copy that puts (k_1, ..., k_N) first;
+    then mode i is ``F_i.T @ z`` batched over the window offsets already
+    synthesized, so every entry is the same k_i-term dot product as a
+    per-window adjoint; the last mode's GEMM writes straight into the block's
+    columns of the (window offsets, origins) synthesis.  The windows are then
+    added in, one offset at a time in lexicographic order, into a volume laid
+    out in walk order, which one transposed copy returns to ``shape``.  Every
+    voxel receives the same windows in the same order as from a per-window
+    adjoint, so the result is the same bit for bit, whatever the blocks and
+    the walk.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     shape = tuple(shape)
@@ -175,30 +174,16 @@ def correlate_separable_adjoint(
     # scatter-add runs along it.
     longest = max(range(modes), key=lambda mode: (grid[mode], mode))
     order = [*range(longest), *range(longest + 1, modes), longest]
+    walk = tuple(grid[axis] for axis in order)
     width, origins = math.prod(len(factor) for factor in factors), math.prod(grid)
-    before, run = math.prod(grid[:longest]), grid[longest]
-    # The coefficients as runs of origins along that axis, indexed by the grid's axes before
-    # and after it: a (k_1 ... k_N, before, after, run) view, read one segment of runs at a
-    # time.  With no axes after it, the runs are one segment.
-    runs = coeffs.reshape(before, run, -1, width).transpose(3, 0, 2, 1)
-    if runs.shape[2] == 1:
-        runs = runs.reshape(width, 1, before, run)
-    segment = runs.shape[2]
-    block = run * max(_BLOCK_BYTES // (8 * width) // run, 1)  # whole runs per block
+    rows = coeffs.reshape(origins, width)
+    walked = np.arange(origins).reshape(grid).transpose(order).ravel()  # rows in walk order
     synth = np.empty((math.prod(sizes), origins))
     last = factors[-1]
     into = synth.reshape(math.prod(sizes[:-1]), sizes[-1], origins)
-    for start in range(0, origins, block):
-        stop = min(start + block, origins)
-        # The block's runs in walk order, transposed to put (k_1, ..., k_N) first.
-        count = (stop - start) // run
-        z = np.empty((width, count, run))
-        taken = 0
-        while taken < count:
-            outer, inner = divmod(start // run + taken, segment)
-            step = min(count - taken, segment - inner)
-            z[:, taken : taken + step] = runs[:, outer, inner : inner + step]
-            taken += step
+    for start, stop in _blocks(origins, _BLOCK_BYTES, 8 * width):
+        # The block's origins in walk order, with (k_1, ..., k_N) first.
+        z = rows.T[:, walked[start:stop]]
         for mode, factor in enumerate(factors[:-1]):
             z = factor.T @ z.reshape(math.prod(sizes[:mode]), len(factor), -1)
         np.matmul(last.T, z.reshape(len(into), len(last), -1), out=into[:, :, start:stop])
@@ -206,7 +191,6 @@ def correlate_separable_adjoint(
         [slice(a, a + stride * m, stride) for a in range(n)] for n, m in zip(sizes, grid)
     ]
     out = np.zeros(tuple(shape[axis] for axis in order))
-    walk = tuple(grid[axis] for axis in order)
     for piece, window in zip(synth.reshape((-1,) + walk), product(*per_mode)):
         out[tuple(window[axis] for axis in order)] += piece
     return np.ascontiguousarray(out.transpose(np.argsort(order)))

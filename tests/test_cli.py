@@ -260,19 +260,19 @@ def test_invalid_solve_settings_exit_1_before_any_volume_is_read(
     assert_nothing_written(tmp_path)
 
 
+OUTPUT_FLAGS = [
+    ("gen", "--out"),
+    ("learn", "--out"),
+    ("denoise", "--out"),
+    ("denoise", "--csv"),
+    ("cs", "--out"),
+    ("cs", "--csv"),
+    ("eval", "--csv"),
+]
+
+
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
-@pytest.mark.parametrize(
-    "command, flag",
-    [
-        ("gen", "--out"),
-        ("learn", "--out"),
-        ("denoise", "--out"),
-        ("denoise", "--csv"),
-        ("cs", "--out"),
-        ("cs", "--csv"),
-        ("eval", "--csv"),
-    ],
-)
+@pytest.mark.parametrize("command, flag", OUTPUT_FLAGS)
 def test_bad_output_path_exits_1_before_any_work(
     tmp_path, phantom, operators, capsys, command, flag, where
 ):
@@ -281,6 +281,18 @@ def test_bad_output_path_exits_1_before_any_work(
     before = sorted(tmp_path.rglob("*"))
     assert run(*with_value(small_run(command, phantom, operators, tmp_path), flag, bad)) == 1
     assert f"output {bad} is a directory or lies in a missing one" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command, flag", OUTPUT_FLAGS)
+def test_empty_output_path_exits_1_before_any_work(
+    tmp_path, phantom, operators, capsys, monkeypatch, command, flag
+):
+    # run in tmp_path, where a file named from the empty path (a '.json' header) would land
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert run(*with_value(small_run(command, phantom, operators, tmp_path), flag, "")) == 1
+    assert f"{flag} needs a file name, got an empty one" in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
 
 

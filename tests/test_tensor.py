@@ -326,6 +326,16 @@ class TestCorrelateSeparableAdjoint:
             tensor.correlate_separable_adjoint(np.zeros((3, 3)), [f], (4,), stride=0)
 
 
+@pytest.mark.parametrize("total", range(8))
+@pytest.mark.parametrize("rows", [0, 1, 2, 3])
+def test_blocks_tile_the_rows_two_at_least(total, rows):
+    # the rule that the GEMM rows, the analysis slabs and the adjoint's blocks share
+    blocks = list(tensor._blocks(total, 8 * rows, 8))
+    assert [row for block in blocks for row in range(*block)] == list(range(total))
+    assert all(stop - start >= min(2, total) for start, stop in blocks)
+    assert all(stop - start <= max(2, rows) + 1 for start, stop in blocks)
+
+
 class TestBlockedAdjoint:
     """The blocked adjoint equals the whole-array transpose-then-GEMM one bit for bit."""
 
@@ -344,13 +354,17 @@ class TestBlockedAdjoint:
             ([(6, 5), (1, 1), (6, 5)], (13, 7, 11), 1),
             ([(6, 5), (6, 5), (1, 1)], (13, 12, 6), 2),
             # Thin and permuted window-origin grids: the origins are walked with the
-            # axis of most origins last, whole runs of it per block.
+            # axis of most origins last, in blocks that may end inside a run of it.
             ([(6, 5)] * 3, (32, 32, 8), 1),  # the cs grid, 28x28x4
+            ([(6, 5)] * 3, (32, 32, 24), 1),  # neither thin nor cubic, 28x28x20
+            # 605 origins in default blocks of 151: each ends inside a grid row of 11,
+            # and a one-row remainder joins the last.
+            ([(6, 5)] * 3, (9, 15, 15), 1),
             ([(6, 5)] * 3, (40, 12, 12), 1),  # the longest axis first
             ([(6, 5)] * 3, (9, 30, 7), 1),  # the longest axis in the middle
             ([(6, 5)] * 3, (21, 21, 9), 2),
             ([(6, 5)] * 3, (5, 14, 9), 1),  # one origin on the first axis
-            # Runs of one origin: the longest run is one origin, so the whole grid is one.
+            # One origin in all: a block of one row.
             ([(6, 5)] * 3, (5, 5, 5), 1),
             ([(6, 5)] * 3, (6, 5, 7), 3),
             # A 1x1 first mode walks whole planes of the first axis, as a stack of
