@@ -15,7 +15,11 @@ end-to-end metric of ``BENCHMARK.json``, each side's median and inclusive
 quartiles, the pairs the change won, and whether it meets the claim rule:
 better in at least 9 of 10 pairs (ties count for neither side), with the
 medians apart, in the better direction, by more than the parent's
-interquartile range.
+interquartile range; and the no-regression rule: "within bound", "worse
+beyond bound" (the change's median worse than the parent's by more than the
+metric's ``bound`` in ``BENCHMARK.json``, a fraction of the parent's median),
+or "unresolved (parent IQR wider than the bound)", unless every run of the
+change is better than every run of the parent.
 
 With ``--out``, the pairs and summary are written as
 ``workloads[W]`` of a ``BENCH_*.json`` file (an existing file keeps its other
@@ -99,6 +103,21 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "n": len(values)}
 
 
+def regression_verdict(parent: list[float], change: list[float], sign: float, bound: float) -> str:
+    """The no-regression rule: the change's median may be worse than the parent's by at most
+    ``bound`` times the parent's median, unresolved where the parent's IQR is wider than
+    that, unless every change run is better (``sign`` -1 where lower is better) than every
+    parent run."""
+    spread = quartiles(parent)
+    allowed = bound * abs(spread["median"])
+    if min(sign * c for c in change) > max(sign * p for p in parent):
+        return "within bound"
+    if spread["iqr"] > allowed:
+        return "unresolved (parent IQR wider than the bound)"
+    loss = sign * (spread["median"] - statistics.median(change))
+    return "worse beyond bound" if loss > allowed else "within bound"
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     summary = {}
     for metric in metrics:
@@ -117,6 +136,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "median_change_pct": 100.0 * (statistics.median(change) - mid) / mid if mid else 0.0,
             "meets_claim_rule": (10 * wins >= 9 * len(pairs)
                                  and sign * (statistics.median(change) - mid) > spread["iqr"]),
+            "bound": metric["bound"],
+            "regression": regression_verdict(parent, change, sign, metric["bound"]),
         }
     return summary
 
@@ -179,7 +200,8 @@ def main() -> int:
               f"change {chg['median']:.6g} [{chg['q1']:.6g}, {chg['q3']:.6g}]  "
               f"{s['median_change_pct']:+.2f} %  change better in {s['change_better_pairs']}"
               f"/{len(pairs)}, tied {s['tied_pairs']}; "
-              f"{'meets' if s['meets_claim_rule'] else 'does not meet'} the claim rule")
+              f"{'meets' if s['meets_claim_rule'] else 'does not meet'} the claim rule; "
+              f"{s['regression']} ({100 * s['bound']:g} %)")
 
     if args.out:
         record = {}

@@ -11,9 +11,13 @@ time, the first side alternating round to round; a worker imports ``sepop``
 from its side's ``src``, builds the same seeded inputs, calls each kernel once
 to warm it, then times ``--reps`` calls of it.  Workers run with one BLAS
 thread and the benchmark's malloc settings.  Per kernel and side, the minimum
-and median over every timed call are printed in milliseconds, and with a
-parent the change of the minimum.  ``--tiny`` uses small shapes, to check the
-tool itself.  The temporary copies are removed however the script ends.
+and median over every timed call are printed in milliseconds.  With a parent,
+each round's change/parent ratio of the two workers' minima is formed, and
+its median and interquartile range over the rounds are printed: the speed of
+the machine drifts between worker processes, which a ratio within a round
+cancels and a difference of the overall minima does not.  ``--tiny`` uses
+small shapes, to check the tool itself.  The temporary copies are removed
+however the script ends.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import sys
 import tempfile
 import time
 
-from bench_pairs import export_ref, export_worktree, git
+from bench_pairs import export_ref, export_worktree, git, quartiles
 from compare_outputs import MALLOC_ENV, THREAD_VARS  # bench/common.py's
 
 # Learning batch size, the reconstruction volumes of the denoise and cs workloads (tiny
@@ -123,6 +127,12 @@ def worker(size: str, reps: int) -> None:
     print(json.dumps(times))
 
 
+def round_ratios(parent: list[list[float]], change: list[list[float]]) -> dict:
+    """The :func:`bench_pairs.quartiles` over rounds of each round's change/parent ratio of
+    the minimum call time, from one kernel's per-round call times on each side."""
+    return quartiles([min(new) / min(old) for old, new in zip(parent, change)])
+
+
 def run_worker(checkout: str, size: str, reps: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), **MALLOC_ENV)
     env.update(dict.fromkeys(THREAD_VARS, "1"))
@@ -151,7 +161,8 @@ def main(argv: list[str] | None = None) -> int:
 
     root = git(os.getcwd(), "rev-parse", "--show-toplevel").decode().strip()
     sides = ("parent", "change") if args.parent_ref else ("change",)
-    samples: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
+    # side -> kernel -> one list of call times per round
+    samples: dict[str, dict[str, list[list[float]]]] = {side: {} for side in sides}
     tmp = tempfile.mkdtemp(prefix="kernel-times-")
     try:
         checkouts = {side: os.path.join(tmp, side) for side in sides}
@@ -161,20 +172,20 @@ def main(argv: list[str] | None = None) -> int:
         for round_ in range(args.rounds):
             for side in sides if round_ % 2 == 0 else sides[::-1]:
                 for name, times in run_worker(checkouts[side], args.size, args.reps).items():
-                    samples[side].setdefault(name, []).extend(times)
+                    samples[side].setdefault(name, []).append(times)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
     print(f"{'kernel (ms)':40s}" + "".join(f"{side + ' min':>13s}{side + ' median':>15s}" for side in sides)
-          + ("  min change" if args.parent_ref else ""))
+          + ("  ratio median [q1, q3]" if args.parent_ref else ""))
     for name in samples["change"]:
         row = f"{name:40s}"
         for side in sides:
-            times = samples[side][name]
+            times = [t for round_times in samples[side][name] for t in round_times]
             row += f"{min(times):13.3f}{statistics.median(times):15.3f}"
         if args.parent_ref:
-            old, new = min(samples["parent"][name]), min(samples["change"][name])
-            row += f"  {100 * (new - old) / old:+9.1f} %"
+            ratio = round_ratios(samples["parent"][name], samples["change"][name])
+            row += f"  {ratio['median']:12.3f} [{ratio['q1']:.3f}, {ratio['q3']:.3f}]"
         print(row)
     return 0
 

@@ -4,7 +4,7 @@ It parses flags, calls the library and prints: the library function that reads
 a value checks it, and defaults come from the config dataclasses or the module
 that reads them.  Output paths, and the sidecar file that each ``--out`` brings
 (a volume's header, the learn log; the module that writes it names it), are
-checked before any command runs.
+checked before any command runs, and no two of them may name the same file.
 
 Exit codes: 0 success, 1 validation error, 2 runtime error.  All commands are
 deterministic under fixed flags and seeds; metric output is printed as a
@@ -72,9 +72,14 @@ def _check_outputs(args: argparse.Namespace) -> None:
             raise ValueError(f"--{flag} needs a file name, got an empty one")
     out = vars(args).get("out")
     sidecar = args.sidecar(out) if out else None
-    for path in filter(None, (out, sidecar, vars(args).get("csv"))):
+    paths = list(filter(None, (out, sidecar, vars(args).get("csv"))))
+    for path in paths:
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"output {path} is a directory or lies in a missing one")
+    for i, path in enumerate(paths):
+        for other in paths[i + 1 :]:
+            if os.path.realpath(path) == os.path.realpath(other):
+                raise ValueError(f"outputs {path} and {other} name the same file")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

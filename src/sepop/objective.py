@@ -15,9 +15,10 @@ what each mode's product read, which the gradient would otherwise compute again.
 
 The sparsity penalty log(1 + nu c^2) of learning and reconstruction alike is
 summed by :func:`sparsity_measure` and differentiated in place by
-:func:`sparsity_gradient`, both one cache-sized chunk at a time, from
-coefficients however they were analyzed; its weight nu is checked by
-:func:`check_nu` wherever it is given.
+:func:`sparsity_gradient`, from coefficients however they were analyzed, both
+(and :func:`patch_analysis`'s per-patch sums) one chunk of
+``sepop.tensor.BLOCK_BYTES // 8`` entries at a time, bit for bit one pass over the
+whole array; its weight nu is checked by :func:`check_nu` wherever it is given.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sepop import tensor
 from sepop.tensor import rotate_product
 
 COHERENCE_BARRIER_TOL = 1e-12
@@ -52,11 +54,6 @@ class LearningParams:
             )
 
 
-# Entries that the penalty's elementwise passes take at a time: 256 KiB of
-# float64, so a chunk and its buffer stay in a per-core L2 cache.
-_CHUNK = 32 * 1024
-
-
 def check_nu(nu: float) -> None:
     """Refuse a penalty weight nu that is not positive and finite."""
     if not 0 < nu < math.inf:
@@ -68,7 +65,8 @@ def sparsity_measure(coeffs: np.ndarray, nu: float) -> float:
     summed in memory order, as numpy sums that product, but without forming the product."""
     check_nu(nu)
     c = np.asarray(coeffs, dtype=float).ravel(order="K")
-    return float(_log_penalty_sum(c, nu, np.empty(min(_CHUNK, c.size))))
+    leaf = max(128, tensor.BLOCK_BYTES // 8)  # numpy's pairwise leaf; less leaves its order
+    return float(_log_penalty_sum(c, nu, np.empty(min(leaf, c.size))))
 
 
 def _log_penalty_sum(c: np.ndarray, nu: float, buf: np.ndarray) -> np.float64:
@@ -96,14 +94,15 @@ def _log_penalty(c: np.ndarray, nu: float, q: np.ndarray) -> np.ndarray:
 
 
 def sparsity_gradient(coeffs: np.ndarray, nu: float) -> None:
-    """Overwrite ``coeffs`` with d/dc log(1 + nu c^2) = 2 nu c / (1 + nu c^2), :data:`_CHUNK`
-    entries at a time, with the operations, in the order, of one pass over the whole array."""
+    """Overwrite ``coeffs`` with d/dc log(1 + nu c^2) = 2 nu c / (1 + nu c^2), one chunk at a
+    time, with the operations, in the order, of one pass over the whole array."""
     if not coeffs.flags.c_contiguous:  # reshape(-1) would copy, and the derivative be lost
         raise ValueError("sparsity_gradient writes in place: coeffs must be C-contiguous")
     flat = coeffs.reshape(-1)
-    buf = np.empty(min(_CHUNK, flat.size))
-    for start in range(0, len(flat), _CHUNK):
-        c = flat[start : start + _CHUNK]
+    chunk = max(1, tensor.BLOCK_BYTES // 8)
+    buf = np.empty(min(chunk, flat.size))
+    for start in range(0, len(flat), chunk):
+        c = flat[start : start + chunk]
         q = buf[: len(c)]
         np.multiply(c, nu, out=q)
         q *= c
@@ -240,14 +239,14 @@ def patch_analysis(
 ) -> PatchAnalysis:
     """The batch's coefficients, per-patch sum of log(1 + nu c^2), and the gradient's share.
 
-    The penalty is formed and summed one block of whole patches at a time, about
-    :data:`_CHUNK` entries, in one reused buffer: each patch's sum is still numpy's over
-    its contiguous entries, so it equals the sum over the whole array's patch axes."""
+    The penalty is formed and summed one block of whole patches at a time, about one
+    chunk, in one reused buffer: each patch's sum is still numpy's over its contiguous
+    entries, so it equals the sum over the whole array's patch axes."""
     mode_inputs: list[np.ndarray] = []
     coeffs = analyze_batch(patches, factors, mode_inputs)
     flat = coeffs.reshape(len(coeffs), -1)
     per_sample = np.empty(len(flat))
-    step = max(1, _CHUNK // flat.shape[1])
+    step = max(1, tensor.BLOCK_BYTES // 8 // flat.shape[1])
     buf = np.empty((min(step, len(flat)), flat.shape[1]))
     for start in range(0, len(flat), step):
         c = flat[start : start + step]

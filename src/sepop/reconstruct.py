@@ -240,7 +240,7 @@ def _evaluate(
     the penalty over it, and neither it nor the gradient holds a second
     coefficient-sized array: the analysis fills the coefficients one slab at
     a time, and the penalty's sum and derivative work through the flat
-    coefficients one cache-sized chunk at a time.
+    coefficients one chunk at a time, both of :data:`sepop.tensor.BLOCK_BYTES`.
     """
     residual = op.forward(v) - y
     data_term = 0.5 * float(np.real(np.vdot(residual, residual)))

@@ -9,9 +9,10 @@ patch batches, and the analysis of every window of an order-N tensor, one
 factor per mode, over stacks of shifted slices, one cache-sized slab of the
 result at a time.  The adjoint of that analysis synthesizes the windows with
 one GEMM per mode and block of window origins, walked and added in along
-the axis with the most origins.  The GEMM rows, the slabs and the
-adjoint's blocks follow one rule, :func:`_blocks`.  Formulas in the docs are
-stated 1-based; all code indices are 0-based.
+the axis with the most origins.  The GEMM rows, the slabs and the adjoint's
+blocks follow one rule, :func:`_blocks`, and one budget, :data:`BLOCK_BYTES`
+(256 KiB), which :mod:`sepop.objective`'s penalty passes share.  Formulas in
+the docs are stated 1-based; all code indices are 0-based.
 """
 
 from __future__ import annotations
@@ -21,16 +22,10 @@ from itertools import product
 
 import numpy as np
 
-# The adjoint synthesizes this many bytes of coefficients at a time, so that a
-# block and its partial products stay in a per-core L2 cache.
-_BLOCK_BYTES = 256 * 1024
-# The analysis fills about this many bytes of its result at a time, so that a
-# slab and its partial products stay in cache.
-_SLAB_BYTES = 2 * 1024 * 1024
-# rotate_product issues its GEMM in blocks of about this many bytes of operand
-# and result rows, so that a block's packed operand and result stay in a
-# per-core L2 cache.
-_GEMM_BYTES = 512 * 1024
+# Every blocked pass (GEMM rows, analysis slabs, adjoint blocks, the penalty's chunks) takes
+# about this many bytes at a time, so a block and its partial products stay in a per-core L2
+# cache.  Each pass reads it when called; its result is the same bit for bit at any budget.
+BLOCK_BYTES = 256 * 1024
 
 
 def _blocks(total: int, budget_bytes: int, row_bytes: int):
@@ -51,7 +46,7 @@ def rotate_product(x: np.ndarray, factor: np.ndarray, out: np.ndarray | None = N
 
     A GEMM whose operand ``x.reshape(n, -1).T`` BLAS reads transposed in place (a
     C-contiguous ``x`` is not copied), issued in the :func:`_blocks` of its rows, each about
-    :data:`_GEMM_BYTES` of operand and result rows, so that a block's packed operand and
+    :data:`BLOCK_BYTES` of operand and result rows, so that a block's packed operand and
     result stay in cache.  Each entry is ``np.tensordot``'s over axis 0, bit for bit.  The
     result is written into ``out`` (C-contiguous, of the result's shape) if it is given."""
     x, factor = np.asarray(x, dtype=float), np.asarray(factor, dtype=float)
@@ -62,7 +57,7 @@ def rotate_product(x: np.ndarray, factor: np.ndarray, out: np.ndarray | None = N
         out = result.reshape(x.shape[1:] + (k,))
     else:
         result = out.reshape(total, k)
-    for start, stop in _blocks(total, _GEMM_BYTES, 8 * (n + k)):
+    for start, stop in _blocks(total, BLOCK_BYTES, 8 * (n + k)):
         np.matmul(rows[start:stop], factor.T, out=result[start:stop])
     return out
 
@@ -81,7 +76,7 @@ def correlate_separable(
 
     The result is filled one slab of whole planes of its first axis (the
     first mode's window origins) at a time, the :func:`_blocks` of those
-    planes, about :data:`_SLAB_BYTES` each, so that a slab's partial products
+    planes, about :data:`BLOCK_BYTES` each, so that a slab's partial products
     stay in cache (a slab of one plane could make numpy take another matmul
     path, which rounds differently).  A slab reads
     ``stride * (planes - 1) + n_1`` input rows, its windows' halo included.
@@ -113,7 +108,7 @@ def correlate_separable(
     starts = tuple((d - f.shape[1]) // stride + 1 for f, d in zip(factors, x.shape))
     out = np.empty(starts + tuple(len(f) for f in factors))
     first = factors[0].shape[1]
-    for start, stop in _blocks(len(out), _SLAB_BYTES, 8 * math.prod(out.shape[1:])):
+    for start, stop in _blocks(len(out), BLOCK_BYTES, 8 * math.prod(out.shape[1:])):
         # A slab also reads its windows' halo.
         part = x[stride * start : stride * (stop - 1) + first]
         for mode, factor in enumerate(factors):
@@ -141,7 +136,7 @@ def correlate_separable_adjoint(
     origins are walked with the axis of most origins last (on a tie the later
     axis, so a cube keeps C order), so that each add runs along the longest
     axis: on a thin 28x28x4 grid, runs of 28 instead of 4.  They are
-    synthesized in consecutive blocks of that walk, about :data:`_BLOCK_BYTES`
+    synthesized in consecutive blocks of that walk, about :data:`BLOCK_BYTES`
     of coefficients each (see :func:`_blocks`), each gathered from the C-order
     coefficients with one fancy-index copy that puts (k_1, ..., k_N) first;
     then mode i is ``F_i.T @ z`` batched over the window offsets already
@@ -181,7 +176,7 @@ def correlate_separable_adjoint(
     synth = np.empty((math.prod(sizes), origins))
     last = factors[-1]
     into = synth.reshape(math.prod(sizes[:-1]), sizes[-1], origins)
-    for start, stop in _blocks(origins, _BLOCK_BYTES, 8 * width):
+    for start, stop in _blocks(origins, BLOCK_BYTES, 8 * width):
         # The block's origins in walk order, with (k_1, ..., k_N) first.
         z = rows.T[:, walked[start:stop]]
         for mode, factor in enumerate(factors[:-1]):

@@ -326,6 +326,26 @@ def test_directory_input_exits_1_naming_it(tmp_path, phantom, operators, capsys,
     assert str(folder) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["out", "header", "header by another path"])
+@pytest.mark.parametrize("command", ["denoise", "cs"])
+def test_outputs_that_name_one_file_exit_1_before_any_work(
+    tmp_path, phantom, operators, capsys, command, target
+):
+    # a CSV written over the volume or its header leaves a volume that cannot be read
+    (tmp_path / "folder").mkdir()
+    out = str(tmp_path / "r.vol")
+    csv = {
+        "out": out,
+        "header": volume.header_path(out),
+        "header by another path": str(tmp_path / "folder" / ".." / "r.vol.json"),
+    }[target]
+    before = sorted(tmp_path.rglob("*"))
+    assert run(*with_value(small_run(command, phantom, operators, tmp_path), "--csv", csv)) == 1
+    err = capsys.readouterr().err
+    assert "name the same file" in err and csv in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def python(*args):
     """Run a fresh interpreter that imports ``sepop`` from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -88,19 +88,22 @@ def test_every_penalty_weight_owner_refuses_nu_with_one_message(owner, nu):
 
 class TestAnalysisSparsity:
     """The penalty summed over the slabbed analysis equals numpy's sum over the whole-array
-    analysis, bit for bit, whatever the slab budget and the sum's leaf size."""
+    analysis, bit for bit, whatever the block budget, which sets both the slabs and the
+    sum's leaves."""
 
     SHAPES = [(3, 5), (5, 3), (3, 4)]  # 45 coefficients per window: odd plane sizes
 
+    # Under one plane (two-plane slabs, the 128-entry leaf floor), 128 entries (two-plane
+    # slabs, leaves of 128), some planes (leaves of 5000 entries), and the default (one slab,
+    # one leaf over the 22050 or 3600 coefficients).
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("slab_bytes", [1, 40_000, None], ids=["two-planes", "some-planes", "default"])
-    @pytest.mark.parametrize("chunk", [128, None], ids=["short-leaves", "default-leaves"])
-    def test_equals_numpys_sum_of_the_whole_array_analysis(self, monkeypatch, stride, slab_bytes, chunk):
+    @pytest.mark.parametrize(
+        "budget", [1, 8 * 128, 40_000, None], ids=["floor-leaves", "short-leaves", "some-planes", "default"]
+    )
+    def test_equals_numpys_sum_of_the_whole_array_analysis(self, monkeypatch, stride, budget):
         rng = np.random.default_rng(stride)
-        if slab_bytes is not None:
-            monkeypatch.setattr(tensor, "_SLAB_BYTES", slab_bytes)
-        if chunk is not None:
-            monkeypatch.setattr(objective, "_CHUNK", chunk)
+        if budget is not None:
+            monkeypatch.setattr(tensor, "BLOCK_BYTES", budget)
         factors = [rng.standard_normal(shape) for shape in self.SHAPES]
         x = rng.standard_normal((14, 9, 10)) * rng.choice([1e-3, 0.1, 10.0], (14, 9, 10))
         nu = 1000.0
@@ -371,8 +374,9 @@ class TestSharedAnalysis:
         assert_equal_to_reference(factors, patches, params, grads)
 
     def test_gradient_in_short_chunks_equals_reference(self, monkeypatch):
-        # 7 patches of 216 coefficients are 11 chunks of 128 and a last one of 104
-        monkeypatch.setattr(objective, "_CHUNK", 128)
+        # 7 patches of 216 coefficients are 11 chunks of 128 and a last one of 104; the
+        # mode products' GEMMs run in blocks of 11 rows
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 8 * 128)
         params = LearningParams()
         factors, patches = random_instance(SHAPE_SETS["6x5"], 7, seed=8)
         grads = objective.learning_gradient(factors, patches, params)
@@ -382,7 +386,7 @@ class TestSharedAnalysis:
     def test_penalty_in_blocks_of_patches_equals_the_whole_array_sum(self, monkeypatch, chunk):
         # blocks of one patch (a chunk smaller than a patch, or one patch), of three with a
         # remainder of one, and of all seven
-        monkeypatch.setattr(objective, "_CHUNK", chunk)
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 8 * chunk)
         params = LearningParams()
         factors, patches = random_instance(SHAPE_SETS["6x5"], 7, seed=9)
         analysis = objective.patch_analysis(factors, patches, params.nu)

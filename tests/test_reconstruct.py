@@ -179,6 +179,19 @@ class TestBitIdentityWithPerPatchDefinition:
             ref_op = reference_objective.SliceFourierMeasurement(dims, mask)
         self._assert_equal(rng, op, ref_op, factors, ReconConfig(lam=3000.0, patch_stride=stride))
 
+    @pytest.mark.parametrize("dims, stride, kind", [((17, 19, 11), 1, "identity"), ((32, 32, 8), 2, "fourier")])
+    def test_at_a_budget_that_splits_every_pass(self, monkeypatch, rng, factors, dims, stride, kind):
+        # 8 KiB: slabs of two planes, GEMMs of 93 rows, adjoint blocks of 4 origins and
+        # penalty chunks of 1 Ki entries, all at once
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 8 * 1024)
+        if kind == "identity":
+            op = ref_op = IdentityMeasurement(dims)
+        else:
+            mask = radial_mask_for_rate(dims[0], dims[1], 0.6)
+            op = FourierMeasurement(dims, mask)
+            ref_op = reference_objective.SliceFourierMeasurement(dims, mask)
+        self._assert_equal(rng, op, ref_op, factors, ReconConfig(lam=3000.0, patch_stride=stride))
+
     @pytest.mark.parametrize("stride", [1, 2])
     def test_mixed_patch_and_factor_shapes(self, rng, stride):
         factors = [manifold.random_factor(k, n, rng) for k, n in ((4, 3), (7, 4), (5, 5))]
@@ -398,8 +411,8 @@ class TestAnalysisWork:
         op = IdentityMeasurement(dims)
         v = rng.uniform(0, 255, dims)
         reconstruct._evaluate(v, op.forward(v), op, factors, ReconConfig(lam=1500.0))
-        # 28 planes of 28 x 4 origins, 10 to a 2 MiB slab: 10, 10 and 8
-        assert calls == {"rotate_product": 3 * 3, "slabs": 3}
+        # 28 planes of 28 x 4 origins, 189 KiB each, two to a 256 KiB slab: 14 slabs
+        assert calls == {"rotate_product": 3 * 14, "slabs": 14}
 
     def test_the_cost_analyzes_once_then_sums_once(self, monkeypatch, rng, factors):
         # the names the benchmark's per-layer wrappers replace, so each call is timed
@@ -428,7 +441,7 @@ class TestCacheSizedPasses:
     """The regularizer's elementwise passes run chunk by chunk, and round as
     they would over the whole array."""
 
-    CHUNK = objective._CHUNK
+    CHUNK = tensor.BLOCK_BYTES // 8
     # Flat coefficient counts: small and chunk-edge sizes, then 216 coefficients
     # per patch at 32^3 with stride 1, 2 and 3, and at 32x32x8 with stride 1, 2 and 3.
     SIZES = [1, 7, 8, 127, 128, 129, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 8]
@@ -445,6 +458,16 @@ class TestCacheSizedPasses:
             "np.sum no longer splits a float64 array at n // 2 rounded down to a "
             "multiple of 8; _log_penalty_sum must follow numpy's pairwise order"
         )
+
+    @pytest.mark.parametrize("entries", [1, 15, 16, 100, 127])
+    def test_penalty_sum_at_a_budget_under_numpys_leaf(self, monkeypatch, rng, entries):
+        # the sum's leaves stay at least numpy's 128 entries: shorter ones would leave its
+        # summation order, and under 16 would split a piece into itself forever
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 8 * entries)
+        nu = 1000.0
+        for n in [1, 7, 15, 16, 17, 100, 120, 127, 128, 129, 255, 1000, 4099]:
+            c = rng.standard_normal(n) * rng.choice([1e-3, 0.1, 10.0], n)
+            assert objective.sparsity_measure(c, nu) == np.sum(np.log1p(nu * c * c)), n
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("lead", [(), (2,)])
@@ -508,6 +531,6 @@ class TestCacheSizedPasses:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Beside the coefficients, one slab's partial product and stacked slices, which
-        # weigh more against 5.2 MiB of coefficients than at 32^3.
-        assert peak < 1.65 * coeff_bytes, f"peak {peak / coeff_bytes:.2f}x the coefficients"
+        # Beside the coefficients, one slab's partial product and stacked slices: two
+        # planes, as at 32^3.
+        assert peak < 1.2 * coeff_bytes, f"peak {peak / coeff_bytes:.2f}x the coefficients"

@@ -58,7 +58,8 @@ def pairs_of(parent: list[float], change: list[float]) -> list[dict]:
             for p, c in zip(parent, change)]
 
 
-METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "mssim", "better": "higher"}]
+METRICS = [{"name": "wall_s", "better": "lower", "bound": 0.05},
+           {"name": "mssim", "better": "higher", "bound": 0.05}]
 PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]  # IQR 0.02
 
 
@@ -79,6 +80,30 @@ def test_claim_rule(bench_pairs, change, wall_s_meets):
     assert summary["mssim"]["meets_claim_rule"] is False
 
 
+UNRESOLVED = "unresolved (parent IQR wider than the bound)"
+
+
+@pytest.mark.parametrize(
+    "shift, bound, wall_s, mssim",
+    [
+        (0.0, 0.05, "within bound", "within bound"),
+        (0.04, 0.05, "within bound", "within bound"),  # 4 % worse, inside a 5 % bound
+        (0.06, 0.05, "worse beyond bound", "within bound"),  # 6 % more is better for mssim
+        (-0.06, 0.05, "within bound", "worse beyond bound"),
+        (-0.02, 0.01, UNRESOLVED, UNRESOLVED),  # the parent's IQR, 0.02, is over 1 % of 1.0
+        # every run of the change better than every run of the parent: resolved
+        (-0.07, 0.01, "within bound", UNRESOLVED),
+        (0.07, 0.01, UNRESOLVED, "within bound"),
+    ],
+)
+def test_no_regression_rule(bench_pairs, shift, bound, wall_s, mssim):
+    metrics = [dict(metric, bound=bound) for metric in METRICS]
+    summary = bench_pairs.summarize(pairs_of(PARENT, [p + shift for p in PARENT]), metrics)
+    assert summary["wall_s"]["regression"] == wall_s
+    assert summary["mssim"]["regression"] == mssim
+    assert summary["wall_s"]["bound"] == bound
+
+
 def test_kernel_times_prints_a_row_per_kernel(monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     monkeypatch.chdir(ROOT)
@@ -92,3 +117,19 @@ def test_kernel_times_prints_a_row_per_kernel(monkeypatch, capsys):
         assert row.startswith(name)
         low, median = map(float, row[len(name):].split())
         assert 0 < low <= median
+
+
+def test_kernel_times_ratios_are_per_round(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import kernel_times
+
+    # The machine runs twice as fast in rounds 3 and 4; within every round the change's
+    # minimum is 0.9 of the parent's, which the overall minima (1.8 against 1.0) hide.
+    parent = [[2.0, 2.4], [2.1, 2.0], [1.0, 1.3], [1.0, 1.1]]
+    change = [[1.8, 2.5], [1.9, 1.8], [0.9, 1.2], [0.9, 0.95]]
+    ratio = kernel_times.round_ratios(parent, change)
+    assert ratio["n"] == 4
+    assert ratio["median"] == pytest.approx(0.9)
+    assert ratio["iqr"] == pytest.approx(0.0, abs=1e-12)
+    ratio = kernel_times.round_ratios([[1.0], [1.0], [1.0]], [[0.8], [1.0], [1.2]])
+    assert (ratio["q1"], ratio["median"], ratio["q3"]) == pytest.approx((0.9, 1.0, 1.1))

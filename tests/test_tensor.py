@@ -234,7 +234,7 @@ class TestRotateProduct:
         shape = self.SHAPES[shape]
         n, total = shape[0], math.prod(shape[1:])
         rows = self.BLOCKS[block](total)
-        monkeypatch.setattr(tensor, "_GEMM_BYTES", 8 * (n + k) * rows)
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 8 * (n + k) * rows)
         rng = np.random.default_rng(k * 31 + len(shape))
         x = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 1e3], shape)
         factor = rng.standard_normal((k, n))
@@ -255,7 +255,7 @@ class TestRotateProduct:
         # the only one-row factor a caller can pass (a factor has k >= n): every entry is
         # one multiplication, which rounds the same on any matmul path
         shape = (1,) + self.SHAPES[shape][1:]
-        monkeypatch.setattr(tensor, "_GEMM_BYTES", 8 * 2 * self.BLOCKS[block](math.prod(shape)))
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 8 * 2 * self.BLOCKS[block](math.prod(shape)))
         rng = np.random.default_rng(len(shape))
         x = rng.standard_normal(shape) * rng.choice([1e-3, 1.0, 1e3], shape)
         factor = rng.standard_normal((1, 1))
@@ -388,7 +388,7 @@ class TestBlockedAdjoint:
         if rows == "one short":
             rows = origins - 1
         if rows != "default":
-            monkeypatch.setattr(tensor, "_BLOCK_BYTES", 8 * width * rows)
+            monkeypatch.setattr(tensor, "BLOCK_BYTES", 8 * width * rows)
         back = tensor.correlate_separable_adjoint(z, factors, dims, stride)
         assert back.flags.c_contiguous
         assert np.array_equal(back, oracles.whole_array_adjoint(z, factors, dims, stride))
@@ -429,7 +429,7 @@ class TestSlabbedAnalysis:
             planes = max(len(whole) - 1, 1)
         if planes != "default":
             plane_bytes = whole[0].nbytes
-            monkeypatch.setattr(tensor, "_SLAB_BYTES", int(planes * plane_bytes))
+            monkeypatch.setattr(tensor, "BLOCK_BYTES", int(planes * plane_bytes))
         analysis = tensor.correlate_separable(x, factors, stride)
         assert analysis.shape == whole.shape
         assert np.array_equal(analysis, whole)
@@ -453,7 +453,7 @@ class TestSlabbedAnalysis:
                 ends.append(end)
             return result
 
-        monkeypatch.setattr(tensor, "_SLAB_BYTES", 1)
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 1)
         monkeypatch.setattr(tensor, "rotate_product", checking_product)
         out = tensor.correlate_separable(x, factors, stride)
         assert out.size == whole.size
