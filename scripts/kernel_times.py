@@ -6,15 +6,16 @@ Usage, from anywhere inside the repository::
     scripts/kernel_times.py [PARENT_REF] [--rounds 4] [--reps 25]
 
 The working tree (and ``PARENT_REF``) are exported as ``scripts/bench_pairs.py``
-exports them.  Each round runs one fresh worker process per side, one at a
-time, the first side alternating round to round; a worker imports ``sepop``
-from its side's ``src``, builds the same seeded inputs, calls each kernel once
-to warm it, then times ``--reps`` calls of it.  Workers run with one BLAS
-thread and the benchmark's malloc settings.  Per kernel and side, the minimum
-and median over every timed call are printed in milliseconds.  With a parent,
-each round's change/parent ratio of the two workers' minima is formed, and
-its median and interquartile range over the rounds are printed: the speed of
-the machine drifts between worker processes, which a ratio within a round
+exports them.  Each round runs one fresh worker process per kernel and side,
+one at a time, the first side alternating round to round; a worker imports
+``sepop`` from its side's ``src``, builds the same seeded inputs, calls its
+one kernel once to warm it, then times ``--reps`` calls of it, so no kernel's
+times depend on what the kernels timed before it allocated.  Workers run with
+one BLAS thread and the benchmark's malloc settings.  Per kernel and side, the
+minimum and median over every timed call are printed in milliseconds.  With a
+parent, each round's change/parent ratio of the two workers' minima is formed,
+and its median and interquartile range over the rounds are printed: the speed
+of the machine drifts between worker processes, which a ratio within a round
 cancels and a difference of the overall minima does not.  ``--tiny`` uses
 small shapes, to check the tool itself.  The temporary copies are removed
 however the script ends.
@@ -109,22 +110,25 @@ def kernels(size: str) -> dict:
     return table
 
 
-def worker(size: str, reps: int) -> None:
-    """Print, as JSON, each kernel's ``reps`` call times in ms, for the ``sepop`` on the path."""
-    times = {}
-    for name, (prepare, call) in kernels(size).items():
+def worker(size: str, reps: int, name: str | None) -> None:
+    """Print, as JSON, the kernel ``name``'s ``reps`` call times in ms, or without a name
+    every kernel's name, for the ``sepop`` on the path."""
+    table = kernels(size)
+    if name is None:
+        print(json.dumps(list(table)))
+        return
+    prepare, call = table[name]
+    if prepare:
+        prepare()
+    call()  # warm
+    samples = []
+    for _ in range(reps):
         if prepare:
             prepare()
-        call()  # warm
-        samples = []
-        for _ in range(reps):
-            if prepare:
-                prepare()
-            begin = time.perf_counter()
-            call()
-            samples.append(1e3 * (time.perf_counter() - begin))
-        times[name] = samples
-    print(json.dumps(times))
+        begin = time.perf_counter()
+        call()
+        samples.append(1e3 * (time.perf_counter() - begin))
+    print(json.dumps(samples))
 
 
 def round_ratios(parent: list[list[float]], change: list[list[float]]) -> dict:
@@ -133,12 +137,15 @@ def round_ratios(parent: list[list[float]], change: list[list[float]]) -> dict:
     return quartiles([min(new) / min(old) for old, new in zip(parent, change)])
 
 
-def run_worker(checkout: str, size: str, reps: int) -> dict:
+def run_worker(checkout: str, size: str, reps: int, name: str | None = None):
+    """What :func:`worker` prints, from a fresh process on ``checkout``'s ``sepop``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), **MALLOC_ENV)
     env.update(dict.fromkeys(THREAD_VARS, "1"))
     cmd = [sys.executable, os.path.abspath(__file__), "--worker", "--reps", str(reps)]
     if size == "tiny":
         cmd.append("--tiny")
+    if name is not None:
+        cmd += ["--kernel", name]
     done = subprocess.run(cmd, env=env, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"kernel worker in {checkout} exited {done.returncode}:\n{done.stderr}")
@@ -152,11 +159,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--reps", type=int, default=25)
     parser.add_argument("--tiny", action="store_const", const="tiny", default="full", dest="size")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--kernel", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.reps < 1:
         parser.error("--rounds and --reps must be at least 1")
     if args.worker:
-        worker(args.size, args.reps)
+        worker(args.size, args.reps, args.kernel)
         return 0
 
     root = git(os.getcwd(), "rev-parse", "--show-toplevel").decode().strip()
@@ -169,9 +177,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.parent_ref:
             export_ref(root, args.parent_ref, checkouts["parent"])
         export_worktree(root, checkouts["change"])
+        names = run_worker(checkouts["change"], args.size, args.reps)
         for round_ in range(args.rounds):
-            for side in sides if round_ % 2 == 0 else sides[::-1]:
-                for name, times in run_worker(checkouts[side], args.size, args.reps).items():
+            for name in names:
+                for side in sides if round_ % 2 == 0 else sides[::-1]:
+                    times = run_worker(checkouts[side], args.size, args.reps, name)
                     samples[side].setdefault(name, []).append(times)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

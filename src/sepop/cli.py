@@ -4,7 +4,8 @@ It parses flags, calls the library and prints: the library function that reads
 a value checks it, and defaults come from the config dataclasses or the module
 that reads them.  Output paths, and the sidecar file that each ``--out`` brings
 (a volume's header, the learn log; the module that writes it names it), are
-checked before any command runs, and no two of them may name the same file.
+checked before any command runs: no two of them may name the same file, and
+none may name an input (a volume, its header or the operator file).
 
 Exit codes: 0 success, 1 validation error, 2 runtime error.  All commands are
 deterministic under fixed flags and seeds; metric output is printed as a
@@ -76,10 +77,16 @@ def _check_outputs(args: argparse.Namespace) -> None:
     for path in paths:
         if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise ValueError(f"output {path} is a directory or lies in a missing one")
-    for i, path in enumerate(paths):
-        for other in paths[i + 1 :]:
-            if os.path.realpath(path) == os.path.realpath(other):
-                raise ValueError(f"outputs {path} and {other} name the same file")
+    # The inputs, then each output in turn: no output may name a file named before it.
+    volumes = filter(None, map(vars(args).get, ("input", "ref", "test", "train_vol")))
+    inputs = [p for vol in volumes for p in (vol, volume_mod.header_path(vol))]
+    inputs += filter(None, [vars(args).get("op")])
+    named = {os.path.realpath(p): f"input {p}" for p in inputs}
+    for path in paths:
+        real = os.path.realpath(path)
+        if real in named:
+            raise ValueError(f"output {path} and {named[real]} name the same file")
+        named[real] = f"output {path}"
 
 
 def cmd_gen(args: argparse.Namespace) -> int:

@@ -1,8 +1,8 @@
 """Regularized volumetric reconstruction and image-quality metrics.
 
 Solves the inverse problem: half the squared measurement residual plus a
-patch-sparsity regularizer evaluated on every (strided) fully interior patch,
-analyzed by the separable operator factors.  The solver is the package's
+patch-sparsity regularizer evaluated on every fully interior patch, analyzed
+by the separable operator factors.  The solver is the package's
 conjugate gradient (:mod:`sepop.cg`) in its flat geometry, which carries the
 line-search rule (monotone Armijo backtracking, 50 trials); the gradient is
 computed only at the points it moves to.
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -49,16 +49,16 @@ class ReconConfig:
     lam: float
     nu: float = 1000.0
     max_iters: int = 200
-    patch_stride: int = 1
     patch_dims: tuple[int, int, int] = (5, 5, 5)
+    # Patches start at every voxel.  Not a field: only the benchmark's patch count
+    # (bench/instrument.py) reads it, and it goes with patch_dims at the next benchmark change.
+    patch_stride: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if not 0 < self.lam < math.inf:
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
         check_nu(self.nu)
         cg.SolverConfig(max_iters=self.max_iters)  # the iteration cap's owner checks it
-        if self.patch_stride < 1:
-            raise ValueError("patch_stride must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +246,9 @@ def _evaluate(
     data_term = 0.5 * float(np.real(np.vdot(residual, residual)))
 
     # Normalization of the patch sum: the number of patches covering an
-    # interior voxel, so the regularizer strength is independent of the
-    # overlap produced by the stride.
-    overlap = math.prod(-(-d // cfg.patch_stride) for d in cfg.patch_dims)
-    weight = cfg.lam / overlap
-    coeffs = correlate_separable(v, factors, cfg.patch_stride)
+    # interior voxel.
+    weight = cfg.lam / math.prod(cfg.patch_dims)
+    coeffs = correlate_separable(v, factors)
     reg_term = weight * sparsity_measure(coeffs, cfg.nu)
     state = [residual, coeffs]
 
@@ -259,7 +257,7 @@ def _evaluate(
         state.clear()
         grad = op.adjoint(residual)
         sparsity_gradient(coeffs, cfg.nu)
-        reg_grad = correlate_separable_adjoint(coeffs, factors, v.shape, cfg.patch_stride)
+        reg_grad = correlate_separable_adjoint(coeffs, factors, v.shape)
         del coeffs
         return grad + weight * reg_grad
 

@@ -62,32 +62,29 @@ def rotate_product(x: np.ndarray, factor: np.ndarray, out: np.ndarray | None = N
     return out
 
 
-def correlate_separable(
-    x: np.ndarray, factors: list[np.ndarray], stride: int = 1
-) -> np.ndarray:
-    """Analyze every (strided) window of an order-N tensor with one factor per mode.
+def correlate_separable(x: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+    """Analyze every window of an order-N tensor with one factor per mode.
 
     With ``N = len(factors) = x.ndim`` and factor i of shape (k_i, n_i), the
     result has shape ``(m_1, ..., m_N, k_1, ..., k_N)``, where
-    ``m_i = (x.shape[i] - n_i) // stride + 1`` counts the window origins
-    ``0, stride, 2 * stride, ...`` along mode i.  Entry ``[p, :]`` is the
-    separable analysis of the n_1 x ... x n_N window starting at
-    ``stride * p``: a bank of k_1 ... k_N separable correlation filters.
+    ``m_i = x.shape[i] - n_i + 1`` counts the window origins along mode i.
+    Entry ``[p, :]`` is the separable analysis of the n_1 x ... x n_N window
+    starting at ``p``: a bank of k_1 ... k_N separable correlation filters.
 
     The result is filled one slab of whole planes of its first axis (the
     first mode's window origins) at a time, the :func:`_blocks` of those
     planes, about :data:`BLOCK_BYTES` each, so that a slab's partial products
     stay in cache (a slab of one plane could make numpy take another matmul
-    path, which rounds differently).  A slab reads
-    ``stride * (planes - 1) + n_1`` input rows, its windows' halo included.
-    Within a slab, mode i stacks the n_i shifted (strided) slices of the
-    partial product along its axis and contracts them with F_i in one
-    :func:`rotate_product`, which puts k_i last: one GEMM over the slab's
-    window origins, so windows that overlap share their partial products
-    instead of recomputing them; the last mode's GEMM writes straight into
-    the result.  Every output entry is the same chain of n_i-term dot
-    products as the per-window mode products, and rounds the same.  A window
-    as long as its axis (``m_i = 1``) is the plain mode product.
+    path, which rounds differently).  A slab reads ``planes + n_1 - 1``
+    input rows, its windows' halo included.  Within a slab, mode i stacks
+    the n_i shifted slices of the partial product along its axis and
+    contracts them with F_i in one :func:`rotate_product`, which puts k_i
+    last: one GEMM over the slab's window origins, so windows that overlap
+    share their partial products instead of recomputing them; the last
+    mode's GEMM writes straight into the result.  Every output entry is the
+    same chain of n_i-term dot products as the per-window mode products, and
+    rounds the same.  A window as long as its axis (``m_i = 1``) is the
+    plain mode product.
     """
     x = np.ascontiguousarray(x, dtype=float)  # np.stack keeps its slices' memory order
     if not factors:
@@ -96,8 +93,6 @@ def correlate_separable(
         raise ValueError(
             f"{len(factors)} factors need an order-{len(factors)} tensor, got order {x.ndim}"
         )
-    if stride < 1:
-        raise ValueError(f"stride must be at least 1, got {stride}")
     factors = [np.asarray(factor, dtype=float) for factor in factors]
     for mode, (factor, length) in enumerate(zip(factors, x.shape)):
         if factor.ndim != 2 or not 1 <= factor.shape[1] <= length:
@@ -105,18 +100,18 @@ def correlate_separable(
                 f"factor for mode {mode} has shape {factor.shape}; its window "
                 f"does not fit axis length {length}"
             )
-    starts = tuple((d - f.shape[1]) // stride + 1 for f, d in zip(factors, x.shape))
+    starts = tuple(d - f.shape[1] + 1 for f, d in zip(factors, x.shape))
     out = np.empty(starts + tuple(len(f) for f in factors))
     first = factors[0].shape[1]
     for start, stop in _blocks(len(out), BLOCK_BYTES, 8 * math.prod(out.shape[1:])):
         # A slab also reads its windows' halo.
-        part = x[stride * start : stride * (stop - 1) + first]
+        part = x[start : stop - 1 + first]
         for mode, factor in enumerate(factors):
             n = factor.shape[1]
-            span = stride * ((part.shape[mode] - n) // stride) + 1
+            span = part.shape[mode] - n + 1
             before = (slice(None),) * mode
             # Each window offset's slice of the part, stacked in C order by contiguous runs.
-            stack = np.stack([part[before + (slice(a, a + span, stride),)] for a in range(n)])
+            stack = np.stack([part[before + (slice(a, a + span),)] for a in range(n)])
             if mode + 1 < len(factors):
                 part = rotate_product(stack, factor)
             else:
@@ -125,7 +120,7 @@ def correlate_separable(
 
 
 def correlate_separable_adjoint(
-    coeffs: np.ndarray, factors: list[np.ndarray], shape: tuple[int, ...], stride: int = 1
+    coeffs: np.ndarray, factors: list[np.ndarray], shape: tuple[int, ...]
 ) -> np.ndarray:
     """Exact adjoint of :func:`correlate_separable` for inputs of ``shape``.
 
@@ -156,11 +151,9 @@ def correlate_separable_adjoint(
         raise ValueError(f"{modes} factors need an order-{modes} shape, got {shape}")
     factors = [np.asarray(factor, dtype=float) for factor in factors]
     sizes = tuple(factor.shape[1] for factor in factors)
-    if stride < 1 or any(n > d for n, d in zip(sizes, shape)):
-        raise ValueError(
-            f"{modes} factors with windows {sizes} and stride {stride} do not fit shape {shape}"
-        )
-    grid = tuple((d - n) // stride + 1 for n, d in zip(sizes, shape))
+    if any(n > d for n, d in zip(sizes, shape)):
+        raise ValueError(f"{modes} factors with windows {sizes} do not fit shape {shape}")
+    grid = tuple(d - n + 1 for n, d in zip(sizes, shape))
     expected = grid + tuple(len(factor) for factor in factors)
     if coeffs.shape != expected:
         raise ValueError(f"coefficients of shape {coeffs.shape}, expected {expected}")
@@ -182,9 +175,7 @@ def correlate_separable_adjoint(
         for mode, factor in enumerate(factors[:-1]):
             z = factor.T @ z.reshape(math.prod(sizes[:mode]), len(factor), -1)
         np.matmul(last.T, z.reshape(len(into), len(last), -1), out=into[:, :, start:stop])
-    per_mode = [
-        [slice(a, a + stride * m, stride) for a in range(n)] for n, m in zip(sizes, grid)
-    ]
+    per_mode = [[slice(a, a + m) for a in range(n)] for n, m in zip(sizes, grid)]
     out = np.zeros(tuple(shape[axis] for axis in order))
     for piece, window in zip(synth.reshape((-1,) + walk), product(*per_mode)):
         out[tuple(window[axis] for axis in order)] += piece

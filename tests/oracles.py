@@ -92,10 +92,10 @@ def leading_mode_product(tensor: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     )
 
 
-def whole_array_analysis(x: np.ndarray, factors: list[np.ndarray], stride: int = 1) -> np.ndarray:
+def whole_array_analysis(x: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     """``correlate_separable`` with each mode one GEMM over all window origins at once.
 
-    Mode i is ``sliding_window_view(..., n_i)[::stride] @ F_i.T`` over the
+    Mode i is ``sliding_window_view(..., n_i) @ F_i.T`` over the
     whole array, its windows reshaped to rows (a copy where they cannot be
     viewed as rows).
     """
@@ -106,13 +106,12 @@ def whole_array_analysis(x: np.ndarray, factors: list[np.ndarray], stride: int =
         axis = lead + mode
         k, n = factor.shape
         windows = np.lib.stride_tricks.sliding_window_view(out, n, axis=axis)
-        windows = windows[(slice(None),) * axis + (slice(None, None, stride),)]
         out = (windows.reshape(-1, n) @ factor.T).reshape(windows.shape[:-1] + (k,))
     return out
 
 
 def whole_array_adjoint(
-    coeffs: np.ndarray, factors: list[np.ndarray], shape: tuple[int, ...], stride: int = 1
+    coeffs: np.ndarray, factors: list[np.ndarray], shape: tuple[int, ...]
 ) -> np.ndarray:
     """The adjoint of ``correlate_separable`` with one transpose of all coefficients.
 
@@ -124,14 +123,12 @@ def whole_array_adjoint(
     modes = len(factors)
     lead = len(shape) - modes
     sizes = tuple(factor.shape[1] for factor in factors)
-    starts = tuple((d - n) // stride + 1 for n, d in zip(sizes, shape[lead:]))
+    starts = tuple(d - n + 1 for n, d in zip(sizes, shape[lead:]))
     grid = tuple(shape[:lead]) + starts
     z = np.ascontiguousarray(np.moveaxis(coeffs, range(-modes, 0), range(modes)))
     for mode, factor in enumerate(factors):
         z = factor.T @ z.reshape(math.prod(sizes[:mode]), len(factor), -1)
-    per_mode = [
-        [slice(a, a + stride * m, stride) for a in range(n)] for n, m in zip(sizes, starts)
-    ]
+    per_mode = [[slice(a, a + m) for a in range(n)] for n, m in zip(sizes, starts)]
     out = np.zeros(shape)
     for piece, window in zip(z.reshape((-1,) + grid), product(*per_mode)):
         out[(Ellipsis, *window)] += piece

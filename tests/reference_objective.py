@@ -1,6 +1,6 @@
 """Frozen definitions of the learning and reconstruction objectives, as test oracles.
 
-``objective_and_gradient`` analyzes each strided 5x5x5 window of the volume
+``objective_and_gradient`` analyzes each 5x5x5 window of the volume
 with three ``tensordot`` mode products and synthesizes the gradient the same
 way, patch by patch: the regularizer exactly as it is defined.
 ``SliceFourierMeasurement`` transforms one slice at a time.  The package
@@ -88,10 +88,9 @@ def objective_and_gradient(v, y, op, factors, cfg):
     grad = op.adjoint(residual)
 
     d1, d2, d3 = cfg.patch_dims
-    s = cfg.patch_stride
-    windows = np.lib.stride_tricks.sliding_window_view(v, cfg.patch_dims)[::s, ::s, ::s]
+    windows = np.lib.stride_tricks.sliding_window_view(v, cfg.patch_dims)
     p1, p2, p3 = windows.shape[:3]
-    overlap = math.prod(-(-d // s) for d in cfg.patch_dims)
+    overlap = math.prod(cfg.patch_dims)
     coeffs = windows
     for mode, factor in enumerate(factors):
         coeffs = np.moveaxis(
@@ -112,7 +111,7 @@ def objective_and_gradient(v, y, op, factors, cfg):
         )
     reg_grad = np.zeros_like(v)
     for a, b, c in product(range(d1), range(d2), range(d3)):
-        reg_grad[a : a + s * p1 : s, b : b + s * p2 : s, c : c + s * p3 : s] += dpatch[
+        reg_grad[a : a + p1, b : b + p2, c : c + p3] += dpatch[
             :, :, :, a, b, c
         ]
     grad = grad + weight * reg_grad

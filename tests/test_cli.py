@@ -346,6 +346,52 @@ def test_outputs_that_name_one_file_exit_1_before_any_work(
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize(
+    "command, output, flag, target",
+    [
+        (command, output, flag, target)
+        for command, output, flag in [
+            ("learn", "--out", "--train-vol"),
+            ("denoise", "--out", "--in"),
+            ("denoise", "--csv", "--in"),
+            ("denoise", "--csv", "--ref"),
+            ("cs", "--out", "--in"),
+            ("cs", "--csv", "--in"),
+            ("eval", "--csv", "--ref"),
+            ("eval", "--csv", "--test"),
+        ]
+        for target in ("payload", "header")
+    ]
+    + [("denoise", "--out", "--op", "file"), ("cs", "--csv", "--op", "file")],
+)
+def test_an_output_that_names_an_input_exits_1_before_any_work(
+    tmp_path, phantom, operators, capsys, command, output, flag, target
+):
+    # the input under test is a copy of its own, so only its flag can name it
+    if flag == "--op":
+        given = str(tmp_path / "own.txt")
+        shutil.copy(operators, given)
+    else:
+        given = str(tmp_path / "own.vol")
+        shutil.copy(phantom, given)
+        shutil.copy(volume.header_path(phantom), volume.header_path(given))
+    argv = with_value(small_run(command, phantom, operators, tmp_path), flag, given)
+    named = volume.header_path(given) if target == "header" else given
+    before = {path: path.read_bytes() for path in sorted(tmp_path.rglob("*")) if path.is_file()}
+    assert run(*with_value(argv, output, named)) == 1
+    assert f"output {named} and input {named} name the same file" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in sorted(tmp_path.rglob("*")) if path.is_file()} == before
+
+
+def test_the_same_file_by_another_path_is_refused(tmp_path, phantom, operators, capsys):
+    (tmp_path / "folder").mkdir()
+    other = str(tmp_path / "folder" / ".." / os.path.basename(phantom))
+    argv = with_value(small_run("denoise", phantom, operators, tmp_path), "--out", other)
+    assert run(*argv) == 1
+    assert f"output {other} and input {phantom} name the same file" in capsys.readouterr().err
+    assert volume.read_volume(phantom).dims == (16, 16, 16)
+
+
 def python(*args):
     """Run a fresh interpreter that imports ``sepop`` from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")

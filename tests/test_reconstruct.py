@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -168,19 +169,18 @@ class TestBitIdentityWithPerPatchDefinition:
     """The vectorized evaluation rounds exactly like the per-patch definition."""
 
     @pytest.mark.parametrize("dims", [(32, 32, 32), (32, 32, 8), (17, 19, 11)])
-    @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["identity", "fourier"])
-    def test_cost_and_gradient_equal_the_reference(self, rng, factors, dims, stride, kind):
+    def test_cost_and_gradient_equal_the_reference(self, rng, factors, dims, kind):
         if kind == "identity":
             op = ref_op = IdentityMeasurement(dims)
         else:
             mask = radial_mask_for_rate(dims[0], dims[1], 0.6)
             op = FourierMeasurement(dims, mask)
             ref_op = reference_objective.SliceFourierMeasurement(dims, mask)
-        self._assert_equal(rng, op, ref_op, factors, ReconConfig(lam=3000.0, patch_stride=stride))
+        self._assert_equal(rng, op, ref_op, factors, ReconConfig(lam=3000.0))
 
-    @pytest.mark.parametrize("dims, stride, kind", [((17, 19, 11), 1, "identity"), ((32, 32, 8), 2, "fourier")])
-    def test_at_a_budget_that_splits_every_pass(self, monkeypatch, rng, factors, dims, stride, kind):
+    @pytest.mark.parametrize("dims, kind", [((17, 19, 11), "identity"), ((32, 32, 8), "fourier")])
+    def test_at_a_budget_that_splits_every_pass(self, monkeypatch, rng, factors, dims, kind):
         # 8 KiB: slabs of two planes, GEMMs of 93 rows, adjoint blocks of 4 origins and
         # penalty chunks of 1 Ki entries, all at once
         monkeypatch.setattr(tensor, "BLOCK_BYTES", 8 * 1024)
@@ -190,13 +190,12 @@ class TestBitIdentityWithPerPatchDefinition:
             mask = radial_mask_for_rate(dims[0], dims[1], 0.6)
             op = FourierMeasurement(dims, mask)
             ref_op = reference_objective.SliceFourierMeasurement(dims, mask)
-        self._assert_equal(rng, op, ref_op, factors, ReconConfig(lam=3000.0, patch_stride=stride))
+        self._assert_equal(rng, op, ref_op, factors, ReconConfig(lam=3000.0))
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_mixed_patch_and_factor_shapes(self, rng, stride):
+    def test_mixed_patch_and_factor_shapes(self, rng):
         factors = [manifold.random_factor(k, n, rng) for k, n in ((4, 3), (7, 4), (5, 5))]
         op = IdentityMeasurement((17, 19, 11))
-        cfg = ReconConfig(lam=3000.0, patch_stride=stride, patch_dims=(3, 4, 5))
+        cfg = ReconConfig(lam=3000.0, patch_dims=(3, 4, 5))
         self._assert_equal(rng, op, op, factors, cfg)
 
     @staticmethod
@@ -272,6 +271,15 @@ class TestBitIdentityWithPerPatchDefinition:
         assert len(trace) == 31
         assert trace == ref_trace
         assert np.array_equal(out.data, ref_out.data)
+
+
+class TestReconConfig:
+    def test_patches_start_at_every_voxel(self):
+        # the stride is a read-only constant that no caller sets, not a field
+        assert "patch_stride" not in {field.name for field in dataclasses.fields(ReconConfig)}
+        assert ReconConfig.patch_stride == ReconConfig(lam=1.0).patch_stride == 1
+        with pytest.raises(TypeError):
+            ReconConfig(lam=1.0, patch_stride=2)
 
 
 class TestReconstructSolver:
@@ -442,8 +450,9 @@ class TestCacheSizedPasses:
     they would over the whole array."""
 
     CHUNK = tensor.BLOCK_BYTES // 8
-    # Flat coefficient counts: small and chunk-edge sizes, then 216 coefficients
-    # per patch at 32^3 with stride 1, 2 and 3, and at 32x32x8 with stride 1, 2 and 3.
+    # Flat coefficient counts: small and chunk-edge sizes, then 216 coefficients per
+    # patch on the patch grids of 32^3, 18^3 and 14^3 volumes (28^3, 14^3 and 10^3 patches)
+    # and of 32x32x8, 18x18x6 and 14x14x6 volumes (28x28x4, 14x14x2 and 10x10x2).
     SIZES = [1, 7, 8, 127, 128, 129, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 8]
     SIZES += [216 * 28**3, 216 * 14**3, 216 * 10**3, 216 * 28 * 28 * 4, 216 * 14 * 14 * 2]
     SIZES += [216 * 10 * 10 * 2]
@@ -469,15 +478,14 @@ class TestCacheSizedPasses:
             c = rng.standard_normal(n) * rng.choice([1e-3, 0.1, 10.0], n)
             assert objective.sparsity_measure(c, nu) == np.sum(np.log1p(nu * c * c)), n
 
-    @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("lead", [(), (2,)])
-    def test_analysis_is_c_contiguous(self, rng, factors, stride, lead):
+    def test_analysis_is_c_contiguous(self, rng, factors, lead):
         # the gradient writes the derivative through coeffs.reshape(-1), which
         # must be a view of the coefficients it then synthesizes from; a leading
         # axis is analyzed as one more mode with a 1x1 factor
         x = rng.standard_normal(lead + (12, 11, 13))
         factors = [np.ones((1, 1))] * len(lead) + factors
-        coeffs = tensor.correlate_separable(x, factors, stride)
+        coeffs = tensor.correlate_separable(x, factors)
         assert coeffs.flags.c_contiguous
         assert np.shares_memory(coeffs.reshape(-1), coeffs)
 

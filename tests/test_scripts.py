@@ -1,5 +1,6 @@
 """The repository scripts' own logic, on tiny inputs (the scripts' full runs take minutes)."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -133,3 +134,23 @@ def test_kernel_times_ratios_are_per_round(monkeypatch):
     assert ratio["iqr"] == pytest.approx(0.0, abs=1e-12)
     ratio = kernel_times.round_ratios([[1.0], [1.0], [1.0]], [[0.8], [1.0], [1.2]])
     assert (ratio["q1"], ratio["median"], ratio["q3"]) == pytest.approx((0.9, 1.0, 1.1))
+
+
+def test_kernel_times_worker_times_only_its_kernel(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import kernel_times
+
+    calls = {"a": 0, "b": 0}
+
+    def count(name):
+        calls[name] += 1
+
+    table = {name: (None, lambda name=name: count(name)) for name in calls}
+    monkeypatch.setattr(kernel_times, "kernels", lambda size: table)
+    kernel_times.worker("tiny", 3, "b")
+    samples = json.loads(capsys.readouterr().out)
+    assert len(samples) == 3 and all(t >= 0 for t in samples)
+    assert calls == {"a": 0, "b": 4}  # one warming call, then the timed ones
+    kernel_times.worker("tiny", 3, None)
+    assert json.loads(capsys.readouterr().out) == ["a", "b"]
+    assert calls == {"a": 0, "b": 4}

@@ -127,21 +127,19 @@ class TestCorrelateSeparable:
             min_size=1,
             max_size=3,
         ),
-        st.integers(1, 3),
         st.integers(0, 2**31 - 1),
     )
-    def test_matches_kronecker_oracle_on_every_window(self, modes, stride, seed):
+    def test_matches_kronecker_oracle_on_every_window(self, modes, seed):
         # modes: (rows k_i, window n_i, axis length beyond the window) per mode
         rng = np.random.default_rng(seed)
         factors = [rng.standard_normal((k, n)) for k, n, _ in modes]
         x = rng.standard_normal(tuple(n + extra for _, n, extra in modes))
-        out = tensor.correlate_separable(x, factors, stride)
+        out = tensor.correlate_separable(x, factors)
 
-        starts = [range(0, extra + 1, stride) for _, _, extra in modes]
-        assert out.shape == tuple(len(r) for r in starts) + tuple(k for k, _, _ in modes)
+        assert out.shape == tuple(extra + 1 for _, _, extra in modes) + tuple(k for k, _, _ in modes)
         dense = oracles.kronecker_chain(factors)
-        for origin in np.ndindex(*(len(r) for r in starts)):
-            window = x[tuple(slice(r[p], r[p] + n) for r, p, (_, n, _) in zip(starts, origin, modes))]
+        for origin in np.ndindex(*out.shape[: len(modes)]):
+            window = x[tuple(slice(p, p + n) for p, (_, n, _) in zip(origin, modes))]
             np.testing.assert_allclose(
                 out[origin].ravel(), dense @ window.ravel(), rtol=1e-12, atol=1e-12
             )
@@ -164,10 +162,6 @@ class TestCorrelateSeparable:
             tensor.correlate_separable(x, [f])
         with pytest.raises(ValueError, match="mode 1"):
             tensor.correlate_separable(x, [f, np.zeros((3, 5))])
-        with pytest.raises(ValueError, match="stride"):
-            tensor.correlate_separable(x, [f, f], stride=0)
-        with pytest.raises(ValueError, match="stride"):
-            tensor.correlate_separable(np.zeros(4), [f], stride=0)
         with pytest.raises(ValueError, match="at least one factor"):
             tensor.correlate_separable(x, [])
 
@@ -286,19 +280,18 @@ class TestCorrelateSeparableAdjoint:
             min_size=1,
             max_size=3,
         ),
-        st.integers(1, 3),
         st.integers(0, 2**31 - 1),
     )
-    def test_is_the_transpose_of_the_analysis(self, modes, stride, seed):
+    def test_is_the_transpose_of_the_analysis(self, modes, seed):
         # modes: (rows k_i, window n_i, axis length beyond the window) per mode;
         # every axis length is odd.
         rng = np.random.default_rng(seed)
         factors = [rng.standard_normal((k, n)) for k, n, _ in modes]
         shape = tuple((n + extra) | 1 for _, n, extra in modes)
         x = rng.standard_normal(shape)
-        analysis = tensor.correlate_separable(x, factors, stride)
+        analysis = tensor.correlate_separable(x, factors)
         z = rng.standard_normal(analysis.shape)
-        back = tensor.correlate_separable_adjoint(z, factors, shape, stride)
+        back = tensor.correlate_separable_adjoint(z, factors, shape)
         assert back.shape == shape
 
         lhs, rhs = float(np.sum(analysis * z)), float(np.sum(x * back))
@@ -308,7 +301,7 @@ class TestCorrelateSeparableAdjoint:
         sizes = tuple(n for _, n, _ in modes)
         expected = np.zeros(shape)
         for origin in np.ndindex(*analysis.shape[: len(modes)]):
-            window = tuple(slice(stride * p, stride * p + n) for p, n in zip(origin, sizes))
+            window = tuple(slice(p, p + n) for p, n in zip(origin, sizes))
             expected[window] += (dense.T @ z[origin].ravel()).reshape(sizes)
         np.testing.assert_allclose(back, expected, rtol=1e-12, atol=1e-12)
 
@@ -322,8 +315,6 @@ class TestCorrelateSeparableAdjoint:
             tensor.correlate_separable_adjoint(np.zeros((3, 3)), [f], (4, 4))
         with pytest.raises(ValueError, match="do not fit"):
             tensor.correlate_separable_adjoint(np.zeros((1, 3)), [np.zeros((3, 5))], (4,))
-        with pytest.raises(ValueError, match="do not fit"):
-            tensor.correlate_separable_adjoint(np.zeros((3, 3)), [f], (4,), stride=0)
 
 
 @pytest.mark.parametrize("total", range(8))
@@ -340,106 +331,105 @@ class TestBlockedAdjoint:
     """The blocked adjoint equals the whole-array transpose-then-GEMM one bit for bit."""
 
     @pytest.mark.parametrize(
-        "shapes, dims, stride",
+        "shapes, dims",
         [
-            ([(6, 5)] * 3, (13, 12, 11), 1),
-            ([(6, 5)] * 3, (14, 13, 11), 2),
-            ([(6, 5)] * 3, (16, 17, 15), 3),
-            ([(4, 3), (7, 4), (5, 5)], (10, 11, 12), 1),
-            ([(4, 3), (7, 4), (5, 5), (3, 2)], (9, 8, 7, 6), 2),  # order 4
-            ([(3, 4), (2, 5)], (12, 9), 3),  # order 2
-            ([(4, 4)], (9,), 1),  # order 1
+            ([(6, 5)] * 3, (13, 12, 11)),
+            ([(6, 5)] * 3, (14, 13, 11)),
+            ([(6, 5)] * 3, (16, 17, 15)),
+            ([(4, 3), (7, 4), (5, 5)], (10, 11, 12)),
+            ([(4, 3), (7, 4), (5, 5), (3, 2)], (9, 8, 7, 6)),  # order 4
+            ([(3, 4), (2, 5)], (12, 9)),  # order 2
+            ([(4, 4)], (9,)),  # order 1
             # A 1x1 mode among 6x5 ones: its products are single multiplications.
-            ([(1, 1), (6, 5), (6, 5)], (9, 12, 11), 1),
-            ([(6, 5), (1, 1), (6, 5)], (13, 7, 11), 1),
-            ([(6, 5), (6, 5), (1, 1)], (13, 12, 6), 2),
+            ([(1, 1), (6, 5), (6, 5)], (9, 12, 11)),
+            ([(6, 5), (1, 1), (6, 5)], (13, 7, 11)),
+            ([(6, 5), (6, 5), (1, 1)], (13, 12, 6)),
             # Thin and permuted window-origin grids: the origins are walked with the
             # axis of most origins last, in blocks that may end inside a run of it.
-            ([(6, 5)] * 3, (32, 32, 8), 1),  # the cs grid, 28x28x4
-            ([(6, 5)] * 3, (32, 32, 24), 1),  # neither thin nor cubic, 28x28x20
+            ([(6, 5)] * 3, (32, 32, 8)),  # the cs grid, 28x28x4
+            ([(6, 5)] * 3, (32, 32, 24)),  # neither thin nor cubic, 28x28x20
             # 605 origins in default blocks of 151: each ends inside a grid row of 11,
             # and a one-row remainder joins the last.
-            ([(6, 5)] * 3, (9, 15, 15), 1),
-            ([(6, 5)] * 3, (40, 12, 12), 1),  # the longest axis first
-            ([(6, 5)] * 3, (9, 30, 7), 1),  # the longest axis in the middle
-            ([(6, 5)] * 3, (21, 21, 9), 2),
-            ([(6, 5)] * 3, (5, 14, 9), 1),  # one origin on the first axis
-            # One origin in all: a block of one row.
-            ([(6, 5)] * 3, (5, 5, 5), 1),
-            ([(6, 5)] * 3, (6, 5, 7), 3),
+            ([(6, 5)] * 3, (9, 15, 15)),
+            ([(6, 5)] * 3, (40, 12, 12)),  # the longest axis first
+            ([(6, 5)] * 3, (9, 30, 7)),  # the longest axis in the middle
+            ([(6, 5)] * 3, (21, 21, 9)),
+            ([(6, 5)] * 3, (5, 14, 9)),  # one origin on the first axis
+            ([(6, 5)] * 3, (6, 5, 7)),  # one origin on the middle axis, six in all
+            ([(6, 5)] * 3, (5, 5, 5)),  # one origin in all: a block of one row
             # A 1x1 first mode walks whole planes of the first axis, as a stack of
             # slices: its run of origins is the longest when the other axes have few.
-            ([(1, 1)] + [(6, 5)] * 3, (2, 11, 9, 12), 1),
-            ([(1, 1), (4, 3), (7, 4), (5, 5)], (3, 9, 8, 7), 2),
-            ([(1, 1), (3, 4), (2, 5)], (4, 12, 9), 3),
-            ([(1, 1)] + [(6, 5)] * 3, (2, 20, 20, 6), 1),  # on a thin grid
-            ([(1, 1)] + [(6, 5)] * 3, (3, 5, 5, 5), 1),  # one origin on every other axis
+            ([(1, 1)] + [(6, 5)] * 3, (2, 11, 9, 12)),
+            ([(1, 1), (4, 3), (7, 4), (5, 5)], (3, 9, 8, 7)),
+            ([(1, 1), (3, 4), (2, 5)], (4, 12, 9)),
+            ([(1, 1)] + [(6, 5)] * 3, (2, 20, 20, 6)),  # on a thin grid
+            ([(1, 1)] + [(6, 5)] * 3, (3, 5, 5, 5)),  # one origin on every other axis
         ],
     )
     # Rows per block: most leave a short last block, and "one short" leaves a
     # one-row remainder, which joins the block before it.
     @pytest.mark.parametrize("rows", [2, 3, 7, 64, "one short", "default"])
-    def test_equals_the_whole_array_adjoint(self, monkeypatch, shapes, dims, stride, rows):
-        rng = np.random.default_rng(len(dims) + stride)
+    def test_equals_the_whole_array_adjoint(self, monkeypatch, shapes, dims, rows):
+        rng = np.random.default_rng(len(dims))
         factors = [rng.standard_normal(shape) for shape in shapes]
-        z = rng.standard_normal(tensor.correlate_separable(np.zeros(dims), factors, stride).shape)
+        z = rng.standard_normal(tensor.correlate_separable(np.zeros(dims), factors).shape)
         width = int(np.prod([k for k, _ in shapes]))
         origins = z.size // width
         if rows == "one short":
             rows = origins - 1
         if rows != "default":
             monkeypatch.setattr(tensor, "BLOCK_BYTES", 8 * width * rows)
-        back = tensor.correlate_separable_adjoint(z, factors, dims, stride)
+        back = tensor.correlate_separable_adjoint(z, factors, dims)
         assert back.flags.c_contiguous
-        assert np.array_equal(back, oracles.whole_array_adjoint(z, factors, dims, stride))
+        assert np.array_equal(back, oracles.whole_array_adjoint(z, factors, dims))
 
 
 class TestSlabbedAnalysis:
     """The slab-by-slab analysis equals the whole-array one-GEMM-per-mode analysis bit for bit."""
 
     CASES = [
-        ([(6, 5)] * 3, (13, 12, 11), 1),
-        ([(6, 5)] * 3, (14, 13, 11), 2),
-        ([(6, 5)] * 3, (16, 17, 15), 3),
-        ([(4, 3), (7, 4), (5, 5)], (10, 11, 12), 1),
-        ([(4, 3), (7, 4), (5, 5), (3, 2)], (9, 8, 7, 6), 2),  # order 4
-        ([(3, 4), (2, 5)], (12, 9), 3),  # order 2
-        ([(6, 5)] * 3, (5, 12, 11), 1),  # m_1 = 1: one plane
-        ([(4, 4)], (9,), 1),  # one mode: one GEMM row per plane
+        ([(6, 5)] * 3, (13, 12, 11)),
+        ([(6, 5)] * 3, (14, 13, 11)),
+        ([(6, 5)] * 3, (16, 17, 15)),
+        ([(4, 3), (7, 4), (5, 5)], (10, 11, 12)),
+        ([(4, 3), (7, 4), (5, 5), (3, 2)], (9, 8, 7, 6)),  # order 4
+        ([(3, 4), (2, 5)], (12, 9)),  # order 2
+        ([(6, 5)] * 3, (5, 12, 11)),  # m_1 = 1: one plane
+        ([(4, 4)], (9,)),  # one mode: one GEMM row per plane
         # A 1x1 mode among 6x5 ones: its products are single multiplications.
-        ([(1, 1), (6, 5), (6, 5)], (9, 12, 11), 1),
-        ([(6, 5), (1, 1), (6, 5)], (13, 7, 11), 1),
-        ([(6, 5), (6, 5), (1, 1)], (13, 12, 6), 2),
+        ([(1, 1), (6, 5), (6, 5)], (9, 12, 11)),
+        ([(6, 5), (1, 1), (6, 5)], (13, 7, 11)),
+        ([(6, 5), (6, 5), (1, 1)], (13, 12, 6)),
         # A 1x1 first mode: slabs of whole planes of a stack of slices, no halo.
-        ([(1, 1)] + [(6, 5)] * 3, (5, 11, 9, 12), 1),
-        ([(1, 1), (4, 3), (7, 4), (5, 5)], (4, 9, 8, 7), 2),
-        ([(1, 1), (3, 4), (2, 5)], (4, 12, 9), 3),
+        ([(1, 1)] + [(6, 5)] * 3, (5, 11, 9, 12)),
+        ([(1, 1), (4, 3), (7, 4), (5, 5)], (4, 9, 8, 7)),
+        ([(1, 1), (3, 4), (2, 5)], (4, 12, 9)),
     ]
 
     # Planes per slab budgeted: under one plane, one, two, three, the count that
     # leaves a one-plane remainder (which joins the slab before it), and the default.
-    @pytest.mark.parametrize("shapes, dims, stride", CASES)
+    @pytest.mark.parametrize("shapes, dims", CASES)
     @pytest.mark.parametrize("planes", [0.5, 1, 2, 3, "one short", "default"])
-    def test_equals_the_whole_array_analysis(self, monkeypatch, shapes, dims, stride, planes):
-        rng = np.random.default_rng(len(dims) + stride)
+    def test_equals_the_whole_array_analysis(self, monkeypatch, shapes, dims, planes):
+        rng = np.random.default_rng(len(dims))
         factors = [rng.standard_normal(shape) for shape in shapes]
         x = rng.standard_normal(dims)
-        whole = oracles.whole_array_analysis(x, factors, stride)
+        whole = oracles.whole_array_analysis(x, factors)
         if planes == "one short":
             planes = max(len(whole) - 1, 1)
         if planes != "default":
             plane_bytes = whole[0].nbytes
             monkeypatch.setattr(tensor, "BLOCK_BYTES", int(planes * plane_bytes))
-        analysis = tensor.correlate_separable(x, factors, stride)
+        analysis = tensor.correlate_separable(x, factors)
         assert analysis.shape == whole.shape
         assert np.array_equal(analysis, whole)
 
-    @pytest.mark.parametrize("shapes, dims, stride", CASES)
-    def test_each_step_makes_a_prefix_final(self, monkeypatch, shapes, dims, stride):
+    @pytest.mark.parametrize("shapes, dims", CASES)
+    def test_each_step_makes_a_prefix_final(self, monkeypatch, shapes, dims):
         rng = np.random.default_rng(5)
         factors = [rng.standard_normal(shape) for shape in shapes]
         x = rng.standard_normal(dims)
-        whole = oracles.whole_array_analysis(x, factors, stride).reshape(-1)
+        whole = oracles.whole_array_analysis(x, factors).reshape(-1)
         rotate_product, ends = tensor.rotate_product, []
 
         def checking_product(*args, out=None, **kwargs):
@@ -455,7 +445,7 @@ class TestSlabbedAnalysis:
 
         monkeypatch.setattr(tensor, "BLOCK_BYTES", 1)
         monkeypatch.setattr(tensor, "rotate_product", checking_product)
-        out = tensor.correlate_separable(x, factors, stride)
+        out = tensor.correlate_separable(x, factors)
         assert out.size == whole.size
         assert ends == sorted(set(ends)) and ends[-1] == whole.size
         # a budget under one plane still fills two planes a step, or the whole axis
