@@ -5,11 +5,13 @@ Usage, from anywhere inside the repository::
 
     scripts/kernel_times.py [PARENT_REF] [--rounds 4] [--reps 25]
 
-The working tree (and ``PARENT_REF``) are exported as ``scripts/bench_pairs.py``
-exports them.  Each round runs one fresh worker process per kernel and side,
-one at a time, the first side alternating round to round; a worker imports
-``sepop`` from its side's ``src``, builds the same seeded inputs, calls its
-one kernel once to warm it, then times ``--reps`` calls of it, so no kernel's
+With ``PARENT_REF``, it and the working tree are exported as
+``scripts/bench_pairs.py`` exports them; without one, the checkout this script
+lives in is timed where it is, and no ``git`` is run.  Each round runs one
+fresh worker process per kernel and side, one at a time, the first side
+alternating round to round; a worker imports ``sepop`` from its side's
+``src``, builds the same seeded inputs, makes ``--reps`` untimed calls of its
+one kernel to warm it, then times ``--reps`` calls of it, so no kernel's
 times depend on what the kernels timed before it allocated.  Workers run with
 one BLAS thread and the benchmark's malloc settings.  Per kernel and side, the
 minimum and median over every timed call are printed in milliseconds.  With a
@@ -35,6 +37,8 @@ import time
 
 from bench_pairs import export_ref, export_worktree, git, quartiles
 from compare_outputs import MALLOC_ENV, THREAD_VARS  # bench/common.py's
+
+CHECKOUT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Learning batch size, the reconstruction volumes of the denoise and cs workloads (tiny
 # slices fit MSSIM's 11x11 window), and a volume between the two for the separable kernels.
@@ -118,16 +122,14 @@ def worker(size: str, reps: int, name: str | None) -> None:
         print(json.dumps(list(table)))
         return
     prepare, call = table[name]
-    if prepare:
-        prepare()
-    call()  # warm
     samples = []
-    for _ in range(reps):
+    for rep in range(2 * reps):  # the first ``reps`` calls warm the kernel
         if prepare:
             prepare()
         begin = time.perf_counter()
         call()
-        samples.append(1e3 * (time.perf_counter() - begin))
+        if rep >= reps:
+            samples.append(1e3 * (time.perf_counter() - begin))
     print(json.dumps(samples))
 
 
@@ -167,16 +169,18 @@ def main(argv: list[str] | None = None) -> int:
         worker(args.size, args.reps, args.kernel)
         return 0
 
-    root = git(os.getcwd(), "rev-parse", "--show-toplevel").decode().strip()
     sides = ("parent", "change") if args.parent_ref else ("change",)
     # side -> kernel -> one list of call times per round
     samples: dict[str, dict[str, list[list[float]]]] = {side: {} for side in sides}
     tmp = tempfile.mkdtemp(prefix="kernel-times-")
     try:
-        checkouts = {side: os.path.join(tmp, side) for side in sides}
         if args.parent_ref:
+            root = git(os.getcwd(), "rev-parse", "--show-toplevel").decode().strip()
+            checkouts = {side: os.path.join(tmp, side) for side in sides}
             export_ref(root, args.parent_ref, checkouts["parent"])
-        export_worktree(root, checkouts["change"])
+            export_worktree(root, checkouts["change"])
+        else:
+            checkouts = {"change": CHECKOUT}
         names = run_worker(checkouts["change"], args.size, args.reps)
         for round_ in range(args.rounds):
             for name in names:

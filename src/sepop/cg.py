@@ -4,13 +4,13 @@
 supplies tangent projection, retraction, vector transport, inner product and
 norm, and its own line-search rule: the first trial step, the decay of the
 acceptance reference and the trial budget.  :data:`OBLIQUE` is the product of
-unit-row-norm matrix manifolds that operator learning searches (projection
-transport, row renormalization, the previous accepted step scaled by the
-ratio of directional derivatives, clamped to [1e-8, 1e2]; nonmonotone, 40
-trials); :data:`FLAT` the volume space of reconstruction (identity projection
-and transport, ``v + t d``, twice the previous accepted step; monotone, 50
-trials).  The gradient tolerance, the Armijo constant and the backtracking
-factor are this module's constants, the same for both.
+unit-row-norm matrix manifolds that operator learning searches (tangent
+projection, also its transport; row renormalization; the previous accepted step
+scaled by the ratio of directional derivatives, clamped to [1e-8, 1e2];
+nonmonotone, 40 trials); :data:`FLAT` the volume space of reconstruction
+(identity projection, a separate identity transport, ``v + t d``, twice the
+previous accepted step; monotone, 50 trials).  The gradient tolerance, the
+Armijo constant and the backtracking factor are this module's, shared by both.
 
 Steps are accepted by the nonmonotone rule of Zhang and Hager: the reference
 value C_k is updated as Q_{k+1} = d*Q_k + 1, C_{k+1} = (d*Q_k*C_k + f_{k+1}) /
@@ -108,11 +108,11 @@ class Geometry:
     same-shaped tangent vectors; ``size(point)`` counts the coordinates, which
     scales the gradient tolerance; ``first_step(prev_step, prev_dd, dd,
     grad_norm)`` is the first trial step of a line search, given the previous
-    accepted step and directional derivative (``None`` on the first
-    iteration), the current directional derivative and gradient norm;
-    ``history_decay`` is the decay d of the acceptance reference (0: monotone
-    Armijo); ``max_trials`` the number of trial steps before a line search
-    fails.
+    accepted step and directional derivative (``None`` on the first iteration),
+    the current directional derivative (always negative) and gradient norm
+    (always above the tolerance); ``history_decay`` is the decay d of the
+    acceptance reference (0: monotone Armijo); ``max_trials`` the number of
+    trial steps before a line search fails.
     """
 
     project: Callable[[Any, Any], Any]
@@ -131,8 +131,7 @@ def _ratio_step(prev_step, prev_dd, dd, grad_norm) -> float:
     if prev_step is None:
         trial = 1.0 / max(grad_norm, 1e-12)
     else:
-        ratio = prev_dd / dd if dd != 0 else 1.0
-        trial = prev_step * min(max(ratio, 1e-2), 1e2)
+        trial = prev_step * min(max(prev_dd / dd, 1e-2), 1e2)
     return min(max(trial, 1e-8), 1e2)
 
 
@@ -145,7 +144,7 @@ def _doubling_step(prev_step, prev_dd, dd, grad_norm) -> float:
 OBLIQUE = Geometry(
     project=lambda point, grad: manifold.product_project(point, grad),
     retract=lambda point, tangent, step: manifold.product_retract(point, tangent, step),
-    transport=lambda point, tangent: manifold.product_transport(point, tangent),
+    transport=lambda point, tangent: manifold.product_project(point, tangent),
     inner=lambda x, y: manifold.product_inner(x, y),
     norm=lambda x: manifold.product_norm(x),
     combine=lambda f, *tangents: [f(*parts) for parts in zip(*tangents, strict=True)],
@@ -256,8 +255,7 @@ def minimize(
         # PR+ coefficient with the previous gradient transported along.
         old_grad_t = geo.transport(candidate, grad)
         numer = geo.inner(new_grad, geo.combine(lambda a, b: a - b, new_grad, old_grad_t))
-        denom = grad_norm**2
-        beta = max(0.0, numer / denom) if denom > 0 else 0.0
+        beta = max(0.0, numer / grad_norm**2)
         dir_t = geo.transport(candidate, direction)
         direction = geo.combine(lambda g, d: -g + beta * d, new_grad, dir_t)
 

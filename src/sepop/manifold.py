@@ -2,7 +2,8 @@
 
 A point is a k x n matrix whose rows all have unit Euclidean norm; an operator
 factor additionally has k >= n.  A tangent vector at a point has each row
-orthogonal to the corresponding row of the base point.  Product-manifold
+orthogonal to the corresponding row of the base point; projecting onto that
+space is also how :data:`sepop.cg.OBLIQUE` transports.  Product-manifold
 operations act factor-wise on lists of points/tangents.
 """
 
@@ -64,11 +65,6 @@ def retract(base: np.ndarray, tangent: np.ndarray, step: float) -> np.ndarray:
     return stepped / norms
 
 
-def transport(new_base: np.ndarray, tangent: np.ndarray) -> np.ndarray:
-    """Carry a tangent vector to the tangent space at ``new_base``."""
-    return project_tangent(new_base, tangent)
-
-
 def inner(x: np.ndarray, y: np.ndarray) -> float:
     """Frobenius inner product of two same-shape tangent vectors."""
     x = np.asarray(x, dtype=float)
@@ -97,10 +93,6 @@ def product_project(point: list[np.ndarray], direction: list[np.ndarray]) -> lis
 
 def product_retract(point: list[np.ndarray], tangent: list[np.ndarray], step: float) -> list[np.ndarray]:
     return [retract(p, t, step) for p, t in zip(point, tangent, strict=True)]
-
-
-def product_transport(point: list[np.ndarray], tangent: list[np.ndarray]) -> list[np.ndarray]:
-    return [transport(p, t) for p, t in zip(point, tangent, strict=True)]
 
 
 def product_inner(x: list[np.ndarray], y: list[np.ndarray]) -> float:

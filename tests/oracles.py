@@ -100,12 +100,10 @@ def whole_array_analysis(x: np.ndarray, factors: list[np.ndarray]) -> np.ndarray
     viewed as rows).
     """
     out = np.asarray(x, dtype=float)
-    lead = out.ndim - len(factors)
     for mode, factor in enumerate(factors):
         factor = np.asarray(factor, dtype=float)
-        axis = lead + mode
         k, n = factor.shape
-        windows = np.lib.stride_tricks.sliding_window_view(out, n, axis=axis)
+        windows = np.lib.stride_tricks.sliding_window_view(out, n, axis=mode)
         out = (windows.reshape(-1, n) @ factor.T).reshape(windows.shape[:-1] + (k,))
     return out
 
@@ -121,17 +119,15 @@ def whole_array_adjoint(
     """
     factors = [np.asarray(factor, dtype=float) for factor in factors]
     modes = len(factors)
-    lead = len(shape) - modes
     sizes = tuple(factor.shape[1] for factor in factors)
-    starts = tuple(d - n + 1 for n, d in zip(sizes, shape[lead:]))
-    grid = tuple(shape[:lead]) + starts
+    grid = tuple(d - n + 1 for n, d in zip(sizes, shape))
     z = np.ascontiguousarray(np.moveaxis(coeffs, range(-modes, 0), range(modes)))
     for mode, factor in enumerate(factors):
         z = factor.T @ z.reshape(math.prod(sizes[:mode]), len(factor), -1)
-    per_mode = [[slice(a, a + m) for a in range(n)] for n, m in zip(sizes, starts)]
+    per_mode = [[slice(a, a + m) for a in range(n)] for n, m in zip(sizes, grid)]
     out = np.zeros(shape)
     for piece, window in zip(z.reshape((-1,) + grid), product(*per_mode)):
-        out[(Ellipsis, *window)] += piece
+        out[window] += piece
     return out
 
 

@@ -104,13 +104,13 @@ def minimize_on_product(cost_fn, grad_fn, init, cfg, use_conjugate=True):
         new_grad_norm = manifold.product_norm(new_grad)
 
         if use_conjugate:
-            old_grad_t = manifold.product_transport(new_point, grad)
+            old_grad_t = manifold.product_project(new_point, grad)
             numer = manifold.product_inner(
                 new_grad, [a - b for a, b in zip(new_grad, old_grad_t)]
             )
             denom = grad_norm**2
             beta = max(0.0, numer / denom) if denom > 0 else 0.0
-            dir_t = manifold.product_transport(new_point, direction)
+            dir_t = manifold.product_project(new_point, direction)
             direction = [-g + beta * d for g, d in zip(new_grad, dir_t)]
         else:
             direction = [-g for g in new_grad]

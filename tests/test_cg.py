@@ -1,6 +1,7 @@
 """The shared conjugate-gradient driver against the two solvers it replaced, and on its own."""
 
 import dataclasses
+import math
 import os
 import weakref
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from sepop import cg, learn, manifold, reconstruct, volume
+from sepop.objective import LearningParams
 from sepop.reconstruct import FourierMeasurement, IdentityMeasurement, ReconConfig
 
 import oracles
@@ -237,6 +239,34 @@ class TestEachGeometryCarriesItsRule:
             assert got == ref
             new_weight = decay * weight + 1.0
             ref, weight = (decay * weight * ref + cost) / new_weight, new_weight
+
+
+class TestStepRulesSeeOnlyDescent:
+    """``minimize`` turns every non-descent direction into -grad and stops at the
+    gradient tolerance before it asks for a step, so a step rule never sees
+    dd >= 0 and the PR+ update never divides by a zero gradient norm."""
+
+    def test_in_reconstruction_and_learning(self, monkeypatch):
+        seen = {"FLAT": [], "OBLIQUE": []}
+        for name, calls in seen.items():
+            geometry = getattr(cg, name)
+
+            def recording(*args, rule=geometry.first_step, calls=calls):
+                calls.append(args)
+                return rule(*args)
+
+            monkeypatch.setattr(cg, name, dataclasses.replace(geometry, first_step=recording))
+        y, op, cfg = denoise_problem((12, 12, 12), 8)
+        reconstruct.reconstruct(y, op, manifold.random_point([(6, 5)] * 3, 4), cfg)
+        vol = volume.synth_phantom((16, 16, 16), seed=5)
+        patches = volume.build_training_set(vol, 100, (5, 5, 5), flat_tol=1.0, seed=11).patches
+        learn.learn_operators(patches, [(6, 5)] * 3, LearningParams(), cg.SolverConfig(max_iters=10))
+        sizes = {"FLAT": 12**3, "OBLIQUE": 3 * 6 * 5}
+        for name, calls in seen.items():
+            tol = cg.GRAD_TOL * math.sqrt(sizes[name])
+            assert len(calls) > 1, name  # the first step and at least one ratio or doubling
+            for _prev_step, _prev_dd, dd, grad_norm in calls:
+                assert dd < 0 and grad_norm > tol, name
 
 
 class TestTrialStateIsReleased:

@@ -120,6 +120,23 @@ def test_kernel_times_prints_a_row_per_kernel(monkeypatch, capsys):
         assert 0 < low <= median
 
 
+def test_kernel_times_without_a_parent_runs_no_git(monkeypatch, capsys, tmp_path):
+    # Without PARENT_REF the checkout the script lives in is timed where it is, so the
+    # tool also works in an export without ``.git``.
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    monkeypatch.chdir(tmp_path)
+    import kernel_times
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("git called without a parent")
+
+    monkeypatch.setattr(kernel_times, "git", refuse)
+    monkeypatch.setattr(kernel_times, "export_worktree", refuse)
+    assert kernel_times.main(["--tiny", "--rounds", "1", "--reps", "1"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == len(kernel_times.kernels("tiny"))
+
+
 def test_kernel_times_ratios_are_per_round(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import kernel_times
@@ -150,7 +167,7 @@ def test_kernel_times_worker_times_only_its_kernel(monkeypatch, capsys):
     kernel_times.worker("tiny", 3, "b")
     samples = json.loads(capsys.readouterr().out)
     assert len(samples) == 3 and all(t >= 0 for t in samples)
-    assert calls == {"a": 0, "b": 4}  # one warming call, then the timed ones
+    assert calls == {"a": 0, "b": 6}  # as many warming calls as timed ones
     kernel_times.worker("tiny", 3, None)
     assert json.loads(capsys.readouterr().out) == ["a", "b"]
-    assert calls == {"a": 0, "b": 4}
+    assert calls == {"a": 0, "b": 6}
