@@ -48,25 +48,14 @@ def learn_operators(
     """Learn one unit-row-norm factor per mode from a batch of patches.
 
     ``patches`` is a (T, n_1, ..., n_N) array; ``shapes`` gives the (k_i, n_i)
-    factor sizes.  The run starts from random factors drawn with ``cfg.seed``
+    factor sizes, each tall.  The run starts from random factors drawn with ``cfg.seed``
     and searches them with :data:`sepop.cg.OBLIQUE`'s line search.  Returns
     the learned factors and the run report.
     """
-    shape = np.shape(patches)
-    if len(shape) != len(shapes) + 1:
-        raise ValueError(
-            f"patch batch of order {len(shape) - 1} does not match {len(shapes)} factor shapes"
-        )
-    if shape[0] < 1:
-        raise ValueError("training set is empty")
-    for mode, ((k, n), length) in enumerate(zip(shapes, shape[1:])):
-        if k < n:
-            raise ValueError(f"factor shape {k}x{n} for mode {mode} is not tall")
-        if n != length:
-            raise ValueError(
-                f"factor for mode {mode} expects signals of length {n}, patches have {length}"
-            )
-
+    for mode, shape in enumerate(shapes):
+        if len(shape) != 2 or shape[0] < shape[1]:
+            size = "x".join(map(str, shape))
+            raise ValueError(f"factor shape {size} for mode {mode} is not tall (k x n, k >= n)")
     start = manifold.random_point(shapes, np.random.default_rng(cfg.seed))
     batch = PatchBatch.of(patches)  # laid out once; every evaluation reads it
 

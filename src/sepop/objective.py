@@ -173,8 +173,10 @@ class PatchBatch:
         if isinstance(patches, PatchBatch):
             return patches
         patches = np.asarray(patches, dtype=float)
-        if patches.ndim < 2:
-            raise ValueError(f"a patch batch has axes (T, n_1, ...), got shape {patches.shape}")
+        if patches.ndim < 2 or not len(patches):
+            raise ValueError(
+                f"a patch batch has axes (T, n_1, ...), T >= 1, got shape {patches.shape}"
+            )
         leading = np.ascontiguousarray(np.moveaxis(patches, 0, -1))
         first_mode = np.ascontiguousarray(np.moveaxis(patches, (0, 1), (-2, -1)))
         for layout in (leading, first_mode):
@@ -187,22 +189,16 @@ def analyze_batch(
     factors: list[np.ndarray],
     mode_inputs: list[np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Apply one factor per mode to a (T, n_1, ..., n_N) batch of patches.
+    """Apply one factor per mode, its window the patch's axis, to a (T, n_1, ..., n_N) batch.
 
     The modes are analyzed in order, each by a leading-mode product, from
     (n_1, ..., n_N, T) to (T, k_1, ..., k_N).  If ``mode_inputs`` is a list,
     the array each mode reads is appended: (n_i, ..., n_N, T, k_1, ..., k_{i-1}).
     """
     batch = PatchBatch.of(patches)
-    if len(batch.shape) != len(factors) + 1:
-        raise ValueError(
-            f"batch of order-{len(factors)} patches expected, got array of shape {batch.shape}"
-        )
-    for mode, (factor, n) in enumerate(zip(factors, batch.shape[1:])):
-        if np.shape(factor)[1] != n:
-            raise ValueError(
-                f"factor for mode {mode} has shape {np.shape(factor)} but patch axis has length {n}"
-            )
+    factors, _origins = tensor.window_grid(factors, batch.shape[1:])
+    if (windows := tuple(factor.shape[1] for factor in factors)) != batch.shape[1:]:
+        raise ValueError(f"factor windows {windows} differ from the patch shape {batch.shape[1:]}")
     x = batch.leading
     for factor in factors:
         if mode_inputs is not None:

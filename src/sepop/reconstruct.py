@@ -8,17 +8,13 @@ line-search rule (monotone Armijo backtracking, 50 trials); the gradient is
 computed only at the points it moves to.
 
 Analyzing every patch with the separable operator is a separable
-correlation (:func:`sepop.tensor.correlate_separable`, per mode and slab of
-patch origins the shifted slices stacked and contracted in one GEMM), and the
-cost sums the penalty over its coefficients
-(:func:`sepop.objective.sparsity_measure`); the gradient applies the
-correlation's adjoint (:func:`sepop.tensor.correlate_separable_adjoint`, one
-GEMM per mode and block of patch origins, gathered in the order of the
-scatter-add over the patch offsets that follows, each add along the axis
-with the most patch origins).  Both are the same dot products, in the
-same order, as the per-patch definition, so cost and gradient are
-bit-identical to it.  The penalty on the coefficients, its sum and its
-derivative, is the learning cost's, from :mod:`sepop.objective`.
+correlation (:func:`sepop.tensor.correlate_separable`), and the cost sums
+the penalty over its coefficients (:func:`sepop.objective.sparsity_measure`);
+the gradient applies the correlation's adjoint
+(:func:`sepop.tensor.correlate_separable_adjoint`).  Both are the same dot
+products, in the same order, as the per-patch definition, so cost and
+gradient are bit-identical to it.  The penalty on the coefficients, its sum
+and its derivative, is the learning cost's, from :mod:`sepop.objective`.
 
 Two measurement models are provided: identity (denoising) and per-slice
 centered unitary 2D Fourier sampling on a boolean mask (CS recovery), which
@@ -40,7 +36,7 @@ import numpy as np
 
 from sepop import cg
 from sepop.objective import check_nu, sparsity_gradient, sparsity_measure
-from sepop.tensor import correlate_separable, correlate_separable_adjoint
+from sepop.tensor import correlate_separable, correlate_separable_adjoint, window_grid
 from sepop.volume import Volume
 
 
@@ -273,27 +269,25 @@ def reconstruct(
 ) -> Volume:
     """Minimize the data-fidelity plus patch-sparsity objective over volumes.
 
-    Starts from the adjoint image (zero-filling for Fourier data) and runs
-    the package's conjugate gradient for ``cfg.max_iters`` iterations at most
-    in :data:`sepop.cg.FLAT`, whose line search is monotone Armijo
-    backtracking, so the objective values appended to ``trace`` (one per
+    Starts from the adjoint image (zero-filling for Fourier data), refused with a
+    ``ValueError`` if a term is not finite there, and runs the package's conjugate gradient
+    for ``cfg.max_iters`` iterations at most in :data:`sepop.cg.FLAT`, whose line search is
+    monotone Armijo backtracking, so the objective values appended to ``trace`` (one per
     iterate, the first at the start) never increase.
     """
-    if len(factors) != len(op.dims):
-        raise ValueError(
-            f"operator has {len(factors)} modes but the patches have order "
-            f"{len(op.dims)}: one factor per patch mode is needed"
-        )
-    for mode, (factor, d) in enumerate(zip(factors, cfg.patch_dims, strict=True)):
-        if np.asarray(factor).shape[1] != d:
-            raise ValueError(
-                f"factor for mode {mode} has {np.asarray(factor).shape[1]} "
-                f"columns but patch dim is {d}"
-            )
+    factors, _origins = window_grid(factors, op.dims)
+    if (windows := tuple(f.shape[1] for f in factors)) != tuple(cfg.patch_dims):
+        raise ValueError(f"factor windows {windows} differ from the patch dims {cfg.patch_dims}")
     solver = cg.SolverConfig(max_iters=cfg.max_iters)
-    v, report = cg.minimize(
-        lambda x: _evaluate(x, y, op, factors, cfg), op.adjoint(np.asarray(y)), solver, cg.FLAT
-    )
+    start = op.adjoint(np.asarray(y))
+    try:
+        v, report = cg.minimize(lambda x: _evaluate(x, y, op, factors, cfg), start, solver, cg.FLAT)
+    except ArithmeticError:  # the solver refuses a non-finite cost at the start: name the term
+        if math.isfinite(_evaluate(start, y, op, factors, cfg)[0]):
+            raise
+        residual = op.forward(start) - y
+        term = "regularizer" if math.isfinite(np.vdot(residual, residual).real) else "data"
+        raise ValueError(f"the {term} term is not finite at the start, lam {cfg.lam}, nu {cfg.nu}")
     if trace is not None:
         trace.extend(report.costs)
     return Volume(v)

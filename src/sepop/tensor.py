@@ -11,8 +11,9 @@ result at a time.  The adjoint of that analysis synthesizes the windows with
 one GEMM per mode and block of window origins, walked and added in along
 the axis with the most origins.  The GEMM rows, the slabs and the adjoint's
 blocks follow one rule, :func:`_blocks`, and one budget, :data:`BLOCK_BYTES`
-(256 KiB), which :mod:`sepop.objective`'s penalty passes share.  Formulas in
-the docs are stated 1-based; all code indices are 0-based.
+(256 KiB), which :mod:`sepop.objective`'s penalty passes share.  Every analysis,
+of windows or of patch batches, checks its factors with :func:`window_grid` alone.
+Formulas in the docs are stated 1-based; all code indices are 0-based.
 """
 
 from __future__ import annotations
@@ -62,6 +63,25 @@ def rotate_product(x: np.ndarray, factor: np.ndarray, out: np.ndarray | None = N
     return out
 
 
+def window_grid(factors: list, shape: tuple) -> tuple[list[np.ndarray], tuple[int, ...]]:
+    """The factors as float arrays, and the number of window origins along each axis of
+    ``shape``, ``shape[i] - n_i + 1``: one 2-D (k_i, n_i) factor per axis, whose window fits
+    it (``1 <= n_i <= shape[i]``), or a ``ValueError``."""
+    factors = [np.asarray(factor, dtype=float) for factor in factors]
+    if not factors or len(factors) != len(shape):
+        raise ValueError(
+            f"{len(factors)} factors cannot analyze a tensor of order {len(shape)}: "
+            "one factor per axis is needed"
+        )
+    for mode, (factor, length) in enumerate(zip(factors, shape)):
+        if factor.ndim != 2 or not 1 <= factor.shape[1] <= length:
+            raise ValueError(
+                f"factor for mode {mode} has shape {factor.shape}; it needs two axes and a "
+                f"window that fits axis length {length}"
+            )
+    return factors, tuple(d - factor.shape[1] + 1 for factor, d in zip(factors, shape))
+
+
 def correlate_separable(x: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     """Analyze every window of an order-N tensor with one factor per mode.
 
@@ -87,21 +107,8 @@ def correlate_separable(x: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     plain mode product.
     """
     x = np.ascontiguousarray(x, dtype=float)  # np.stack keeps its slices' memory order
-    if not factors:
-        raise ValueError("at least one factor is needed")
-    if x.ndim != len(factors):
-        raise ValueError(
-            f"{len(factors)} factors need an order-{len(factors)} tensor, got order {x.ndim}"
-        )
-    factors = [np.asarray(factor, dtype=float) for factor in factors]
-    for mode, (factor, length) in enumerate(zip(factors, x.shape)):
-        if factor.ndim != 2 or not 1 <= factor.shape[1] <= length:
-            raise ValueError(
-                f"factor for mode {mode} has shape {factor.shape}; its window "
-                f"does not fit axis length {length}"
-            )
-    starts = tuple(d - f.shape[1] + 1 for f, d in zip(factors, x.shape))
-    out = np.empty(starts + tuple(len(f) for f in factors))
+    factors, grid = window_grid(factors, x.shape)
+    out = np.empty(grid + tuple(len(f) for f in factors))
     first = factors[0].shape[1]
     for start, stop in _blocks(len(out), BLOCK_BYTES, 8 * math.prod(out.shape[1:])):
         # A slab also reads its windows' halo.
@@ -145,15 +152,8 @@ def correlate_separable_adjoint(
     the walk.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    shape = tuple(shape)
-    modes = len(factors)
-    if len(shape) != modes:
-        raise ValueError(f"{modes} factors need an order-{modes} shape, got {shape}")
-    factors = [np.asarray(factor, dtype=float) for factor in factors]
-    sizes = tuple(factor.shape[1] for factor in factors)
-    if any(n > d for n, d in zip(sizes, shape)):
-        raise ValueError(f"{modes} factors with windows {sizes} do not fit shape {shape}")
-    grid = tuple(d - n + 1 for n, d in zip(sizes, shape))
+    factors, grid = window_grid(factors, shape)
+    modes, sizes = len(factors), tuple(factor.shape[1] for factor in factors)
     expected = grid + tuple(len(factor) for factor in factors)
     if coeffs.shape != expected:
         raise ValueError(f"coefficients of shape {coeffs.shape}, expected {expected}")

@@ -205,10 +205,11 @@ def read_volume(path: str) -> Volume:
 
 
 def _header_values(hpath: str, header: dict, key: str, convert, length: int) -> tuple:
-    """Header field ``key`` as a list of ``length`` values, each passed through ``convert``."""
+    """Header field ``key``: a list of ``length`` numbers, not bools, each through ``convert``."""
     value = header[key]
+    numbers = isinstance(value, list) and not any(isinstance(v, bool) for v in value)
     try:
-        values = tuple(convert(v) for v in value) if isinstance(value, list) else ()
+        values = tuple(convert(v) for v in value) if numbers else ()
     except (TypeError, ValueError):
         values = ()
     if len(values) != length:

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -129,7 +130,7 @@ def test_operator_with_wrong_mode_count_exits_1(tmp_path, phantom, capsys, comma
         "--out", str(tmp_path / "r.vol"),
     )
     assert code == 1
-    assert f"operator has {modes} modes but the patches have order 3" in capsys.readouterr().err
+    assert f"{modes} factors cannot analyze a tensor of order 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -229,6 +230,36 @@ def test_non_positive_max_iters_exits_1_writing_nothing(
     assert run(*argv) == 1
     assert "max_iters must be positive" in capsys.readouterr().err
     assert_nothing_written(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "settings, lam",
+    [(["--sigma", "1e300"], "2e+302"), (["--sigma", "15", "--lambda", "1e308"], "1e+308")],
+)
+def test_non_finite_starting_cost_exits_1_writing_nothing(
+    tmp_path, phantom, operators, capsys, settings, lam
+):
+    # the penalty overflows at the start: the solve refuses it, naming the term, lam and nu
+    argv = with_value(small_run("denoise", phantom, operators, tmp_path), "--max-iters", "1")
+    for flag, value in zip(settings[::2], settings[1::2]):
+        argv = with_value(argv, flag, value)
+    with np.errstate(over="ignore"):
+        assert run(*argv) == 1
+    message = f"the regularizer term is not finite at the start, lam {lam}, nu 1000.0"
+    assert message in capsys.readouterr().err
+    assert_nothing_written(tmp_path)
+
+
+@pytest.mark.parametrize("field, value", [("dims", [True, 16, 16]), ("intensity_range", [True, 255])])
+def test_boolean_header_value_exits_1_naming_the_field(tmp_path, phantom, capsys, field, value):
+    hpath = volume.header_path(phantom)
+    with open(hpath, encoding="utf-8") as fh:
+        header = json.load(fh)
+    header[field] = value
+    with open(hpath, "w", encoding="utf-8") as fh:
+        json.dump(header, fh)
+    assert run("eval", "--ref", phantom, "--test", phantom) == 1
+    assert f"malformed header field {field!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

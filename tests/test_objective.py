@@ -203,7 +203,7 @@ class TestAnalyzeBatch:
 
     def test_shape_errors_name_the_problem(self, rng):
         factors = [manifold.random_factor(6, 5, rng) for _ in range(3)]
-        with pytest.raises(ValueError, match="order-3 patches"):
+        with pytest.raises(ValueError, match="3 factors cannot analyze a tensor of order 2"):
             objective.analyze_batch(np.zeros((5, 5, 5)), factors)
         with pytest.raises(ValueError, match="mode 2"):
             objective.analyze_batch(np.zeros((2, 5, 5, 4)), factors)
@@ -434,8 +434,21 @@ class TestPatchBatch:
         assert first.mode_inputs[0] is batch.leading is second.mode_inputs[0]
 
     def test_too_few_axes_rejected(self):
-        with pytest.raises(ValueError, match=r"axes \(T, n_1, ...\), got shape \(5,\)"):
+        with pytest.raises(ValueError, match=r"axes \(T, n_1, ...\), T >= 1, got shape \(5,\)"):
             objective.PatchBatch.of(np.zeros(5))
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            lambda fs, patches: objective.learning_cost(fs, patches, LearningParams()),
+            lambda fs, patches: objective.mean_sparsity(patches, fs, 1000.0),
+        ],
+        ids=["learning_cost", "mean_sparsity"],
+    )
+    def test_empty_batch_rejected(self, measure):
+        factors = [manifold.random_factor(6, 5, np.random.default_rng(4)) for _ in range(3)]
+        with pytest.raises(ValueError, match=r"T >= 1, got shape \(0, 5, 5, 5\)"):
+            measure(factors, np.zeros((0, 5, 5, 5)))
 
 
 class TestAnalysisMemory:

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sepop import manifold, objective, reconstruct, tensor, volume
+from sepop import cg, manifold, objective, reconstruct, tensor, volume
 from sepop.reconstruct import (
     FourierMeasurement,
     IdentityMeasurement,
@@ -313,6 +314,49 @@ class TestReconstructSolver:
         with pytest.raises(ValueError, match="max_iters must be positive"):
             reconstruct.reconstruct(y, op, factors, ReconConfig(lam=1.0, max_iters=max_iters))
 
+    @pytest.mark.parametrize(
+        "data, lam, term",
+        [(255.0, 1e308, "regularizer"), (1e300, 1e302, "regularizer"), (math.inf, 1.0, "data")],
+    )
+    def test_non_finite_start_rejected_naming_the_term(self, factors, data, lam, term):
+        op = IdentityMeasurement((8, 8, 8))
+        y = op.forward(np.full((8, 8, 8), data) * np.arange(1, 9))
+        message = f"the {term} term is not finite at the start, lam {lam}, nu 1000.0"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                reconstruct.reconstruct(y, op, factors, ReconConfig(lam=lam, max_iters=3))
+
+    def test_a_finite_start_costs_no_extra_evaluation(self, monkeypatch, factors):
+        evaluate = reconstruct._evaluate
+        calls, direct = [], []
+        monkeypatch.setattr(reconstruct, "_evaluate", lambda *a: calls.append(1) or evaluate(*a))
+        vol = volume.add_awgn(volume.synth_phantom((10, 10, 10), seed=3), 15.0, seed=4)
+        op = IdentityMeasurement(vol.dims)
+        y, cfg = op.forward(vol.data), ReconConfig(lam=3000.0, max_iters=4)
+        reconstruct.reconstruct(y, op, factors, cfg)
+        cg.minimize(
+            lambda v: direct.append(1) or evaluate(v, y, op, factors, cfg),
+            op.adjoint(y), cg.SolverConfig(max_iters=4), cg.FLAT,
+        )
+        assert len(calls) == len(direct) > 1
+
+    def test_an_arithmetic_error_after_a_finite_start_is_raised_as_it_was(
+        self, monkeypatch, factors
+    ):
+        evaluate, calls = reconstruct._evaluate, []
+
+        def second_call_overflows(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OverflowError("overflow in a trial step")
+            return evaluate(*args)
+
+        monkeypatch.setattr(reconstruct, "_evaluate", second_call_overflows)
+        vol = volume.synth_phantom((8, 8, 8), seed=3)
+        op = IdentityMeasurement(vol.dims)
+        with pytest.raises(OverflowError, match="overflow in a trial step"):
+            reconstruct.reconstruct(op.forward(vol.data), op, factors, ReconConfig(lam=3000.0))
+
     def test_factor_patch_mismatch_rejected(self, rng):
         bad = [manifold.random_factor(6, 4, rng) for _ in range(3)]
         op = IdentityMeasurement((8, 8, 8))
@@ -326,7 +370,7 @@ class TestReconstructSolver:
         op = IdentityMeasurement((8, 8, 8))
         y = op.forward(np.zeros((8, 8, 8)))
         cfg = ReconConfig(lam=1.0, patch_dims=(5, 5))
-        with pytest.raises(ValueError, match="operator has 2 modes but the patches have order 3"):
+        with pytest.raises(ValueError, match="2 factors cannot analyze a tensor of order 3"):
             reconstruct.reconstruct(y, op, two, cfg)
 
 

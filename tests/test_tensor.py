@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepop import tensor
+from sepop import learn, objective, reconstruct, tensor
+from sepop.cg import SolverConfig
 from sepop.manifold import random_factor
+from sepop.objective import LearningParams
 
 import oracles
 
@@ -156,13 +158,13 @@ class TestCorrelateSeparable:
     def test_invalid_arguments_rejected(self):
         x = np.zeros((4, 4))
         f = np.zeros((3, 2))
-        with pytest.raises(ValueError, match="3 factors need an order-3 tensor, got order 2"):
+        with pytest.raises(ValueError, match="3 factors cannot analyze a tensor of order 2"):
             tensor.correlate_separable(x, [f, f, f])
-        with pytest.raises(ValueError, match="1 factors need an order-1 tensor, got order 2"):
+        with pytest.raises(ValueError, match="1 factors cannot analyze a tensor of order 2"):
             tensor.correlate_separable(x, [f])
         with pytest.raises(ValueError, match="mode 1"):
             tensor.correlate_separable(x, [f, np.zeros((3, 5))])
-        with pytest.raises(ValueError, match="at least one factor"):
+        with pytest.raises(ValueError, match="0 factors cannot analyze a tensor of order 2"):
             tensor.correlate_separable(x, [])
 
 
@@ -309,11 +311,11 @@ class TestCorrelateSeparableAdjoint:
         f = np.zeros((3, 2))
         with pytest.raises(ValueError, match="expected"):
             tensor.correlate_separable_adjoint(np.zeros((3, 3, 3)), [f, f], (4, 4))
-        with pytest.raises(ValueError, match=r"3 factors need an order-3 shape, got \(4, 4\)"):
+        with pytest.raises(ValueError, match="3 factors cannot analyze a tensor of order 2"):
             tensor.correlate_separable_adjoint(np.zeros((3, 3)), [f, f, f], (4, 4))
-        with pytest.raises(ValueError, match=r"1 factors need an order-1 shape, got \(4, 4\)"):
+        with pytest.raises(ValueError, match="1 factors cannot analyze a tensor of order 2"):
             tensor.correlate_separable_adjoint(np.zeros((3, 3)), [f], (4, 4))
-        with pytest.raises(ValueError, match="do not fit"):
+        with pytest.raises(ValueError, match="window that fits axis length 4"):
             tensor.correlate_separable_adjoint(np.zeros((1, 3)), [np.zeros((3, 5))], (4,))
 
 
@@ -461,3 +463,57 @@ class TestSlabbedAnalysis:
         x = np.moveaxis(volume, 2, 0)
         whole = oracles.whole_array_analysis(x, factors)
         assert np.array_equal(tensor.correlate_separable(x, factors), whole)
+
+
+class TestWindowGrid:
+    def test_float_factors_and_origins_per_axis(self):
+        factors, origins = tensor.window_grid([np.ones((3, 2), dtype=int), np.ones((4, 5))], (7, 5))
+        assert origins == (6, 1)
+        assert [f.dtype for f in factors] == [np.dtype(float)] * 2
+        assert [f.shape for f in factors] == [(3, 2), (4, 5)]
+
+
+# Every public function that takes operator factors refuses the window rule's violations with
+# a ValueError naming the factors: a 1-D factor, one factor too few or too many, and a window
+# that does not fit (for a patch batch, one that is not the patch size).
+_F = random_factor(6, 5, 0)
+_PATCHES = np.random.default_rng(5).standard_normal((4, 5, 5, 5))
+_VOLUME_ENTRY_POINTS = {
+    "correlate_separable": lambda fs: tensor.correlate_separable(np.zeros((8, 8, 8)), fs),
+    "correlate_separable_adjoint": lambda fs: tensor.correlate_separable_adjoint(
+        np.zeros((4, 4, 4, 6, 6, 6)), fs, (8, 8, 8)
+    ),
+    "reconstruct": lambda fs: reconstruct.reconstruct(
+        np.zeros(512), reconstruct.IdentityMeasurement((8, 8, 8)), fs,
+        reconstruct.ReconConfig(lam=1.0, max_iters=1),
+    ),
+}
+_BATCH_ENTRY_POINTS = {
+    "analyze_batch": lambda fs: objective.analyze_batch(_PATCHES, fs),
+    "patch_analysis": lambda fs: objective.patch_analysis(fs, _PATCHES, 1000.0),
+    "learning_cost": lambda fs: objective.learning_cost(fs, _PATCHES, LearningParams()),
+    "learning_gradient": lambda fs: objective.learning_gradient(fs, _PATCHES, LearningParams()),
+    "mean_sparsity": lambda fs: objective.mean_sparsity(_PATCHES, fs, 1000.0),
+    "learn_operators": lambda fs: learn.learn_operators(
+        _PATCHES, [f.shape for f in fs], LearningParams(), SolverConfig(max_iters=1)
+    ),
+}
+_BAD_FACTORS = {
+    "1-D factor": [_F, _F[0], _F],
+    "one factor too few": [_F, _F],
+    "one factor too many": [_F, _F, _F, _F],
+}
+
+
+@pytest.mark.parametrize("entry", [*_VOLUME_ENTRY_POINTS, *_BATCH_ENTRY_POINTS])
+@pytest.mark.parametrize("case", ["valid", *_BAD_FACTORS, "window that does not fit"])
+def test_every_entry_point_refuses_factors_that_break_the_window_rule(entry, case):
+    on_volume = entry in _VOLUME_ENTRY_POINTS
+    call = {**_VOLUME_ENTRY_POINTS, **_BATCH_ENTRY_POINTS}[entry]
+    misfit = random_factor(10, 9, 1) if on_volume else random_factor(6, 4, 1)
+    factors = _BAD_FACTORS.get(case, [_F, _F, _F if case == "valid" else misfit])
+    if case == "valid":
+        call(factors)
+    else:
+        with pytest.raises(ValueError, match="factor"):
+            call(factors)

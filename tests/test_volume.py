@@ -260,7 +260,7 @@ class TestVolumeFiles:
         [
             ("dims", 5), ("dims", None), ("dims", [8, 8]), ("dims", [8, "8", 8]),
             ("dims", [8.9, 8, 8]), ("intensity_range", 5), ("intensity_range", [0, 1, 2]),
-            ("intensity_range", None),
+            ("intensity_range", None), ("dims", [True, 8, 8]), ("intensity_range", [True, 255]),
         ],
     )
     def test_malformed_header_field_named(self, tmp_path, field, value):
