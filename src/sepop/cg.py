@@ -87,19 +87,6 @@ class LearnReport:
         )
 
 
-def nonmonotone_accept(
-    candidate_cost: float,
-    reference_value: float,
-    directional_derivative: float,
-    step: float,
-    sufficient_decrease: float,
-) -> bool:
-    """Accept iff the candidate improves on the averaged reference value."""
-    if directional_derivative >= 0:
-        raise ValueError("acceptance test requires a descent direction")
-    return candidate_cost <= reference_value + sufficient_decrease * step * directional_derivative
-
-
 @dataclass(frozen=True)
 class Geometry:
     """What :func:`minimize` needs to know about a search space.
@@ -128,15 +115,12 @@ class Geometry:
 
 
 def _ratio_step(prev_step, prev_dd, dd, grad_norm) -> float:
-    if prev_step is None:
-        trial = 1.0 / max(grad_norm, 1e-12)
-    else:
-        trial = prev_step * min(max(prev_dd / dd, 1e-2), 1e2)
+    trial = 1.0 / grad_norm if prev_step is None else prev_step * min(max(prev_dd / dd, 1e-2), 1e2)
     return min(max(trial, 1e-8), 1e2)
 
 
 def _doubling_step(prev_step, prev_dd, dd, grad_norm) -> float:
-    return 1.0 / max(grad_norm, 1e-12) if prev_step is None else prev_step * 2.0
+    return 1.0 / grad_norm if prev_step is None else prev_step * 2.0
 
 
 # The manifold functions are looked up at call time, so that wrappers
@@ -190,10 +174,10 @@ def minimize(
     grad = geo.project(point, gradient())
     del gradient
     grad_norm = geo.norm(grad)
+    if not math.isfinite(grad_norm):  # the acceptance bound would be -inf: no trial could pass
+        raise ArithmeticError(f"non-finite gradient norm at the starting point: {grad_norm}")
 
-    report = LearnReport()
-    report.costs.append(cost)
-    report.grad_norms.append(grad_norm)
+    report = LearnReport(costs=[cost], grad_norms=[grad_norm])
 
     def record(iteration: int, step: float, dd: float, ref_value: float) -> None:
         report.costs.append(cost)
@@ -231,7 +215,7 @@ def minimize(
             candidate_cost = float(candidate_cost)
             if candidate_cost < best_cost:
                 best_cost, best_point, best_trial = candidate_cost, candidate, trial
-            if nonmonotone_accept(candidate_cost, ref_value, dd, trial, SUFFICIENT_DECREASE):
+            if candidate_cost <= ref_value + SUFFICIENT_DECREASE * trial * dd:
                 accepted = True
                 break
             del gradient  # frees the rejected trial's state before the next evaluation

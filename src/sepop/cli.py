@@ -143,14 +143,16 @@ def _load_solve(args: argparse.Namespace, lam: float) -> tuple[list, recon_mod.R
 
 
 def _recover(
-    args: argparse.Namespace, y: np.ndarray, op: recon_mod.MeasurementOp, factors: list,
-    cfg: recon_mod.ReconConfig, rows: list[str], label: str, ref: volume_mod.Volume,
+    args: argparse.Namespace, y: np.ndarray, op: recon_mod.MeasurementOp, solve: tuple,
+    rows: list[str], label: str, ref: volume_mod.Volume, source: volume_mod.Volume,
 ) -> int:
-    """Solve, write the result, and add its metrics row (``label``, against
-    ``ref``) to the ``rows`` computed before the solve."""
-    result = recon_mod.reconstruct(y, op, factors, cfg)
+    """Solve with the factors and settings ``solve`` of :func:`_load_solve`, and write the
+    result, in the intensity range of the input ``source``, once its metrics row (``label``,
+    against ``ref``) has joined the ``rows`` computed before the solve: a metric may refuse it."""
+    result = volume_mod.Volume(recon_mod.reconstruct(y, op, *solve).data, source.intensity_range)
+    rows = rows + [_metrics_row(label, ref, result)]
     volume_mod.write_volume(result, args.out)
-    _write_csv(args.csv, rows + [_metrics_row(label, ref, result)])
+    _write_csv(args.csv, rows)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -159,7 +161,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     volume_mod.check_sigma(args.sigma)  # before it derives the default lambda
     if args.lam is None and args.sigma == 0:
         raise ValueError("--lambda is required when --sigma is 0 (its default is 200*sigma)")
-    factors, cfg = _load_solve(args, args.lam if args.lam is not None else 200.0 * args.sigma)
+    solve = _load_solve(args, args.lam if args.lam is not None else 200.0 * args.sigma)
     ref = volume_mod.read_volume(args.ref) if args.ref else None
 
     vol = volume_mod.read_volume(args.input)
@@ -168,13 +170,13 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     op = recon_mod.IdentityMeasurement(noisy.dims)
     y = op.forward(noisy.data)
     if ref is None:
-        return _recover(args, y, op, factors, cfg, [], "denoised-vs-input", noisy)
+        return _recover(args, y, op, solve, [], "denoised-vs-input", noisy, vol)
     # The noisy row's PSNR refuses a reference of another shape before the solve.
-    return _recover(args, y, op, factors, cfg, [_metrics_row("noisy", ref, noisy)], "denoised", ref)
+    return _recover(args, y, op, solve, [_metrics_row("noisy", ref, noisy)], "denoised", ref, vol)
 
 
 def cmd_cs(args: argparse.Namespace) -> int:
-    factors, cfg = _load_solve(args, args.lam)
+    solve = _load_solve(args, args.lam)
     vol = volume_mod.read_volume(args.input)
     recon_mod.check_mssim_dims(vol.dims)
     mask = recon_mod.radial_mask_for_rate(*vol.dims[:2], args.rate)
@@ -183,7 +185,7 @@ def cmd_cs(args: argparse.Namespace) -> int:
     y = op.forward(vol.data)
     zero_fill = volume_mod.Volume(op.adjoint(y))
     rows = [_metrics_row("zero-filling", vol, zero_fill)]
-    return _recover(args, y, op, factors, cfg, rows, "reconstruction", vol)
+    return _recover(args, y, op, solve, rows, "reconstruction", vol, vol)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

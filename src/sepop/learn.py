@@ -11,6 +11,7 @@ share the analysis.  The module also reads and writes the operator file format.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from typing import Callable
 
@@ -47,10 +48,10 @@ def learn_operators(
 ) -> tuple[list[np.ndarray], LearnReport]:
     """Learn one unit-row-norm factor per mode from a batch of patches.
 
-    ``patches`` is a (T, n_1, ..., n_N) array; ``shapes`` gives the (k_i, n_i)
-    factor sizes, each tall.  The run starts from random factors drawn with ``cfg.seed``
-    and searches them with :data:`sepop.cg.OBLIQUE`'s line search.  Returns
-    the learned factors and the run report.
+    ``patches`` is a (T, n_1, ..., n_N) array; ``shapes`` gives the (k_i, n_i) factor sizes,
+    each tall.  The run starts from random factors drawn with ``cfg.seed``, refused with a
+    ``ValueError`` if a term or its gradient's norm is not finite there, and searched with
+    :data:`sepop.cg.OBLIQUE`'s line search.  Returns the learned factors and the run report.
     """
     for mode, shape in enumerate(shapes):
         if len(shape) != 2 or shape[0] < shape[1]:
@@ -64,7 +65,19 @@ def learn_operators(
         cost = learning_cost(fs, batch, params, analysis)
         return cost, lambda: learning_gradient(fs, batch, params, analysis)
 
-    return minimize_on_product(evaluate, start, cfg)
+    try:
+        return minimize_on_product(evaluate, start, cfg)
+    except ArithmeticError:  # the solver refuses the start: add the terms in turn, name the first
+        for term, kappa, mu in (("sparsity", 0.0, 0.0), ("rank barrier", params.kappa, 0.0),
+                                ("coherence barrier", params.kappa, params.mu)):
+            terms = LearningParams(params.nu, kappa, mu)
+            with contextlib.suppress(ArithmeticError):  # a crossed barrier raises BarrierError
+                grad = cg.OBLIQUE.project(start, learning_gradient(start, batch, terms))
+                if np.isfinite(learning_cost(start, batch, terms) + cg.OBLIQUE.norm(grad)):
+                    continue
+            raise ValueError(f"the {term} term or its gradient's norm is not finite at the start, "
+                             f"nu {params.nu}, kappa {params.kappa}, mu {params.mu}")
+        raise
 
 
 # ---------------------------------------------------------------------------

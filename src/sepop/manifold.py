@@ -78,8 +78,7 @@ def random_factor(k: int, n: int, rng: np.random.Generator | int) -> np.ndarray:
     """Gaussian rows normalized to unit length; deterministic given the seed."""
     if k < n:
         raise ValueError(f"need k >= n, got {k}x{n}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     rows = rng.standard_normal((k, n))
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
@@ -104,6 +103,5 @@ def product_norm(x: list[np.ndarray]) -> float:
 
 
 def random_point(shapes: list[tuple[int, int]], rng: np.random.Generator | int) -> list[np.ndarray]:
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     return [random_factor(k, n, rng) for k, n in shapes]

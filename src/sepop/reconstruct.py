@@ -130,8 +130,6 @@ def radial_mask_for_rate(h: int, w: int, rate: float) -> SamplingMask:
 class MeasurementOp:
     """Linear map from volumes to measurement vectors, with exact adjoint."""
 
-    kind = "abstract"
-
     def __init__(self, dims: tuple[int, int, int]):
         self.dims = tuple(int(d) for d in dims)
         self._check_adjoint()
@@ -142,9 +140,9 @@ class MeasurementOp:
     def adjoint(self, measurement: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _check_adjoint(self, trials: int = 3, tol: float = 1e-10) -> None:
+    def _check_adjoint(self) -> None:
         rng = np.random.default_rng(12345)
-        for _ in range(trials):
+        for _ in range(3):
             v = rng.standard_normal(self.dims)
             y = self.forward(v)
             m = rng.standard_normal(y.shape)
@@ -152,18 +150,14 @@ class MeasurementOp:
                 m = m + 1j * rng.standard_normal(y.shape)
             lhs = float(np.real(np.vdot(y, m)))
             rhs = float(np.sum(v * self.adjoint(m)))
-            scale = max(abs(lhs), abs(rhs), 1.0)
-            if abs(lhs - rhs) > tol * scale:
+            if abs(lhs - rhs) > 1e-10 * max(abs(lhs), abs(rhs), 1.0):
                 raise AssertionError(
-                    f"{self.kind} operator failed the adjoint test: "
-                    f"{lhs!r} vs {rhs!r}"
+                    f"{type(self).__name__} failed the adjoint test: {lhs!r} vs {rhs!r}"
                 )
 
 
 class IdentityMeasurement(MeasurementOp):
     """Direct voxel observation (denoising)."""
-
-    kind = "identity"
 
     def forward(self, data: np.ndarray) -> np.ndarray:
         return np.asarray(data, dtype=float).ravel()
@@ -180,21 +174,14 @@ class FourierMeasurement(MeasurementOp):
     order.  The mask marks bins of the fftshifted (centered) spectrum; the
     operator maps them once, at construction, to the unshifted bins
     ``((r - h//2) % h, (c - w//2) % w)`` that ``fft2`` returns, and transforms
-    a slice-major copy of the volume, so no spectrum is shifted.  It keeps a
-    private read-only copy of the mask, so the bins always match ``mask``.
+    a slice-major copy of the volume, so no spectrum is shifted.
     """
-
-    kind = "fourier"
 
     def __init__(self, dims: tuple[int, int, int], mask: SamplingMask):
         if mask.mask.shape != tuple(dims[:2]):
-            raise ValueError(
-                f"mask shape {mask.mask.shape} does not match slice dims {dims[:2]}"
-            )
-        self.mask = SamplingMask(mask.mask.copy())
-        self.mask.mask.flags.writeable = False
-        h, w = self.mask.mask.shape
-        rows, cols = np.nonzero(self.mask.mask)
+            raise ValueError(f"mask shape {mask.mask.shape} does not match slice dims {dims[:2]}")
+        h, w = mask.mask.shape
+        rows, cols = np.nonzero(mask.mask)
         self._bins = ((rows - h // 2) % h, (cols - w // 2) % w)
         super().__init__(dims)
 
@@ -269,10 +256,10 @@ def reconstruct(
 ) -> Volume:
     """Minimize the data-fidelity plus patch-sparsity objective over volumes.
 
-    Starts from the adjoint image (zero-filling for Fourier data), refused with a
-    ``ValueError`` if a term is not finite there, and runs the package's conjugate gradient
-    for ``cfg.max_iters`` iterations at most in :data:`sepop.cg.FLAT`, whose line search is
-    monotone Armijo backtracking, so the objective values appended to ``trace`` (one per
+    Starts from the adjoint image (zero-filling for Fourier data), refused with a ``ValueError``
+    if a term or its gradient's norm is not finite there, and runs the package's conjugate
+    gradient for ``cfg.max_iters`` iterations at most in :data:`sepop.cg.FLAT`, whose line search
+    is monotone Armijo backtracking, so the objective values appended to ``trace`` (one per
     iterate, the first at the start) never increase.
     """
     factors, _origins = window_grid(factors, op.dims)
@@ -282,12 +269,14 @@ def reconstruct(
     start = op.adjoint(np.asarray(y))
     try:
         v, report = cg.minimize(lambda x: _evaluate(x, y, op, factors, cfg), start, solver, cg.FLAT)
-    except ArithmeticError:  # the solver refuses a non-finite cost at the start: name the term
-        if math.isfinite(_evaluate(start, y, op, factors, cfg)[0]):
+    except ArithmeticError:  # the solver refuses the start: name the term
+        cost, gradient = _evaluate(start, y, op, factors, cfg)
+        if math.isfinite(cost + cg.FLAT.norm(gradient())):
             raise
         residual = op.forward(start) - y
         term = "regularizer" if math.isfinite(np.vdot(residual, residual).real) else "data"
-        raise ValueError(f"the {term} term is not finite at the start, lam {cfg.lam}, nu {cfg.nu}")
+        raise ValueError(f"the {term} term or its gradient's norm is not finite at the start, "
+                         f"lam {cfg.lam}, nu {cfg.nu}")
     if trace is not None:
         trace.extend(report.costs)
     return Volume(v)
@@ -297,13 +286,15 @@ def reconstruct(
 # Quality metrics
 
 def psnr(ref: Volume, test: Volume) -> float:
-    """Peak signal-to-noise ratio in dB, the peak being the reference's
-    intensity range; identical volumes give ``inf``."""
+    """Peak signal-to-noise ratio in dB, the peak being the reference's intensity range;
+    identical volumes give ``inf``, and squared differences that overflow a ``ValueError``."""
     if ref.data.shape != test.data.shape:
         raise ValueError(f"shape mismatch: {ref.data.shape} vs {test.data.shape}")
     mse = float(np.mean((ref.data - test.data) ** 2))
     if mse == 0.0:
         return math.inf
+    if not math.isfinite(mse):
+        raise ValueError("PSNR overflows: the squared differences exceed the float64 range")
     lo, hi = ref.intensity_range
     return 10.0 * math.log10((hi - lo) * (hi - lo) / mse)
 
@@ -355,11 +346,13 @@ def mssim(ref: Volume, test: Volume) -> float:
     c2 = (0.03 * (hi - lo)) ** 2
     x = np.moveaxis(ref.data, 2, 0)
     y = np.moveaxis(test.data, 2, 0)
-    mu_x = _blur(x)
-    mu_y = _blur(y)
+    mu_x, mu_y = _blur(x), _blur(y)
     xx = _blur(x * x) - mu_x * mu_x
     yy = _blur(y * y) - mu_y * mu_y
     xy = _blur(x * y) - mu_x * mu_y
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * xy + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (xx + yy + c2)
-    return float(np.mean(np.mean(num / den, axis=(1, 2))))
+    value = float(np.mean(np.mean(num / den, axis=(1, 2))))
+    if not math.isfinite(value):  # den >= c1 * c2 > 0, so only an overflow makes it so
+        raise ValueError("MSSIM overflows: the squared values exceed the float64 range")
+    return value

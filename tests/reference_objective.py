@@ -119,7 +119,11 @@ def objective_and_gradient(v, y, op, factors, cfg):
 
 
 class SliceFourierMeasurement(FourierMeasurement):
-    """The per-slice centered 2D DFT, one ``fft2`` call per slice."""
+    """The per-slice centered 2D DFT, one ``fft2`` call per slice, on the mask it is given."""
+
+    def __init__(self, dims, mask):
+        self.mask = mask  # before the adjoint check at construction reads it
+        super().__init__(dims, mask)
 
     def forward(self, data):
         data = np.asarray(data, dtype=float)

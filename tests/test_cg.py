@@ -147,6 +147,15 @@ class TestFlatGeometry:
         with pytest.raises(ArithmeticError, match="non-finite cost at the starting point"):
             cg.minimize(evaluate, np.zeros(3), cg.SolverConfig(), cg.FLAT)
 
+    def test_start_of_non_finite_gradient_norm_is_refused(self):
+        # finite entries whose squared norm overflows: the first step, 1 / norm, would be 0
+        def evaluate(x):
+            return 0.0, lambda: np.full(3, 1e200)
+
+        with np.errstate(over="ignore"):
+            with pytest.raises(ArithmeticError, match="non-finite gradient norm at the starting point"):
+                cg.minimize(evaluate, np.zeros(3), cg.SolverConfig(), cg.FLAT)
+
 
 class TestRejectedSteps:
     """A trial that hits a barrier or a degenerate retraction is a too-long step."""

@@ -234,7 +234,8 @@ def test_non_positive_max_iters_exits_1_writing_nothing(
 
 @pytest.mark.parametrize(
     "settings, lam",
-    [(["--sigma", "1e300"], "2e+302"), (["--sigma", "15", "--lambda", "1e308"], "1e+308")],
+    [(["--sigma", "1e300"], "2e+302"), (["--sigma", "15", "--lambda", "1e308"], "1e+308"),
+     (["--sigma", "15", "--lambda", "1e300"], "1e+300")],  # the last: the gradient's norm
 )
 def test_non_finite_starting_cost_exits_1_writing_nothing(
     tmp_path, phantom, operators, capsys, settings, lam
@@ -245,9 +246,52 @@ def test_non_finite_starting_cost_exits_1_writing_nothing(
         argv = with_value(argv, flag, value)
     with np.errstate(over="ignore"):
         assert run(*argv) == 1
-    message = f"the regularizer term is not finite at the start, lam {lam}, nu 1000.0"
-    assert message in capsys.readouterr().err
+    message = "the regularizer term or its gradient's norm is not finite at the start, "
+    assert message + f"lam {lam}, nu 1000.0" in capsys.readouterr().err
     assert_nothing_written(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "flag, value, term, weights",
+    [("--kappa", "1e308", "rank barrier", "nu 1000.0, kappa 1e+308, mu 0.5"),
+     ("--mu", "1e308", "coherence barrier", "nu 1000.0, kappa 500.0, mu 1e+308"),
+     # finite costs whose gradient's norm is not: the barrier's gradient, of about kappa,
+     # squares past the float range, and the penalty's derivative 2 nu c / (1 + nu c^2)
+     # forms 2 nu = inf
+     ("--kappa", "1e300", "rank barrier", "nu 1000.0, kappa 1e+300, mu 0.5"),
+     ("--nu", "1e308", "sparsity", "nu 1e+308, kappa 500.0, mu 0.5")],
+)
+def test_learning_start_of_non_finite_cost_exits_1_writing_nothing(
+    tmp_path, phantom, operators, capsys, flag, value, term, weights
+):
+    argv = with_value(small_run("learn", phantom, operators, tmp_path), flag, value)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(*argv) == 1
+    message = f"the {term} term or its gradient's norm is not finite at the start, {weights}"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.vol").exists()
+    assert not Path(learn.log_path(str(tmp_path / "r.vol"))).exists()
+
+
+def test_metrics_that_overflow_exit_1_writing_nothing(tmp_path, phantom, operators, capsys):
+    # noise of sigma 1e300 squares to inf; a negligible regularizer leaves the noisy volume
+    argv = small_run("denoise", phantom, operators, tmp_path)
+    for flag, value in (("--sigma", "1e300"), ("--lambda", "5e-324"), ("--nu", "5e-324")):
+        argv = with_value(argv, flag, value)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(*argv) == 1
+    assert "error: MSSIM overflows" in capsys.readouterr().err
+    assert_nothing_written(tmp_path)
+
+
+@pytest.mark.parametrize("command", [["denoise", "--sigma", "15"], ["cs", "--rate", "0.6"]])
+def test_output_keeps_the_input_intensity_range(tmp_path, phantom, operators, command):
+    # the solve returns a volume of the default range [0, 255]; the command writes the input's
+    wide, out = str(tmp_path / "wide.vol"), str(tmp_path / "r.vol")
+    volume.write_volume(volume.Volume(4.0 * volume.read_volume(phantom).data, (0.0, 1020.0)), wide)
+    argv = [command[0], "--in", wide, "--op", operators, *command[1:], "--max-iters", "2"]
+    assert run(*argv, "--out", out) == 0
+    assert volume.read_volume(out).intensity_range == (0.0, 1020.0)
 
 
 @pytest.mark.parametrize("field, value", [("dims", [True, 16, 16]), ("intensity_range", [True, 255])])

@@ -1,10 +1,10 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from sepop import cg, learn, manifold, objective, volume
-from sepop.cg import nonmonotone_accept
 from sepop.learn import LearnReport, SolverConfig, learn_operators
 from sepop.objective import LearningParams
 
@@ -32,13 +32,6 @@ def synthetic_cosparse_patches(count, factors, seed, noise=1e-3):
 
 
 class TestNonmonotoneAccept:
-    def test_reduces_to_armijo_on_first_iteration(self):
-        # with C_0 = f(x_0) the test is exactly the Armijo condition
-        f0, dd, t, c1 = 10.0, -4.0, 0.5, 1e-4
-        threshold = f0 + c1 * t * dd
-        assert nonmonotone_accept(threshold - 1e-12, f0, dd, t, c1)
-        assert not nonmonotone_accept(threshold + 1e-9, f0, dd, t, c1)
-
     def test_zero_decay_is_pure_armijo(self):
         # decay 0 keeps the reference equal to the last cost
         costs = [5.0, 4.0, 4.5]
@@ -47,25 +40,6 @@ class TestNonmonotoneAccept:
             # Q stays 1, C_{k+1} = f_{k+1}
             ref = (0.0 * 1.0 * ref + f_new) / (0.0 * 1.0 + 1.0)
             assert ref == f_new
-
-    def test_averaged_reference_accepts_oscillating_step(self):
-        # hand-computed reference recursion with decay 0.85:
-        # C_0 = 10; f_1 = 8  -> Q_1 = 1.85, C_1 = (0.85*10 + 8)/1.85 = 8.9189...
-        decay = 0.85
-        c0, q0 = 10.0, 1.0
-        f1 = 8.0
-        q1 = decay * q0 + 1.0
-        c1_ref = (decay * q0 * c0 + f1) / q1
-        assert c1_ref == pytest.approx(16.5 / 1.85)
-        # candidate cost 8.5 exceeds the last cost f_1 = 8 (monotone Armijo
-        # rejects) but sits below the averaged reference (accepted).
-        dd, t, c1 = -1.0, 1e-3, 1e-4
-        assert not nonmonotone_accept(8.5, f1, dd, t, c1)
-        assert nonmonotone_accept(8.5, c1_ref, dd, t, c1)
-
-    def test_nondescent_direction_rejected(self):
-        with pytest.raises(ValueError, match="descent"):
-            nonmonotone_accept(1.0, 2.0, 0.5, 0.1, 1e-4)
 
 
 class TestSolverConfigValidation:
@@ -214,6 +188,88 @@ class TestLearnOperators:
         log = report.training_log().splitlines()
         assert log[0].startswith("iter 0 cost ")
         assert len(log) >= 2
+
+
+def crossing_start(barrier):
+    """Three unit-row 6x5 factors whose first crosses ``barrier``: two equal rows, or rows
+    spanning only four of the five columns."""
+    factors = manifold.random_point([(6, 5)] * 3, np.random.default_rng(2))
+    if barrier == "coherence":
+        factors[0][1] = factors[0][0]
+    else:
+        factors[0][:, 4] = 0.0
+        factors[0] /= np.linalg.norm(factors[0], axis=1, keepdims=True)
+    return factors
+
+
+class TestNonFiniteStart:
+    """``learn_operators`` refuses a start at which the cost or its gradient's norm is not
+    finite with a ``ValueError`` naming the first term that makes it so, and nu, kappa and mu."""
+
+    @pytest.mark.parametrize(
+        "scale, kappa, mu, term",
+        [(1e200, 500.0, 0.5, "sparsity"), (1.0, 1e308, 0.5, "rank barrier"),
+         (1.0, 500.0, 1e308, "coherence barrier"), (1.0, 1e308, 1e308, "rank barrier"),
+         # each term finite, but a weight of 1e300 makes the gradient's squared norm overflow
+         (1.0, 1e300, 0.5, "rank barrier"), (1.0, 500.0, 1e300, "coherence barrier")],
+    )
+    def test_names_the_term(self, scale, kappa, mu, term):
+        patches = scale * phantom_patches((16, 16, 16), 40)
+        message = (f"the {term} term or its gradient's norm is not finite at the start, "
+                   f"nu 1000.0, kappa {kappa}, mu {mu}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                learn_operators(patches, [(6, 5)] * 3, LearningParams(1000.0, kappa, mu),
+                                SolverConfig(max_iters=2))
+
+    @pytest.mark.parametrize("barrier", ["rank", "coherence"])
+    def test_a_crossed_barrier_counts_as_its_term(self, monkeypatch, barrier):
+        start = crossing_start(barrier)
+        monkeypatch.setattr(manifold, "random_point", lambda shapes, rng: start)
+        message = f"the {barrier} barrier term or its gradient's norm is not finite at the start"
+        with pytest.raises(ValueError, match=message):
+            learn_operators(phantom_patches((16, 16, 16), 40), [(6, 5)] * 3, LearningParams(),
+                            SolverConfig(max_iters=2))
+
+    def test_a_barrier_with_weight_zero_is_no_term(self, monkeypatch):
+        # the cost leaves an unweighted barrier out, so a start that crosses it is finite
+        start = crossing_start("rank")
+        monkeypatch.setattr(manifold, "random_point", lambda shapes, rng: start)
+        params = LearningParams(kappa=0.0)
+        _factors, report = learn_operators(phantom_patches((16, 16, 16), 40), [(6, 5)] * 3,
+                                           params, SolverConfig(max_iters=2))
+        assert np.isfinite(report.costs[0])
+
+    def test_a_finite_start_costs_as_many_evaluations_as_a_plain_solve(self, monkeypatch):
+        analyze, calls, direct = objective.patch_analysis, [], []
+        monkeypatch.setattr(learn, "patch_analysis", lambda *a: calls.append(1) or analyze(*a))
+        patches, params, cfg = phantom_patches((16, 16, 16), 60), LearningParams(), SolverConfig(4)
+        learn_operators(patches, [(6, 5)] * 3, params, cfg)
+        batch = objective.PatchBatch.of(patches)
+
+        def evaluate(fs):
+            direct.append(1)
+            analysis = analyze(fs, batch, params.nu)
+            cost = objective.learning_cost(fs, batch, params, analysis)
+            return cost, lambda: objective.learning_gradient(fs, batch, params, analysis)
+
+        start = manifold.random_point([(6, 5)] * 3, np.random.default_rng(cfg.seed))
+        cg.minimize(evaluate, start, cfg, cg.OBLIQUE)
+        assert len(calls) == len(direct) > 1
+
+    def test_an_arithmetic_error_after_a_finite_start_is_raised_as_it_was(self, monkeypatch):
+        analyze, calls = objective.patch_analysis, []
+
+        def second_call_overflows(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise OverflowError("overflow in a trial step")
+            return analyze(*args)
+
+        monkeypatch.setattr(learn, "patch_analysis", second_call_overflows)
+        with pytest.raises(OverflowError, match="overflow in a trial step"):
+            learn_operators(phantom_patches((16, 16, 16), 40), [(6, 5)] * 3, LearningParams(),
+                            SolverConfig(max_iters=2))
 
 
 def phantom_patches(dims, count, seed=11):
