@@ -63,17 +63,16 @@ def kernels(size: str) -> dict:
     batch = objective.PatchBatch.of(rng.standard_normal((dims["T"], 5, 5, 5)))
     inputs: list = []
     objective.analyze_batch(batch, factors, inputs)
-    # What the gradient's partials read: the first mode's layout and its product with F_2,
-    # and the mode-1 partial's strided view of the array mode 2 read.
-    first = tensor.rotate_product(batch.first_mode, factors[1])
-    strided = np.moveaxis(inputs[1], 0, 2)
     table = {
         f"rotate_product analysis mode {i + 1}": (None, lambda i=i: tensor.rotate_product(inputs[i], factors[i]))
         for i in range(3)
     }
-    table["rotate_product partial 1, F_2"] = (None, lambda: tensor.rotate_product(batch.first_mode, factors[1]))
-    table["rotate_product partial 1, F_3"] = (None, lambda: tensor.rotate_product(first, factors[2]))
-    table["rotate_product partial 2 (strided)"] = (None, lambda: tensor.rotate_product(strided, factors[2]))
+    # The gradient releases the analysis it is given, so each call is given a fresh one, as in
+    # a solve, computed before the call is timed.
+    given: list = []
+    table["learning_gradient given its analysis"] = (
+        lambda: given.append(objective.patch_analysis(factors, batch, params.nu)),
+        lambda: objective.learning_gradient(factors, batch, params, given.pop()))
     table["patch_analysis"] = (None, lambda: objective.patch_analysis(factors, batch, params.nu))
     table["learning cost"] = (None, lambda: objective.learning_cost(factors, batch, params))
 

@@ -32,7 +32,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from sepop import manifold
+from sepop import manifold, volume
 from sepop.manifold import DegenerateStepError
 from sepop.objective import BarrierError
 
@@ -56,6 +56,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
+        volume.check_seed(self.seed)
 
 
 @dataclass

@@ -10,8 +10,8 @@ Both the cost and its gradient start from :func:`patch_analysis`, the
 analysis coefficients of the patch batch and each patch's sparsity.  A solver
 that needs both at one point computes it once and passes it to each; called
 without it, each computes it.  The analysis, one :func:`sepop.tensor.rotate_product`
-per mode from the layouts of a :class:`PatchBatch` (built once per run), also keeps
-what each mode's product read, which the gradient would otherwise compute again.
+per mode from the layout of a :class:`PatchBatch` (built once per run), also keeps what each
+mode's product read, which the gradient runs back through (reverse mode, one GEMM a step).
 
 The sparsity penalty log(1 + nu c^2) of learning and reconstruction alike is
 summed by :func:`sparsity_measure` and differentiated in place by
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from sepop import tensor
-from sepop.tensor import rotate_product
 
 COHERENCE_BARRIER_TOL = 1e-12
 
@@ -160,13 +159,11 @@ def coherence_penalty_gradient(factor: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PatchBatch:
-    """(T, n_1, ..., n_N) patches in the read-only layouts that the analysis, ``leading``
-    (n_1, ..., n_N, T), and the first mode's partial, ``first_mode`` (n_2, ..., n_N, T,
-    n_1), start from; the functions here lay out a plain array on entry."""
+    """(T, n_1, ..., n_N) patches in the read-only layout that every analysis starts from,
+    ``leading`` (n_1, ..., n_N, T); the functions here lay out a plain array on entry."""
 
     shape: tuple[int, ...]
     leading: np.ndarray
-    first_mode: np.ndarray
 
     @classmethod
     def of(cls, patches: np.ndarray | PatchBatch) -> PatchBatch:
@@ -178,10 +175,8 @@ class PatchBatch:
                 f"a patch batch has axes (T, n_1, ...), T >= 1, got shape {patches.shape}"
             )
         leading = np.ascontiguousarray(np.moveaxis(patches, 0, -1))
-        first_mode = np.ascontiguousarray(np.moveaxis(patches, (0, 1), (-2, -1)))
-        for layout in (leading, first_mode):
-            layout.flags.writeable = False  # every analysis of the run reads them
-        return cls(patches.shape, leading, first_mode)
+        leading.flags.writeable = False  # every analysis of the run reads it
+        return cls(patches.shape, leading)
 
 
 def analyze_batch(
@@ -193,7 +188,7 @@ def analyze_batch(
 
     The modes are analyzed in order, each by a leading-mode product, from
     (n_1, ..., n_N, T) to (T, k_1, ..., k_N).  If ``mode_inputs`` is a list,
-    the array each mode reads is appended: (n_i, ..., n_N, T, k_1, ..., k_{i-1}).
+    the array each mode reads is appended, C-contiguous: (n_i, ..., n_N, T, k_1, ..., k_{i-1}).
     """
     batch = PatchBatch.of(patches)
     factors, _origins = tensor.window_grid(factors, batch.shape[1:])
@@ -203,7 +198,7 @@ def analyze_batch(
     for factor in factors:
         if mode_inputs is not None:
             mode_inputs.append(x)
-        x = rotate_product(x, factor)
+        x = tensor.rotate_product(x, factor)
     return x
 
 
@@ -279,35 +274,30 @@ def learning_gradient(
     """Euclidean gradient of :func:`learning_cost` w.r.t. each factor.
 
     ``analysis`` is :func:`patch_analysis` at this point, if the caller has
-    it; the gradient releases it (see :meth:`PatchAnalysis.release`).
+    it; the gradient releases it (see :meth:`PatchAnalysis.release`) and runs back through it.
     """
-    batch = PatchBatch.of(patches)
     if analysis is None:
-        analysis = patch_analysis(factors, batch, params.nu)
-    weighted, inputs = analysis.release()
-    count = weighted.shape[0]
+        analysis = patch_analysis(factors, patches, params.nu)
+    cotangent, inputs = analysis.release()
+    count = cotangent.shape[0]
     # d(g^2)/dA = 2 g * 2 nu A / (1 + nu A^2), per sample, formed in place
-    sparsity_gradient(weighted, params.nu)
-    weighted *= (2.0 * analysis.per_sample).reshape((count,) + (1,) * (weighted.ndim - 1))
+    sparsity_gradient(cotangent, params.nu)
+    cotangent *= (2.0 * analysis.per_sample).reshape((count,) + (1,) * (cotangent.ndim - 1))
 
-    # A mode's partial applies the later factors to the array the mode read, with
-    # n_i moved behind T (for the first mode, a layout of the batch), which leaves
-    # (T, n_i, k_1, ..., k_{i-1}, k_{i+1}, ..., k_N); the last mode's is that view.
+    # Reverse mode through the analysis, last mode first: mode i's product read inputs[i] as
+    # (n_i, R) rows and wrote (R, k_i) rows, whose cotangent gives F_i's gradient and, times
+    # F_i, the cotangent of what the mode read, in that array's layout: one GEMM each.
     grads: list[np.ndarray] = []
-    for mode, factor in enumerate(factors):
-        partial = np.moveaxis(inputs[mode], 0, len(factors) - mode) if mode else batch.first_mode
-        inputs[mode] = None  # freed once this mode's partial is formed
-        for later in factors[mode + 1 :]:
-            partial = rotate_product(partial, later)
-        w_mat = np.moveaxis(weighted, mode + 1, 1).reshape(count, weighted.shape[mode + 1], -1)
-        p_mat = partial.reshape(count, partial.shape[1], -1)
-        grad = np.einsum("tkr,tnr->kn", w_mat, p_mat) / count
-        del partial, p_mat, w_mat  # freed before the next mode's partial is formed
+    for factor in reversed([np.asarray(f, dtype=float) for f in factors]):
+        rows = cotangent.reshape(-1, len(factor))
+        grad = (inputs.pop().reshape(factor.shape[1], -1) @ rows).T / count
+        if inputs:
+            cotangent = factor.T @ rows.T
         if params.kappa > 0:
             grad = grad + params.kappa * rank_penalty_gradient(factor)
         if params.mu > 0:
             grad = grad + params.mu * coherence_penalty_gradient(factor)
-        grads.append(grad)
+        grads.insert(0, grad)
     return grads
 
 

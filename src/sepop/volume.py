@@ -75,6 +75,7 @@ def build_training_set(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    check_seed(seed)
     if not flat_tol >= 0:
         raise ValueError(f"flat_tol must be nonnegative, got {flat_tol}")
     patch_dims = tuple(patch_dims)
@@ -122,9 +123,16 @@ def check_sigma(sigma: float) -> None:
         raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed that is not a non-negative integer, naming it, before any draw."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def add_awgn(vol: Volume, sigma: float, seed: int = 0) -> Volume:
     """Add i.i.d. zero-mean Gaussian noise of standard deviation ``sigma``."""
     check_sigma(sigma)
+    check_seed(seed)
     if sigma == 0:
         return Volume(vol.data.copy(), vol.intensity_range)
     rng = np.random.default_rng(seed)
@@ -140,6 +148,7 @@ def synth_phantom(dims: tuple[int, int, int], seed: int = 0) -> Volume:
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 8 for d in dims):
         raise ValueError(f"phantom dims must be at least 8 per axis, on 3 axes, got {dims}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     vol = np.full(dims, 20.0)
     grids = np.meshgrid(*[np.arange(d, dtype=float) for d in dims], indexing="ij")

@@ -10,6 +10,8 @@ that the slab-by-slab :func:`sepop.tensor.correlate_separable` must equal bit
 for bit, and :func:`whole_array_adjoint` the one-transpose adjoint that the
 blocked :func:`sepop.tensor.correlate_separable_adjoint` must equal bit for
 bit.
+:func:`kronecker_learning_gradient` is the learning gradient's sparsity part through the
+dense Kronecker operator, the oracle independent of both gradient implementations.
 :func:`extract_patch` is the per-patch definition of a training window, and
 :func:`cosparsity` counts the near-zero analysis coefficients of a patch.
 :func:`reconstruction_objective` gives the finite-difference oracles the
@@ -71,6 +73,31 @@ def kronecker_chain(matrices: list[np.ndarray]) -> np.ndarray:
     for m in matrices[1:]:
         out = np.kron(out, m)
     return out
+
+
+def kronecker_learning_gradient(factors: list[np.ndarray], patches: np.ndarray, nu: float) -> list[np.ndarray]:
+    """The gradient of the learning cost's sparsity term, the mean over patches of the
+    squared sum of log(1 + nu c^2), w.r.t. each factor, through the dense operator.
+
+    With the patches as rows X and Omega the Kronecker chain of the factors, the
+    coefficients are C = X Omega^T, and G = (dL/dC)^T X, a (prod k, prod n) array, is
+    dL/dOmega.  dL/dF_i is G, as (k_1, ..., k_N, n_1, ..., n_N), contracted over each other
+    mode's pair of axes (k_j, n_j) with F_j.
+    """
+    factors = [np.asarray(factor, dtype=float) for factor in factors]
+    x = np.asarray(patches, dtype=float).reshape(len(patches), -1)
+    c = x @ kronecker_chain(factors).T
+    per_patch = np.log1p(nu * c * c).sum(axis=1)
+    dc = (2.0 * per_patch / len(x))[:, None] * (2.0 * nu * c / (1.0 + nu * c * c))
+    g = (dc.T @ x).reshape(tuple(f.shape[0] for f in factors) + tuple(f.shape[1] for f in factors))
+    rows, cols = "abcdefgh"[: len(factors)], "ijklmnop"[: len(factors)]
+    grads = []
+    for mode in range(len(factors)):
+        others = [j for j in range(len(factors)) if j != mode]
+        spec = ",".join([rows + cols] + [rows[j] + cols[j] for j in others])
+        grads.append(np.einsum(f"{spec}->{rows[mode]}{cols[mode]}", g, *(factors[j] for j in others),
+                               optimize=True))
+    return grads
 
 
 def mode_product(tensor: np.ndarray, matrix: np.ndarray, mode: int) -> np.ndarray:

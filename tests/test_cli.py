@@ -232,6 +232,16 @@ def test_non_positive_max_iters_exits_1_writing_nothing(
     assert_nothing_written(tmp_path)
 
 
+@pytest.mark.parametrize("command, seed", [("gen", "-1"), ("learn", "-3"), ("denoise", "-2")])
+def test_negative_seed_exits_1_naming_it(tmp_path, phantom, operators, capsys, command, seed):
+    capsys.readouterr()
+    argv = small_run(command, phantom, operators, tmp_path) + [f"--seed={seed}"]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: seed must be a non-negative integer, got {seed}"]
+    assert_nothing_written(tmp_path)
+
+
 @pytest.mark.parametrize(
     "settings, lam",
     [(["--sigma", "1e300"], "2e+302"), (["--sigma", "15", "--lambda", "1e308"], "1e+308"),

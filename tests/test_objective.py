@@ -330,14 +330,38 @@ def random_instance(shapes, count, seed):
 
 
 def assert_equal_to_reference(factors, patches, params, grads):
+    """The gradient equals the frozen einsum definition within 1e-12 of its largest entry:
+    the reverse-mode GEMMs sum in another order (1.8e-14 at worst, measured over
+    ``SHAPE_SETS``, orders 1 to 4 and T from 1 to 2000)."""
     expected = reference_objective.learning_gradient(factors, patches, params)
     assert len(grads) == len(expected)
-    assert all(np.array_equal(g, e) for g, e in zip(grads, expected))
+    for g, e in zip(grads, expected):
+        assert g.shape == e.shape
+        assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e))
+
+
+class TestKroneckerOracle:
+    """The sparsity part of the gradient (kappa = mu = 0) equals the dense Kronecker
+    definition, which shares no code with the package's reverse mode or the frozen einsum."""
+
+    @pytest.mark.parametrize("count", [1, 7, 300])
+    @pytest.mark.parametrize(
+        "shapes", [ORDER_SETS["order-1"], ORDER_SETS["order-2"], SHAPE_SETS["non-cubic"],
+                   ORDER_SETS["order-4"]], ids=["order-1", "order-2", "order-3", "order-4"])
+    def test_equals_the_kronecker_gradient(self, shapes, count):
+        params = LearningParams(nu=1000.0, kappa=0.0, mu=0.0)
+        factors, patches = random_instance(shapes, count, seed=count + 1)
+        grads = objective.learning_gradient(factors, patches, params)
+        expected = oracles.kronecker_learning_gradient(factors, patches, params.nu)
+        for g, e in zip(grads, expected, strict=True):
+            assert g.shape == e.shape
+            assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e))
 
 
 class TestSharedAnalysis:
-    """Cost and gradient equal the frozen definitions bit for bit, with the
-    analysis passed in or computed by each."""
+    """The cost equals the frozen definition bit for bit and the gradient within 1e-12,
+    with the analysis passed in or computed by each; a gradient from a shared analysis
+    equals one computed without it bit for bit."""
 
     @pytest.mark.parametrize("count", [1, 7, 2000])
     @pytest.mark.parametrize("shapes", list(SHAPE_SETS.values()), ids=list(SHAPE_SETS))
@@ -360,6 +384,9 @@ class TestSharedAnalysis:
         assert cost == reference_objective.learning_cost(factors, patches, params)
         grads = objective.learning_gradient(factors, patches, params, analysis)
         assert_equal_to_reference(factors, patches, params, grads)
+        if shared:
+            own = objective.learning_gradient(factors, patches, params)
+            assert all(np.array_equal(g, o) for g, o in zip(grads, own, strict=True))
 
     def test_a_laid_out_batch_gives_the_same_numbers(self):
         params = LearningParams()
@@ -371,6 +398,15 @@ class TestSharedAnalysis:
         )
         grads = objective.learning_gradient(factors, batch, params, analysis)
         assert_equal_to_reference(factors, patches, params, grads)
+
+    def test_factors_as_nested_lists_give_the_same_numbers(self):
+        params = LearningParams()
+        factors, patches = random_instance(SHAPE_SETS["non-cubic"], 7, seed=2)
+        lists = [f.tolist() for f in factors]
+        assert objective.learning_cost(lists, patches, params) == objective.learning_cost(factors, patches, params)
+        grads = objective.learning_gradient(lists, patches, params)
+        expected = objective.learning_gradient(factors, patches, params)
+        assert all(np.array_equal(g, e) for g, e in zip(grads, expected, strict=True))
 
     def test_gradient_in_short_chunks_equals_reference(self, monkeypatch):
         # 7 patches of 216 coefficients are 11 chunks of 128 and a last one of 104; the
@@ -414,15 +450,10 @@ class TestPatchBatch:
         _factors, patches = random_instance(shapes, 7, seed=1)
         batch = objective.PatchBatch.of(patches)
         assert batch.shape == patches.shape
-        dims = patches.shape[1:]
         assert np.array_equal(batch.leading, np.moveaxis(patches, 0, -1))
-        assert np.array_equal(batch.first_mode, np.moveaxis(patches, 1, -1).transpose(
-            tuple(range(1, len(dims))) + (0, len(dims))
-        ))
-        for layout in (batch.leading, batch.first_mode):
-            assert layout.flags.c_contiguous and not layout.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                layout[...] = 0.0
+        assert batch.leading.flags.c_contiguous and not batch.leading.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            batch.leading[...] = 0.0
         assert patches.flags.writeable  # the caller's array is left as it was
         assert objective.PatchBatch.of(batch) is batch
 
@@ -478,26 +509,29 @@ class TestAnalysisMemory:
         assert peak < 2.8, f"peak {peak:.2f}x the coefficients"
 
     def test_cost_and_gradient(self):
-        # one mode's partial at a time: the previous mode's is freed first
+        # the gradient overwrites the coefficients with their cotangent and frees each
+        # array a mode read once its GEMM has read it, so no step holds more than the
+        # analysis did: the peak is the cost's (2.61x)
         peak = self.peak_in_coefficients(gradient=True)
-        assert peak < 4.5, f"peak {peak:.2f}x the coefficients"
+        assert peak < 3.6, f"peak {peak:.2f}x the coefficients"
 
 
 class TestGradientWork:
-    """Given the analysis, the gradient applies only the factors the analysis
-    did not: N - 1 + N - 2 + ... + 0 leading-mode products, and analyzes nothing."""
+    """Given the analysis, the gradient analyzes nothing and applies no factor by a
+    leading-mode product: it runs back through the arrays the analysis kept, with plain
+    GEMMs."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
         calls = {"rotate_product": 0, "analyze_batch": 0}
-        for name in calls:
-            original = getattr(objective, name)
+        for module, name in ((tensor, "rotate_product"), (objective, "analyze_batch")):
+            original = getattr(module, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(objective, name, counting)
+            monkeypatch.setattr(module, name, counting)
         return calls
 
     def test_three_mode_products_and_no_analysis(self, counted):
@@ -506,7 +540,7 @@ class TestGradientWork:
         analysis = objective.patch_analysis(factors, patches, params.nu)
         assert counted == {"rotate_product": 3, "analyze_batch": 1}
         grads = objective.learning_gradient(factors, patches, params, analysis)
-        assert counted == {"rotate_product": 6, "analyze_batch": 1}
+        assert counted == {"rotate_product": 3, "analyze_batch": 1}
         assert_equal_to_reference(factors, patches, params, grads)
 
     def test_an_analysis_serves_one_gradient(self):

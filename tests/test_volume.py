@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from sepop import volume
+from sepop import cg, volume
 from sepop.volume import Volume
 
 import oracles
@@ -125,6 +125,30 @@ class TestSamplerEqualsReference:
             volume.build_training_set(vol, 40, (5, 5, 5), flat_tol=flat_tol, seed=6)
         assert str(got.value) == str(want.value)
         assert "after 4000 draws" in str(got.value)
+
+
+SEED_OWNERS = {
+    "SolverConfig": lambda seed: cg.SolverConfig(seed=seed),
+    "synth_phantom": lambda seed: volume.synth_phantom((8, 8, 8), seed=seed),
+    "build_training_set": lambda seed: volume.build_training_set(
+        volume.synth_phantom((12, 12, 12)), 5, (5, 5, 5), seed=seed),
+    "add_awgn": lambda seed: volume.add_awgn(volume.synth_phantom((8, 8, 8)), 1.0, seed=seed),
+    # with no noise to draw, the seed is still checked
+    "add_awgn sigma 0": lambda seed: volume.add_awgn(volume.synth_phantom((8, 8, 8)), 0.0, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-3, -1, -(2**70), 1.5, "7"])
+@pytest.mark.parametrize("owner", list(SEED_OWNERS))
+def test_every_seed_owner_refuses_a_bad_seed_with_one_message(owner, seed):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'seed must be a non-negative integer, got {seed}')}$"):
+        SEED_OWNERS[owner](seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**70, np.uint32(7)])
+@pytest.mark.parametrize("owner", list(SEED_OWNERS))
+def test_every_seed_owner_takes_a_non_negative_integer(owner, seed):
+    SEED_OWNERS[owner](seed)
 
 
 class TestAddAwgn:
