@@ -60,9 +60,12 @@ def kernels(size: str) -> dict:
     rng = np.random.default_rng(20)
     factors = [manifold.random_factor(6, 5, rng) for _ in range(3)]
     params = objective.LearningParams()
-    batch = objective.PatchBatch.of(rng.standard_normal((dims["T"], 5, 5, 5)))
-    inputs: list = []
-    objective.analyze_batch(batch, factors, inputs)
+    patches = rng.standard_normal((dims["T"], 5, 5, 5))
+    batch = objective.PatchBatch.of(patches)
+    # What each mode's product reads in an analysis of the whole batch at once.
+    inputs = [np.ascontiguousarray(np.moveaxis(patches, 0, -1))]
+    for factor in factors[:-1]:
+        inputs.append(tensor.rotate_product(inputs[-1], factor))
     table = {
         f"rotate_product analysis mode {i + 1}": (None, lambda i=i: tensor.rotate_product(inputs[i], factors[i]))
         for i in range(3)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -196,8 +197,23 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number written in exponent notation, as infinity or as nan (``-1e-3``,
+    ``-inf``, ``-nan``) as a flag's value, as it reads ``-0.001``, so that the library refuses
+    the value by name: argparse's own pattern for a negative number has none of these, and
+    would take such a value for an unknown option."""
+
+    _NEGATIVE_NUMBER = re.compile(
+        r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE
+    )
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER  # subparsers are _Parsers too
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sepop",
         description="Separable analysis operator learning and volumetric reconstruction.",
     )

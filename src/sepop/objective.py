@@ -9,9 +9,12 @@ non-finite values; the line search treats that as a too-long step.
 Both the cost and its gradient start from :func:`patch_analysis`, the
 analysis coefficients of the patch batch and each patch's sparsity.  A solver
 that needs both at one point computes it once and passes it to each; called
-without it, each computes it.  The analysis, one :func:`sepop.tensor.rotate_product`
-per mode from the layout of a :class:`PatchBatch` (built once per run), also keeps what each
-mode's product read, which the gradient runs back through (reverse mode, one GEMM a step).
+without it, each computes it.  A :class:`PatchBatch`, laid out once per run, holds the
+patches in the :func:`sepop.tensor._blocks` of whole patches that every blocked pass
+follows, about :data:`sepop.tensor.BLOCK_BYTES` a block.  The analysis, one
+:func:`sepop.tensor.rotate_product` per mode and block, keeps what each mode's product read
+in each block, which the gradient runs back through one block at a time while it is in
+cache (reverse mode, one GEMM a step), summing each factor's gradient over the blocks.
 
 The sparsity penalty log(1 + nu c^2) of learning and reconstruction alike is
 summed by :func:`sparsity_measure` and differentiated in place by
@@ -159,11 +162,13 @@ def coherence_penalty_gradient(factor: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PatchBatch:
-    """(T, n_1, ..., n_N) patches in the read-only layout that every analysis starts from,
-    ``leading`` (n_1, ..., n_N, T); the functions here lay out a plain array on entry."""
+    """(T, n_1, ..., n_N) patches in the read-only layout that every analysis starts from:
+    the :func:`sepop.tensor._blocks` of whole patches, about :data:`sepop.tensor.BLOCK_BYTES`
+    a block, each block ``(start, stop)`` next to its own C-contiguous (n_1, ..., n_N, B)
+    array, B = stop - start; the functions here lay out a plain array on entry."""
 
     shape: tuple[int, ...]
-    leading: np.ndarray
+    blocks: tuple[tuple[tuple[int, int], np.ndarray], ...]
 
     @classmethod
     def of(cls, patches: np.ndarray | PatchBatch) -> PatchBatch:
@@ -174,32 +179,46 @@ class PatchBatch:
             raise ValueError(
                 f"a patch batch has axes (T, n_1, ...), T >= 1, got shape {patches.shape}"
             )
-        leading = np.ascontiguousarray(np.moveaxis(patches, 0, -1))
-        leading.flags.writeable = False  # every analysis of the run reads it
-        return cls(patches.shape, leading)
+        blocks = []
+        for start, stop in tensor._blocks(
+            len(patches), tensor.BLOCK_BYTES, 8 * math.prod(patches.shape[1:])
+        ):
+            leading = np.ascontiguousarray(np.moveaxis(patches[start:stop], 0, -1))
+            leading.flags.writeable = False  # every analysis of the run reads it
+            blocks.append(((start, stop), leading))
+        return cls(patches.shape, tuple(blocks))
+
+
+# Per block of a PatchBatch, its (start, stop) and what each mode's product read in it.
+ModeInputs = list[tuple[tuple[int, int], list[np.ndarray]]]
 
 
 def analyze_batch(
     patches: np.ndarray | PatchBatch,
     factors: list[np.ndarray],
-    mode_inputs: list[np.ndarray] | None = None,
+    mode_inputs: ModeInputs | None = None,
 ) -> np.ndarray:
     """Apply one factor per mode, its window the patch's axis, to a (T, n_1, ..., n_N) batch.
 
-    The modes are analyzed in order, each by a leading-mode product, from
-    (n_1, ..., n_N, T) to (T, k_1, ..., k_N).  If ``mode_inputs`` is a list,
-    the array each mode reads is appended, C-contiguous: (n_i, ..., n_N, T, k_1, ..., k_{i-1}).
+    Each block of the :class:`PatchBatch` is analyzed while it is in cache: the modes in
+    order, each by a leading-mode product, from (n_1, ..., n_N, B) to the block's rows
+    ``[start:stop]`` of the (T, k_1, ..., k_N) result.  If ``mode_inputs`` is a list, each
+    block's ``((start, stop), arrays)`` is appended, ``arrays[i]`` what mode i read,
+    C-contiguous: (n_i, ..., n_N, B, k_1, ..., k_{i-1}).
     """
     batch = PatchBatch.of(patches)
     factors, _origins = tensor.window_grid(factors, batch.shape[1:])
     if (windows := tuple(factor.shape[1] for factor in factors)) != batch.shape[1:]:
         raise ValueError(f"factor windows {windows} differ from the patch shape {batch.shape[1:]}")
-    x = batch.leading
-    for factor in factors:
+    out = np.empty(batch.shape[:1] + tuple(len(factor) for factor in factors))
+    for (start, stop), x in batch.blocks:
+        read = [x]
+        for factor in factors[:-1]:
+            read.append(tensor.rotate_product(read[-1], factor))
+        tensor.rotate_product(read[-1], factors[-1], out=out[start:stop])
         if mode_inputs is not None:
-            mode_inputs.append(x)
-        x = tensor.rotate_product(x, factor)
-    return x
+            mode_inputs.append(((start, stop), read))
+    return out
 
 
 @dataclass
@@ -214,9 +233,9 @@ class PatchAnalysis:
 
     coeffs: np.ndarray | None
     per_sample: np.ndarray
-    mode_inputs: list[np.ndarray]
+    mode_inputs: ModeInputs
 
-    def release(self) -> tuple[np.ndarray, list[np.ndarray]]:
+    def release(self) -> tuple[np.ndarray, ModeInputs]:
         """Hand over ``coeffs``, which the caller may overwrite, and ``mode_inputs``, to read."""
         if self.coeffs is None:
             raise ValueError("this analysis has already served a gradient")
@@ -233,7 +252,7 @@ def patch_analysis(
     The penalty is formed and summed one block of whole patches at a time, about one
     chunk, in one reused buffer: each patch's sum is still numpy's over its contiguous
     entries, so it equals the sum over the whole array's patch axes."""
-    mode_inputs: list[np.ndarray] = []
+    mode_inputs: ModeInputs = []
     coeffs = analyze_batch(patches, factors, mode_inputs)
     flat = coeffs.reshape(len(coeffs), -1)
     per_sample = np.empty(len(flat))
@@ -273,31 +292,43 @@ def learning_gradient(
 ) -> list[np.ndarray]:
     """Euclidean gradient of :func:`learning_cost` w.r.t. each factor.
 
-    ``analysis`` is :func:`patch_analysis` at this point, if the caller has
-    it; the gradient releases it (see :meth:`PatchAnalysis.release`) and runs back through it.
+    ``analysis`` is :func:`patch_analysis` at this point, if the caller has it; the gradient
+    releases it (see :meth:`PatchAnalysis.release`) and runs back through it one block of
+    patches at a time, in the blocks' fixed order, freeing each block's arrays once it is
+    done.  Each factor's gradient is summed over the blocks, so it is the same bit for bit
+    from run to run, but rounds differently from one reduction over all patches.
     """
     if analysis is None:
         analysis = patch_analysis(factors, patches, params.nu)
-    cotangent, inputs = analysis.release()
-    count = cotangent.shape[0]
-    # d(g^2)/dA = 2 g * 2 nu A / (1 + nu A^2), per sample, formed in place
-    sparsity_gradient(cotangent, params.nu)
-    cotangent *= (2.0 * analysis.per_sample).reshape((count,) + (1,) * (cotangent.ndim - 1))
+    coeffs, blocks = analysis.release()
+    count = len(coeffs)
+    factors = [np.asarray(f, dtype=float) for f in factors]
+    sums = [np.zeros((factor.shape[1], len(factor))) for factor in factors]
+    for (start, stop), inputs in blocks:
+        # d(g^2)/dA = 2 g * 2 nu A / (1 + nu A^2), per sample, formed in place
+        cotangent = coeffs[start:stop]
+        sparsity_gradient(cotangent, params.nu)
+        cotangent *= (2.0 * analysis.per_sample[start:stop]).reshape(
+            (stop - start,) + (1,) * (cotangent.ndim - 1)
+        )
+        # Reverse mode through the block's analysis, last mode first: mode i's product read
+        # inputs[i] as (n_i, R) rows and wrote (R, k_i) rows, whose cotangent gives F_i's
+        # gradient and, times F_i, the cotangent of what the mode read, in that array's
+        # layout: one GEMM each.  Each array is freed once its GEMM has read it.
+        for factor, total in zip(reversed(factors), reversed(sums)):
+            rows = cotangent.reshape(-1, len(factor))
+            total += inputs.pop().reshape(factor.shape[1], -1) @ rows
+            if inputs:
+                cotangent = factor.T @ rows.T
 
-    # Reverse mode through the analysis, last mode first: mode i's product read inputs[i] as
-    # (n_i, R) rows and wrote (R, k_i) rows, whose cotangent gives F_i's gradient and, times
-    # F_i, the cotangent of what the mode read, in that array's layout: one GEMM each.
     grads: list[np.ndarray] = []
-    for factor in reversed([np.asarray(f, dtype=float) for f in factors]):
-        rows = cotangent.reshape(-1, len(factor))
-        grad = (inputs.pop().reshape(factor.shape[1], -1) @ rows).T / count
-        if inputs:
-            cotangent = factor.T @ rows.T
+    for factor, total in zip(factors, sums):
+        grad = total.T / count
         if params.kappa > 0:
             grad = grad + params.kappa * rank_penalty_gradient(factor)
         if params.mu > 0:
             grad = grad + params.mu * coherence_penalty_gradient(factor)
-        grads.insert(0, grad)
+        grads.append(grad)
     return grads
 
 

@@ -5,14 +5,15 @@ storage (last index fastest), so the vectorization of a separable analysis is
 the Kronecker chain of its factors applied to ``tensor.ravel()``.  Every
 factor is applied by one kernel, :func:`rotate_product`, a GEMM over the
 first axis issued in cache-sized blocks of rows: learning chains it over
-patch batches, and the analysis of every window of an order-N tensor, one
-factor per mode, over stacks of shifted slices, one cache-sized slab of the
-result at a time.  The adjoint of that analysis synthesizes the windows with
-one GEMM per mode and block of window origins, walked and added in along
-the axis with the most origins.  The GEMM rows, the slabs and the adjoint's
-blocks follow one rule, :func:`_blocks`, and one budget, :data:`BLOCK_BYTES`
-(256 KiB), which :mod:`sepop.objective`'s penalty passes share.  Every analysis,
-of windows or of patch batches, checks its factors with :func:`window_grid` alone.
+cache-sized blocks of whole patches, and the analysis of every window of an
+order-N tensor, one factor per mode, over stacks of shifted slices, one
+cache-sized slab of the result at a time.  The adjoint of that analysis
+synthesizes the windows with one GEMM per mode and block of window origins,
+walked and added in along the axis with the most origins.  The GEMM rows,
+the slabs, the adjoint's blocks and learning's blocks of patches follow one
+rule, :func:`_blocks`, and one budget, :data:`BLOCK_BYTES` (256 KiB), which
+:mod:`sepop.objective`'s penalty passes share.  Every analysis, of windows or
+of patch batches, checks its factors with :func:`window_grid` alone.
 Formulas in the docs are stated 1-based; all code indices are 0-based.
 """
 
@@ -23,9 +24,11 @@ from itertools import product
 
 import numpy as np
 
-# Every blocked pass (GEMM rows, analysis slabs, adjoint blocks, the penalty's chunks) takes
-# about this many bytes at a time, so a block and its partial products stay in a per-core L2
-# cache.  Each pass reads it when called; its result is the same bit for bit at any budget.
+# Every blocked pass (GEMM rows, analysis slabs, adjoint blocks, learning's blocks of patches,
+# the penalty's chunks) takes about this many bytes at a time, so a block and its partial
+# products stay in a per-core L2 cache.  Each pass reads it when called (a patch batch when it
+# is laid out); its result is the same bit for bit at any budget, but for the learning
+# gradient, which sums over the blocks of patches.
 BLOCK_BYTES = 256 * 1024
 
 

@@ -150,14 +150,56 @@ def test_operator_with_wrong_mode_count_exits_1(tmp_path, phantom, capsys, comma
 def test_non_finite_flag_exits_1_naming_the_field(
     tmp_path, phantom, operators, capsys, command, flag, value, message
 ):
-    if command == "learn":
-        args = ["learn", "--train-vol", phantom, "--T", "50", "--max-iters", "2"]
-    else:
-        args = [command, "--in", phantom, "--op", operators, "--max-iters", "2"]
-        if command == "denoise" and flag != "--sigma":
-            args += ["--sigma", "5"]
-    assert run(*args, flag, value, "--out", str(tmp_path / "out")) == 1
+    argv = flag_run(command, flag, phantom, operators) + [flag, value, "--out", str(tmp_path / "out")]
+    assert run(*argv) == 1
     assert message in capsys.readouterr().err
+
+
+def flag_run(command, flag, phantom, operators):
+    """A short run of ``command`` without ``flag`` or ``--out``."""
+    if command == "learn":
+        return ["learn", "--train-vol", phantom, "--T", "50", "--max-iters", "2"]
+    args = [command, "--in", phantom, "--op", operators, "--max-iters", "2"]
+    if command == "denoise" and flag != "--sigma":
+        args += ["--sigma", "5"]
+    return args
+
+
+@pytest.mark.parametrize(
+    "value, shown", [("-1e-3", "-0.001"), ("-1E+2", "-100.0"), ("-inf", "-inf"), ("-nan", "nan")]
+)
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        ("learn", "--nu", "nu must be positive and finite, got {}"),
+        ("learn", "--kappa", "kappa and mu must be nonnegative and finite, got {}, 0.5"),
+        ("learn", "--mu", "kappa and mu must be nonnegative and finite, got 500.0, {}"),
+        ("learn", "--flat-tol", "flat_tol must be nonnegative, got {}"),
+        ("denoise", "--sigma", "sigma must be nonnegative and finite, got {}"),
+        ("denoise", "--lambda", "lam must be positive and finite, got {}"),
+        ("denoise", "--nu", "nu must be positive and finite, got {}"),
+        ("cs", "--rate", "rate must lie in (0, 1], got {}"),
+        ("cs", "--lambda", "lam must be positive and finite, got {}"),
+        ("cs", "--nu", "nu must be positive and finite, got {}"),
+    ],
+)
+def test_negative_float_as_its_own_token_is_refused_by_its_value(
+    tmp_path, phantom, operators, capsys, command, flag, message, value, shown
+):
+    # argparse's own negative-number pattern has no exponent, infinity or nan: it took
+    # "-1e-3" for an option and exited with "expected one argument"
+    capsys.readouterr()
+    argv = flag_run(command, flag, phantom, operators) + [flag, value, "--out", str(tmp_path / "out")]
+    assert run(*argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message.format(shown)}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_unknown_option_after_a_flag_is_still_refused(tmp_path, phantom, operators, capsys):
+    argv = flag_run("cs", "--lambda", phantom, operators)
+    argv += ["--lambda", "-x", "--out", str(tmp_path / "out")]
+    assert run(*argv) == 1
+    assert "argument --lambda: expected one argument" in capsys.readouterr().err
 
 
 def small_run(command, phantom, operators, tmp_path):

@@ -347,15 +347,16 @@ class TestSharedAnalysis:
 
         def analysis(fs, batch, nu):
             if not batches:
-                batches.append((batch, batch.leading.copy()))
+                batches.append((batch, [block.copy() for _, block in batch.blocks]))
             assert batch is batches[0][0]  # laid out once per run
             return objective.patch_analysis(fs, batch, nu)
 
         monkeypatch.setattr(learn, "patch_analysis", analysis)
         learn_operators(patches, [(6, 5)] * 3, LearningParams(), SolverConfig(max_iters=10, seed=2))
-        ((batch, leading),) = batches
-        assert not batch.leading.flags.writeable
-        assert np.array_equal(batch.leading, leading)
+        ((batch, blocks),) = batches
+        for (_, block), copy in zip(batch.blocks, blocks, strict=True):
+            assert not block.flags.writeable
+            assert np.array_equal(block, copy)
 
     def test_line_search_failure_equals_the_reference_solve(self, monkeypatch):
         # Two trials per line search and a demanding Armijo test: after one

@@ -331,8 +331,8 @@ def random_instance(shapes, count, seed):
 
 def assert_equal_to_reference(factors, patches, params, grads):
     """The gradient equals the frozen einsum definition within 1e-12 of its largest entry:
-    the reverse-mode GEMMs sum in another order (1.8e-14 at worst, measured over
-    ``SHAPE_SETS``, orders 1 to 4 and T from 1 to 2000)."""
+    the reverse-mode GEMMs sum in another order, one block of patches at a time (2.3e-14 at
+    worst, measured over ``SHAPE_SETS``, orders 1 to 4 and T from 1 to 2000)."""
     expected = reference_objective.learning_gradient(factors, patches, params)
     assert len(grads) == len(expected)
     for g, e in zip(grads, expected):
@@ -440,29 +440,86 @@ class TestSharedAnalysis:
             assert per_sample[t] == pytest.approx(objective.sparsity_measure(coeffs[t], 1000.0), rel=1e-13)
 
 
+class TestPatchBlocks:
+    """Learning analyzes the batch, and runs the gradient back through it, one block of whole
+    patches at a time: at any budget the analysis, the per-patch sums and the cost equal the
+    frozen definition bit for bit, the gradient is within 1e-12 of it, and a second run gives
+    the same bits."""
+
+    @pytest.mark.parametrize(
+        "per_block, spans",
+        [
+            (2, [(0, 2), (2, 4), (4, 6), (6, 8)]),
+            (3, [(0, 3), (3, 6), (6, 8)]),
+            (8, [(0, 8)]),
+        ],
+        ids=["blocks-of-2", "blocks-of-3-and-a-remainder", "one-block"],
+    )
+    @pytest.mark.parametrize(
+        "shapes",
+        [SHAPE_SETS["6x5"], SHAPE_SETS["non-cubic"], ORDER_SETS["order-1"]],
+        ids=["6x5", "non-cubic", "order-1"],
+    )
+    def test_blocks_equal_reference(self, monkeypatch, shapes, per_block, spans):
+        params = LearningParams()
+        factors, patches = random_instance(shapes, 8, seed=per_block)
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 8 * per_block * math.prod(patches.shape[1:]))
+
+        def run():
+            batch = objective.PatchBatch.of(patches)
+            assert [span for span, _ in batch.blocks] == spans
+            analysis = objective.patch_analysis(factors, batch, params.nu)
+            coeffs, per_sample = analysis.coeffs.copy(), analysis.per_sample
+            cost = objective.learning_cost(factors, batch, params, analysis)
+            grads = objective.learning_gradient(factors, batch, params, analysis)
+            return coeffs, per_sample, cost, grads
+
+        coeffs, per_sample, cost, grads = run()
+        expected = reference_objective.analyze_batch(patches, factors)
+        assert np.array_equal(coeffs, expected)
+        penalty = np.log1p(params.nu * expected * expected)
+        assert np.array_equal(per_sample, np.sum(penalty, axis=tuple(range(1, expected.ndim))))
+        assert cost == reference_objective.learning_cost(factors, patches, params)
+        assert_equal_to_reference(factors, patches, params, grads)
+        again = run()
+        assert np.array_equal(again[0], coeffs) and np.array_equal(again[1], per_sample)
+        assert again[2] == cost
+        assert all(np.array_equal(g, a) for g, a in zip(grads, again[3], strict=True))
+
+
 class TestPatchBatch:
     """The per-run layouts of the patches: built once, shared, never written."""
 
     @pytest.mark.parametrize(
         "shapes", [SHAPE_SETS["non-cubic"], ORDER_SETS["order-1"]], ids=["order-3", "order-1"]
     )
-    def test_layouts_are_read_only(self, shapes):
-        _factors, patches = random_instance(shapes, 7, seed=1)
+    def test_layouts_are_read_only(self, shapes, monkeypatch):
+        _factors, patches = random_instance(shapes, 8, seed=1)
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 8 * 3 * math.prod(patches.shape[1:]))
         batch = objective.PatchBatch.of(patches)
         assert batch.shape == patches.shape
-        assert np.array_equal(batch.leading, np.moveaxis(patches, 0, -1))
-        assert batch.leading.flags.c_contiguous and not batch.leading.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            batch.leading[...] = 0.0
+        assert [span for span, _ in batch.blocks] == [(0, 3), (3, 6), (6, 8)]
+        joined = np.concatenate([block for _, block in batch.blocks], axis=-1)
+        assert np.array_equal(joined, np.moveaxis(patches, 0, -1))
+        for _, block in batch.blocks:
+            assert block.flags.c_contiguous and not block.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                block[...] = 0.0
         assert patches.flags.writeable  # the caller's array is left as it was
         assert objective.PatchBatch.of(batch) is batch
 
-    def test_every_analysis_shares_the_leading_layout(self):
+    def test_every_analysis_shares_the_blocks(self, monkeypatch):
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 8 * 2 * 125)
         factors, patches = random_instance(SHAPE_SETS["6x5"], 5, seed=2)
         batch = objective.PatchBatch.of(patches)
         first = objective.patch_analysis(factors, batch, 1000.0)
         second = objective.patch_analysis(factors, batch, 1000.0)
-        assert first.mode_inputs[0] is batch.leading is second.mode_inputs[0]
+        assert len(batch.blocks) == len(first.mode_inputs) == len(second.mode_inputs) == 2
+        for (span, block), (a_span, a_read), (b_span, b_read) in zip(
+            batch.blocks, first.mode_inputs, second.mode_inputs, strict=True
+        ):
+            assert span == a_span == b_span
+            assert a_read[0] is block is b_read[0]
 
     def test_too_few_axes_rejected(self):
         with pytest.raises(ValueError, match=r"axes \(T, n_1, ...\), T >= 1, got shape \(5,\)"):
@@ -534,13 +591,18 @@ class TestGradientWork:
             monkeypatch.setattr(module, name, counting)
         return calls
 
-    def test_three_mode_products_and_no_analysis(self, counted):
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_three_mode_products_a_block_and_no_analysis(self, counted, monkeypatch, blocks):
+        # 40 patches of 60 entries, in one block or in blocks of 14, 14 and 12
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 8 * 60 * (40 if blocks == 1 else 14))
         params = LearningParams()
         factors, patches = random_instance(SHAPE_SETS["non-cubic"], 40, seed=5)
-        analysis = objective.patch_analysis(factors, patches, params.nu)
-        assert counted == {"rotate_product": 3, "analyze_batch": 1}
-        grads = objective.learning_gradient(factors, patches, params, analysis)
-        assert counted == {"rotate_product": 3, "analyze_batch": 1}
+        batch = objective.PatchBatch.of(patches)
+        assert len(batch.blocks) == blocks
+        analysis = objective.patch_analysis(factors, batch, params.nu)
+        assert counted == {"rotate_product": 3 * blocks, "analyze_batch": 1}
+        grads = objective.learning_gradient(factors, batch, params, analysis)
+        assert counted == {"rotate_product": 3 * blocks, "analyze_batch": 1}
         assert_equal_to_reference(factors, patches, params, grads)
 
     def test_an_analysis_serves_one_gradient(self):
